@@ -35,8 +35,11 @@ exactly, including at trap time:
   trapped access counts its instruction but not its cycle; a division by
   zero charges one cycle less than a completed division).
 
-Runs with the wall-clock watchdog armed single-step (the deadline is
-polled between instructions, as in the reference).
+Runs with the wall-clock watchdog armed use the same fused tables: the
+dispatch loop polls the deadline between handlers whenever the executed
+count has crossed a multiple of 4096 since the previous handler started.
+Blocks end before every branch target and at every call, so each loop
+back-edge, call entry and call return passes a poll.
 
 Instrumented runs compile a *second variant* instead of falling back to
 the reference interpreter.  Translations are keyed by an
@@ -65,10 +68,12 @@ under any signature; the only latitude is that ``executed`` and the
 deferred cycle counters lag by at most one basic block mid-block, which
 no event payload (and hence no sink) can observe.
 
-The one knowable divergence: when the watchdog fires at the exact
-instruction where the budget also trips, this engine reports the timeout
-and the reference the budget trap — unobservable in practice since
-watchdog expiry is host-timing dependent.
+The one knowable divergence is the watchdog's poll point: the
+reference polls at the instruction that reaches a multiple of 4096, this
+engine at the next block boundary, and its timeout names that block's
+leader pc and the instructions completed before it.  Which instruction a
+timeout lands on is host-timing dependent in either engine, and no
+simulated counter differs.
 """
 
 from __future__ import annotations
@@ -79,7 +84,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import (
     BoundsTrap, LinkError, PoisonTrap, SimTrap, StepBudgetExceeded,
-    TemporalViolation, WorkloadTimeout,
+    TemporalViolation,
 )
 from repro.compiler.ir import IRFunction, Op
 from repro.ifp.bounds import Bounds
@@ -87,7 +92,7 @@ from repro.mem.layout import ADDRESS_MASK
 from repro.obs.events import BoundsSpillEvent, CheckEvent, PromoteEvent
 from repro.temporal import temporal_violation
 from repro.vm.interp import (
-    Interpreter, U64, _CALL_EXTRA, _DIV_EXTRA, _MUL_EXTRA,
+    Interpreter, U64, _CALL_EXTRA, _DEADLINE_MASK, _DIV_EXTRA, _MUL_EXTRA,
     _SCHEME_NAMES, _signed,
 )
 
@@ -251,10 +256,13 @@ class _FuncCompiler:
     Produces two views sharing the barrier handlers:
 
     * ``fused`` — basic blocks collapsed into one compiled function each,
-      used by the no-deadline loop;
-    * ``singles`` — one handler per instruction, used when the wall-clock
-      watchdog is armed (the deadline is polled between instructions) and
-      by the near-budget fallback of fused blocks.
+      used by every dispatch loop, deadline-armed or not;
+    * ``singles`` — one handler per instruction, used only by the
+      near-budget fallback of fused blocks.
+
+    Generated source is compiled once per distinct text and function
+    (:meth:`_load`), so machines sharing a compiled program share code
+    objects while each binds its own namespace.
 
     ``sig`` is the instrumentation signature (``SIG_TRACE`` |
     ``SIG_OBS``): it selects which emit statements are compiled inline.
@@ -747,12 +755,26 @@ class _FuncCompiler:
 
     # -- block assembly ------------------------------------------------------
 
-    def _assemble(self, header: List[str], body: List[str]) -> object:
-        src = "def _b(st):\n" + "".join(
-            f"    {line}\n" for line in header + body)
+    def _load(self, signature: str, lines: List[str], extra=None):
+        """Define ``def {signature}:`` with body ``lines`` in a fresh
+        copy of this machine's namespace and return the function.
+
+        The code object is memoized on the IRFunction keyed by the full
+        source text: same text, same code, so the memo is sound by
+        construction and machines sharing a compiled program compile
+        each translation once.  The memo never outlives the IR objects.
+        """
+        src = f"def {signature}:\n" + "".join(
+            f"    {line}\n" for line in lines)
+        memo = self.func.code_memo
+        code = memo.get(src)
+        if code is None:
+            code = memo[src] = compile(src, "<string>", "exec")
         ns = dict(self.ns)
-        exec(src, ns)  # noqa: S102 - templates above, literals only
-        return ns["_b"]
+        if extra:
+            ns.update(extra)
+        exec(code, ns)  # noqa: S102 - templates above, literals only
+        return ns[signature.partition("(")[0]]
 
     def _single_header(self, ip: int) -> List[str]:
         """Accounting prologue for a 1-instruction block: exact budget
@@ -784,7 +806,7 @@ class _FuncCompiler:
         # the reference records the trace before the budget check, on
         # pre-execution register values — so does the compiled prologue
         pre = [f"T(FN, {ip}, INS[{ip}], st.regs)"] if self.trace else []
-        return self._assemble(pre + self._single_header(ip), body)
+        return self._load("_b(st)", pre + self._single_header(ip) + body)
 
     def compile_block(self, emitted: List[Tuple[int, _Emitted]],
                       fallback) -> object:
@@ -844,13 +866,7 @@ class _FuncCompiler:
         else:
             close_segment(k)
             body.append(f"return {emitted[-1][0] + 1}")
-        ns_extra = {"_fb": fallback}
-        src = "def _b(st):\n" + "".join(
-            f"    {line}\n" for line in header + body)
-        ns = dict(self.ns)
-        ns.update(ns_extra)
-        exec(src, ns)  # noqa: S102
-        return ns["_b"]
+        return self._load("_b(st)", header + body, {"_fb": fallback})
 
     # -- function-level translation ------------------------------------------
 
@@ -935,8 +951,9 @@ class _FuncCompiler:
         instruction budget spills its pinned registers and defers to
         the single-step fallback so :class:`StepBudgetExceeded` fires
         at the reference's exact instruction with the exact message.
-        Only the uninstrumented signature compiles here — instrumented
-        or deadline-armed runs use the fused/single tiers — so the
+        Only the uninstrumented signature compiles here, and only for
+        runs without a deadline (instrumented or deadline-armed runs use
+        the fused tier, whose dispatch loop polls the watchdog), so the
         ``regs[N]`` → pinned-local rewrite sees only literal indices.
         """
         assert self.sig == 0, "superblock tier is uninstrumented-only"
@@ -1196,12 +1213,7 @@ class _FuncCompiler:
                       "_R = regs", "_B = bnds", "c = st.c",
                       "ip = 0", "while True:"]
                      + [f"    {line}" for line in arms])
-        src = "def _sf(st):\n" + "".join(
-            f"    {line}\n" for line in src_lines)
-        ns = dict(self.ns)
-        ns.update(self._native_fallbacks)
-        exec(src, ns)  # noqa: S102 - templates above, literals only
-        return ns["_sf"]
+        return self._load("_sf(st)", src_lines, self._native_fallbacks)
 
     def _compile_loop(self, blocks: List[int]):
         """One native-loop handler covering a small loop region of a
@@ -1235,12 +1247,8 @@ class _FuncCompiler:
                      + unpack
                      + ["while True:"]
                      + [f"    {line}" for line in arms])
-        src = "def _rg(st, ip):\n" + "".join(
-            f"    {line}\n" for line in src_lines)
-        ns = dict(self.ns)
-        ns.update(self._native_fallbacks)
-        exec(src, ns)  # noqa: S102 - templates above, literals only
-        return ns["_rg"]
+        return self._load("_rg(st, ip)", src_lines,
+                          self._native_fallbacks)
 
 
 def _make_region_entry(native, entry: int):
@@ -1392,36 +1400,32 @@ class FastInterpreter(Interpreter):
         ip = 0
         try:
             deadline = self._deadline
+            if sig == 0 and not deadline:
+                sup = self._super.get(name) or self._super_fn(func)
+                if sup is not None:
+                    if type(sup) is list:
+                        while ip >= 0:
+                            ip = sup[ip](st)
+                    else:
+                        sup(st)
+                    return st.ret, st.retb
+            handlers = self._fused.get((name, sig)) \
+                or self._translate_fused(func, sig)
             if deadline:
-                # Watchdog armed: single-step so the deadline is polled
-                # between instructions, exactly as the reference does.
-                handlers = self._singles.get((name, sig)) \
-                    or self._translate_singles(func, sig)
+                # Watchdog armed: poll the deadline before a handler when
+                # the previous one crossed a multiple of 4096.  Starting
+                # e0 one below the entry count polls on entry when the
+                # caller's call instruction itself reached a multiple,
+                # so recursion through call-first functions is polled.
                 monotonic = time.monotonic
+                e0 = max(self.executed - 1, 0)
                 while ip >= 0:
-                    e1 = self.executed + 1
-                    if not e1 & 0xFFF and monotonic() > deadline:
-                        self.executed = e1
-                        raise WorkloadTimeout(
-                            f"wall-clock timeout after "
-                            f"{self._timeout_seconds:g}s "
-                            f"({e1:,} instructions executed, "
-                            f"at {name}+{ip})",
-                            seconds=self._timeout_seconds,
-                            executed=e1)
+                    e = self.executed
+                    if e > e0 | _DEADLINE_MASK and monotonic() > deadline:
+                        raise self._timeout(e, name, ip)
+                    e0 = e
                     ip = handlers[ip](st)
             else:
-                if sig == 0:
-                    sup = self._super.get(name) or self._super_fn(func)
-                    if sup is not None:
-                        if type(sup) is list:
-                            while ip >= 0:
-                                ip = sup[ip](st)
-                        else:
-                            sup(st)
-                        return st.ret, st.retb
-                handlers = self._fused.get((name, sig)) \
-                    or self._translate_fused(func, sig)
                 while ip >= 0:
                     ip = handlers[ip](st)
             return st.ret, st.retb

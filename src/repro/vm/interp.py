@@ -46,6 +46,10 @@ _MUL_EXTRA = 2   #: extra cycles for multiply
 _DIV_EXTRA = 7   #: extra cycles for divide/remainder
 _CALL_EXTRA = 1  #: extra cycles for call/return
 
+#: the wall-clock watchdog polls ``time.monotonic`` only when the
+#: executed count crosses a multiple of ``_DEADLINE_MASK + 1`` (4096)
+_DEADLINE_MASK = 0xFFF
+
 
 def _signed(value: int) -> int:
     return value - (1 << 64) if value & _SIGN else value
@@ -70,8 +74,8 @@ class Interpreter:
         self.executed = 0
         self._limit = machine.config.max_instructions
         #: wall-clock deadline (time.monotonic value; 0.0 disables).
-        #: Checked every _DEADLINE_STRIDE instructions so the watchdog
-        #: costs one mask-and-test per instruction when armed.
+        #: Polled every 4096 instructions (``_DEADLINE_MASK``) so the
+        #: watchdog costs one mask-and-test per instruction when armed.
         self._deadline = 0.0
         self._timeout_seconds = 0.0
         self._no_promote = machine.config.no_promote
@@ -92,6 +96,13 @@ class Interpreter:
         else:
             self._timeout_seconds = timeout_seconds
             self._deadline = time.monotonic() + timeout_seconds
+
+    def _timeout(self, executed: int, name: str, ip: int) -> WorkloadTimeout:
+        """The watchdog's expiry error, raised at ``name+ip``."""
+        return WorkloadTimeout(
+            f"wall-clock timeout after {self._timeout_seconds:g}s "
+            f"({executed:,} instructions executed, at {name}+{ip})",
+            seconds=self._timeout_seconds, executed=executed)
 
     # -- call entry --------------------------------------------------------------
 
@@ -159,15 +170,9 @@ class Interpreter:
                         f"({self.executed:,} > {self._limit:,})",
                         executed=self.executed, limit=self._limit,
                         pc=(func.name, ip - 1))
-                if (self._deadline and not self.executed & 0xFFF
+                if (self._deadline and not self.executed & _DEADLINE_MASK
                         and time.monotonic() > self._deadline):
-                    raise WorkloadTimeout(
-                        f"wall-clock timeout after "
-                        f"{self._timeout_seconds:g}s "
-                        f"({self.executed:,} instructions executed, "
-                        f"at {func.name}+{ip - 1})",
-                        seconds=self._timeout_seconds,
-                        executed=self.executed)
+                    raise self._timeout(self.executed, func.name, ip - 1)
                 op = ins.op
 
                 if op == Op.BIN or op == Op.BINI:

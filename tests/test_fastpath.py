@@ -19,7 +19,7 @@ import dataclasses
 import pytest
 
 from repro.compiler import CompilerOptions, compile_source
-from repro.errors import ReproError, WorkloadTimeout
+from repro.errors import ReproError, StepBudgetExceeded, WorkloadTimeout
 from repro.eval.configs import build_machine_config, build_options
 from repro.fuzz.attacks import attacks_for
 from repro.fuzz.generator import generate_program, render
@@ -28,12 +28,22 @@ from repro.vm.fastpath import FastInterpreter
 from repro.workloads import WORKLOADS
 
 
-def _observables(program, config: MachineConfig, engine: str):
-    """Run one compiled program under one engine; returns every
+#: the ``python -m repro.resil`` watchdog: long enough never to fire, so
+#: a run armed with it must stay byte-identical to a disarmed reference
+ARMED_TIMEOUT = 120.0
+
+
+def _observables(program, config: MachineConfig, engine: str,
+                 timeout=None, fault_plan=None):
+    """Run one compiled program under one engine (optionally with the
+    wall-clock watchdog and a fault injector armed); returns every
     observable the equivalence contract covers, as plain data."""
     from dataclasses import replace
     machine = Machine(program, replace(config, engine=engine))
-    result = machine.run()
+    if fault_plan is not None:
+        from repro.resil.faults import FaultInjector
+        FaultInjector(fault_plan).arm(machine)
+    result = machine.run(timeout_seconds=timeout)
     trap = result.trap
     return {
         "exit_code": result.exit_code,
@@ -52,9 +62,11 @@ def _assert_engines_agree(source: str, config_name: str,
     config = build_machine_config(config_name, max_instructions)
     reference = _observables(program, config, "reference")
     for engine in ("fastpath", "superblock"):
-        compiled = _observables(program, config, engine)
-        assert compiled == reference, (
-            f"engine {engine!r} diverged under {config_name!r}")
+        for timeout in (None, ARMED_TIMEOUT):
+            compiled = _observables(program, config, engine, timeout)
+            assert compiled == reference, (
+                f"engine {engine!r} diverged under {config_name!r}"
+                f" (timeout={timeout})")
     return reference
 
 
@@ -201,6 +213,144 @@ class TestTrapEquivalence:
 
 
 # ---------------------------------------------------------------------------
+# the wall-clock watchdog on the fused tier
+# ---------------------------------------------------------------------------
+
+#: a loop whose body is a call: every iteration leaves and re-enters
+#: main's dispatch loop through a call barrier
+CALL_LOOP = """
+int step(int x) { return x + 1; }
+int main(void) {
+    int i = 0;
+    while (1) i = step(i);
+    return i;
+}
+"""
+
+#: unbounded recursion with zero-byte frames whose first instruction is
+#: the call, so no block of it ever returns to a dispatch loop
+CALL_FIRST_RECURSE = """
+int spin(int n) { return spin(n); }
+int main(void) { return spin(1); }
+"""
+
+#: deep recursion with small frames, a block before each call
+DEEP_RECURSE = """
+int down(int n) { if (n == 0) return 0; return down(n - 1) + 1; }
+int main(void) { return down(1000000); }
+"""
+
+#: expires before the first poll; the reference polls first at 4096
+EXPIRED = 1e-9
+
+
+class TestDeadlineTier:
+    """Deadline-armed runs dispatch through the fused table and poll the
+    watchdog at block boundaries instead of single-stepping."""
+
+    @staticmethod
+    def _timeout(source: str, engine: str):
+        program = compile_source(source, CompilerOptions.baseline())
+        machine = Machine(program, MachineConfig(
+            engine=engine, max_instructions=2_000_000_000))
+        with pytest.raises(WorkloadTimeout) as info:
+            machine.run(timeout_seconds=EXPIRED)
+        return program, machine, info.value
+
+    @pytest.mark.parametrize("engine", ["auto", "fastpath", "superblock"])
+    @pytest.mark.parametrize("guest", ["SPIN", "CALL_LOOP",
+                                       "CALL_FIRST_RECURSE",
+                                       "DEEP_RECURSE"])
+    def test_watchdog_fires_within_one_block(self, engine, guest):
+        source = globals()[guest]
+        _, _, ref = self._timeout(source, "reference")
+        assert ref.executed == 4096
+        program, machine, exc = self._timeout(source, engine)
+        longest = max(len(f.instrs) for f in program.functions.values())
+        assert ref.executed <= exc.executed < ref.executed + longest
+        assert exc.stats is not None
+        assert machine._fast._singles == {}
+        assert machine._fast._super == {}
+
+    def test_armed_run_builds_no_singles(self):
+        program = compile_source(RECURSE, build_options("wrapped"))
+        machine = Machine(program, build_machine_config("wrapped"))
+        result = machine.run(timeout_seconds=ARMED_TIMEOUT)
+        assert result.trap is None
+        assert machine._fast._singles == {}
+        assert {key[0] for key in machine._fast._fused} >= {"main", "add"}
+
+    def test_budget_fallback_still_single_steps(self):
+        program = compile_source(SPIN, CompilerOptions.baseline())
+        machine = Machine(program, MachineConfig(max_instructions=10_000))
+        result = machine.run(timeout_seconds=ARMED_TIMEOUT)
+        assert isinstance(result.trap, StepBudgetExceeded)
+        assert result.trap.executed == 10_001
+        assert machine._fast._singles
+
+    def test_fault_injected_armed_runs_identical(self):
+        # Campaign cells arm an injector and the watchdog together.
+        from repro.resil.faults import FaultPlan
+        program = compile_source(WORKLOADS["treeadd"].source(1),
+                                 build_options("wrapped"))
+        config = build_machine_config("wrapped", 200_000_000)
+        for fault in ("metadata_corrupt", "mac_corrupt", "layout_corrupt"):
+            plan = FaultPlan.single(fault, seed=7, period=3, start=2)
+            reference = _observables(program, config, "reference",
+                                     fault_plan=plan)
+            for engine in ("auto", "fastpath", "superblock"):
+                assert _observables(program, config, engine,
+                                    ARMED_TIMEOUT, plan) == reference, \
+                    f"{engine} diverged under {fault}"
+
+
+class TestCodeMemo:
+    """Machines over one compiled program share translated code
+    objects through the IRFunction's memo; the IR stays plain data."""
+
+    def test_machines_share_code_objects(self):
+        program = compile_source(RECURSE, CompilerOptions.baseline())
+        config = MachineConfig(engine="fastpath")
+        first = Machine(program, config)
+        first.run()
+        memo = dict(program.functions["add"].code_memo)
+        assert memo
+        second = Machine(program, config)
+        second.run()
+        assert program.functions["add"].code_memo == memo
+        key = ("add", 0)
+        for old, new in zip(first._fast._fused[key],
+                            second._fast._fused[key]):
+            if hasattr(old, "__code__") and old.__name__ == "_b":
+                assert old is not new
+                assert old.__code__ is new.__code__
+
+    def test_fresh_compile_never_hits(self):
+        program = compile_source(RECURSE, CompilerOptions.baseline())
+        Machine(program, MachineConfig(engine="fastpath")).run()
+        again = compile_source(RECURSE, CompilerOptions.baseline())
+        assert all(not f.code_memo for f in again.functions.values())
+
+    def test_memo_leaves_pickle_eq_and_repr_alone(self):
+        import pickle
+        program = compile_source(RECURSE, CompilerOptions.baseline())
+        before = repr(program)
+        pristine = pickle.dumps(program)
+        twin = dataclasses.replace(program.functions["add"])
+        Machine(program, MachineConfig(engine="superblock")).run()
+        assert program.functions["add"].code_memo
+        assert not twin.code_memo
+        assert twin == program.functions["add"]
+        assert repr(program) == before
+        assert pickle.dumps(program) == pristine
+        clone = pickle.loads(pickle.dumps(program))
+        assert repr(clone) == before
+        assert "_code_memo" not in clone.functions["add"].__dict__
+        result = Machine(clone, MachineConfig(engine="fastpath")).run()
+        assert result.exit_code == (40 * 41 // 2) & 0xFF
+
+
+# ---------------------------------------------------------------------------
 # generated fuzz programs, clean and attacked
 # ---------------------------------------------------------------------------
 
@@ -263,7 +413,7 @@ class TestWorkloadDifferential:
 
 
 def _instrumented_observables(program, config: MachineConfig,
-                              engine: str, fault_plan=None):
+                              engine: str, fault_plan=None, timeout=None):
     """Run one program with the full observer stack armed (profiler,
     forensics, event tail, auto-tracer) plus an event-capturing sink;
     returns every instrumented observable as plain data."""
@@ -278,7 +428,7 @@ def _instrumented_observables(program, config: MachineConfig,
     events = []
     obs = attach_observer(machine, profile=True, forensics=True)
     obs.bus.subscribe(lambda event: events.append(event.to_dict()))
-    result = machine.run()
+    result = machine.run(timeout_seconds=timeout)
     trap = result.trap
     return {
         "engine_used": machine.engine_used,
@@ -302,13 +452,14 @@ def _assert_instrumented_engines_agree(source: str, config_name: str,
     config = build_machine_config(config_name, max_instructions)
     reference = _instrumented_observables(program, config, "reference",
                                           fault_plan)
-    fastpath = _instrumented_observables(program, config, "fastpath",
-                                         fault_plan)
-    assert reference["engine_used"] == "reference"
-    assert fastpath["engine_used"] == "fastpath"
-    del reference["engine_used"], fastpath["engine_used"]
-    assert fastpath == reference, (
-        f"instrumented engines diverged under {config_name!r}")
+    assert reference.pop("engine_used") == "reference"
+    for timeout in (None, ARMED_TIMEOUT):
+        fastpath = _instrumented_observables(program, config, "fastpath",
+                                             fault_plan, timeout)
+        assert fastpath.pop("engine_used") == "fastpath"
+        assert fastpath == reference, (
+            f"instrumented engines diverged under {config_name!r}"
+            f" (timeout={timeout})")
     return reference
 
 
@@ -539,8 +690,9 @@ class TestSuperblockTier:
             machine.select_interp()
 
     def test_superblock_wall_clock_watchdog_fires(self):
-        # A deadline-armed run single-steps (the superblock tier never
-        # engages) so the watchdog polls between instructions.
+        # A deadline-armed run dispatches through the fused table (the
+        # superblock tier never engages), which polls the watchdog at
+        # block boundaries.
         program = compile_source(SPIN, CompilerOptions.baseline())
         machine = Machine(program, MachineConfig(
             engine="superblock", max_instructions=2_000_000_000))
@@ -569,8 +721,10 @@ class TestSuperblockTier:
                              temporal=temporal)
             reference = _observables(program, config, "reference")
             for engine in ("fastpath", "superblock"):
-                assert _observables(program, config, engine) \
-                    == reference, f"{engine} diverged ({temporal})"
+                for timeout in (None, ARMED_TIMEOUT):
+                    assert _observables(program, config, engine,
+                                        timeout) == reference, \
+                        f"{engine} diverged ({temporal}, {timeout})"
 
     def test_budget_trap_identical_inside_native_loop(self):
         # The budget must fire at the reference's exact instruction even

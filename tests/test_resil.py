@@ -461,6 +461,25 @@ class TestCampaign:
         assert result.trap is None
         assert injector.injections == []
 
+    def test_compiled_engine_matches_reference_on_every_cell(self):
+        """Differential gate for the deadline-armed compiled tier: the
+        campaign's verdicts, details and injection counts must not
+        depend on the engine."""
+        from repro.resil.matrix import CampaignRunner
+
+        cells = {}
+        for engine in ("auto", "reference"):
+            campaign = CampaignRunner(engine=engine).run(
+                workload_names=("ks", "anagram"),
+                schemes=("local_offset", "subheap", "global_table"),
+                faults=("mac_corrupt", "layout_corrupt",
+                        "temporal_lock_corrupt"), seed=3)
+            cells[engine] = [cell.to_dict() for cell in campaign.cells]
+        assert len(cells["auto"]) == 18
+        assert cells["auto"] == cells["reference"]
+        outcomes = {cell["outcome"] for cell in cells["auto"]}
+        assert {"detected_by_mac", "detected_by_temporal"} <= outcomes
+
     def test_cell_seeds_are_deterministic(self):
         from repro.resil.matrix import CampaignRunner
 
