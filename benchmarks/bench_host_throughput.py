@@ -1,20 +1,20 @@
-"""Host-throughput benchmark: fastpath vs reference guest-MIPS.
+"""Host-throughput benchmark: compiled engine vs reference guest-MIPS.
 
 For every selected ``(workload, config)`` cell this script
 
 1. compiles the workload once,
-2. runs it under **all three** engines (reference, block-fused
-   fastpath, whole-function superblock) and asserts byte-identical
-   observables (guest output, exit code, trap, and every ``RunStats``
-   field including the IFP unit's cache counters) — the differential
-   gate that backs the compiled engines' equivalence contract, and
+2. runs it under both engines (``reference`` and the block-fused
+   compiled engine ``auto``) and asserts byte-identical observables
+   (guest output, exit code, trap, and every ``RunStats`` field
+   including the IFP unit's cache counters) — the differential gate
+   that backs the compiled engine's equivalence contract, and
 3. times each engine over ``--repeats`` fresh runs (best-of), reporting
    simulated guest instructions per host second (guest-MIPS) and the
-   per-engine speedup over the reference.
+   compiled engine's speedup over the reference.
 
 Timed subheap cells additionally get ``subheap_vs_baseline_ratio`` —
 baseline-config MIPS over subheap-config MIPS for the same workload
-under the best compiled engine, the host-side cost factor of subheap
+under the compiled engine, the host-side cost factor of subheap
 protection.  ``--max-subheap-gap`` turns that ratio into a gate.
 
 Results land in ``BENCH_host_throughput.json`` (repro.obs schema v1).
@@ -71,18 +71,16 @@ def _run_once(program, machine_config, engine: str):
     return result, elapsed
 
 
-#: compiled engines timed and differentially verified per cell
-_FAST_ENGINES = ("fastpath", "superblock")
+#: engines timed and differentially verified per cell
+_ENGINES = ("reference", "auto")
 
 
 def bench_cell(workload: str, config: str, scale: int, repeats: int,
                verify_only: bool, temporal: str = "off") -> Dict:
     """Verify and time one (workload, config) cell.
 
-    Both compiled engines ("fastpath" — block-fused only — and
-    "superblock" — whole-function translation) are verified against the
-    reference and timed; the cell is ``identical`` only when every
-    engine agrees byte-for-byte.
+    The compiled engine is verified against the reference and both are
+    timed; the cell is ``identical`` only when they agree byte-for-byte.
 
     All cell fields are numeric (the repro.obs schema forbids strings
     in metrics); the "<workload>/<config>" key carries the identity.
@@ -95,14 +93,9 @@ def bench_cell(workload: str, config: str, scale: int, repeats: int,
     # Differential gate: one verified run per engine per cell, always.
     ref_result, ref_seconds = _run_once(program, machine_config,
                                         "reference")
-    expected = _observables(ref_result)
-    seconds = {"reference": ref_seconds}
-    identical = True
-    for engine in _FAST_ENGINES:
-        result, elapsed = _run_once(program, machine_config, engine)
-        seconds[engine] = elapsed
-        if _observables(result) != expected:
-            identical = False
+    result, auto_seconds = _run_once(program, machine_config, "auto")
+    seconds = {"reference": ref_seconds, "auto": auto_seconds}
+    identical = _observables(result) == _observables(ref_result)
     cell = {
         "identical": 1 if identical else 0,
         "instructions": ref_result.stats.total_instructions,
@@ -113,17 +106,15 @@ def bench_cell(workload: str, config: str, scale: int, repeats: int,
     # Timing: best-of over fresh machines (each pays translation once,
     # like every real harness run does).
     for _ in range(max(0, repeats - 1)):
-        for engine in ("reference",) + _FAST_ENGINES:
+        for engine in _ENGINES:
             _, elapsed = _run_once(program, machine_config, engine)
             seconds[engine] = min(seconds[engine], elapsed)
     instructions = cell["instructions"]
-    for engine in ("reference",) + _FAST_ENGINES:
+    for engine in _ENGINES:
         cell[f"{engine}_seconds"] = round(seconds[engine], 6)
         cell[f"{engine}_mips"] = round(
             instructions / seconds[engine] / 1e6, 4)
-    cell["speedup"] = round(seconds["reference"] / seconds["fastpath"], 4)
-    cell["superblock_speedup"] = round(
-        seconds["reference"] / seconds["superblock"], 4)
+    cell["speedup"] = round(seconds["reference"] / seconds["auto"], 4)
     return cell
 
 
@@ -131,21 +122,19 @@ def add_subheap_ratios(cells: Dict[str, Dict]) -> List[float]:
     """Stamp ``subheap_vs_baseline_ratio`` into every timed subheap cell.
 
     The ratio is baseline-config MIPS over subheap-config MIPS for the
-    same workload under the best compiled engine — the host-side cost
-    factor of subheap protection the ISSUE's gap gate bounds.  Returns
+    same workload under the compiled engine — the host-side cost factor
+    of subheap protection that ``--max-subheap-gap`` bounds.  Returns
     the ratios stamped.
     """
     ratios: List[float] = []
     for key, cell in cells.items():
         workload, _, config = key.partition("/")
-        if config != "subheap" or "superblock_mips" not in cell:
+        if config != "subheap" or "auto_mips" not in cell:
             continue
         base = cells.get(f"{workload}/baseline")
-        if not base or "superblock_mips" not in base:
+        if not base or "auto_mips" not in base:
             continue
-        best_sub = max(cell["superblock_mips"], cell["fastpath_mips"])
-        best_base = max(base["superblock_mips"], base["fastpath_mips"])
-        ratio = round(best_base / best_sub, 4)
+        ratio = round(base["auto_mips"] / cell["auto_mips"], 4)
         cell["subheap_vs_baseline_ratio"] = ratio
         ratios.append(ratio)
     return ratios
@@ -158,28 +147,22 @@ def check_baseline(cells: Dict[str, Dict], baseline_path: str,
         document = json.load(handle)
     baseline_cells = document["metrics"]["cells"]
     failures = []
-    for metric in ("speedup", "superblock_speedup"):
-        baseline = {key: cell[metric]
-                    for key, cell in baseline_cells.items()
-                    if metric in cell}
-        for key, cell in cells.items():
-            if metric not in cell:
-                continue
-            expected = baseline.get(key)
-            if expected is None:
-                continue
-            floor = expected * (1.0 - max_regression)
-            if cell[metric] < floor:
-                failures.append(
-                    f"{key}: {metric} {cell[metric]:.2f}x fell below "
-                    f"{floor:.2f}x (baseline {expected:.2f}x - "
-                    f"{max_regression:.0%})")
+    for key, cell in cells.items():
+        expected = baseline_cells.get(key, {}).get("speedup")
+        if "speedup" not in cell or expected is None:
+            continue
+        floor = expected * (1.0 - max_regression)
+        if cell["speedup"] < floor:
+            failures.append(
+                f"{key}: speedup {cell['speedup']:.2f}x fell below "
+                f"{floor:.2f}x (baseline {expected:.2f}x - "
+                f"{max_regression:.0%})")
     return failures
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Fastpath vs reference host-throughput benchmark "
+        description="Compiled vs reference host-throughput benchmark "
                     "with a built-in byte-identity differential gate.")
     parser.add_argument("--workloads", default=DEFAULT_WORKLOADS,
                         help=f"comma list (default {DEFAULT_WORKLOADS})")
@@ -242,15 +225,11 @@ def main(argv=None) -> int:
                       f"({cell['instructions']:,} instructions)")
             else:
                 print(f"  {key:24s} ref {cell['reference_mips']:6.2f} "
-                      f"MIPS  fast {cell['fastpath_mips']:6.2f} MIPS  "
-                      f"super {cell['superblock_mips']:6.2f} MIPS  "
-                      f"speedup {cell['speedup']:5.2f}x/"
-                      f"{cell['superblock_speedup']:5.2f}x")
+                      f"MIPS  auto {cell['auto_mips']:6.2f} MIPS  "
+                      f"speedup {cell['speedup']:5.2f}x")
 
     ratios = add_subheap_ratios(cells)
     speedups = [c["speedup"] for c in cells.values() if "speedup" in c]
-    super_speedups = [c["superblock_speedup"] for c in cells.values()
-                      if "superblock_speedup" in c]
     summary: Dict[str, object] = {
         "cells_verified": sum(1 for c in cells.values()
                               if c["identical"]),
@@ -266,14 +245,10 @@ def main(argv=None) -> int:
             "geomean_speedup": _geomean(speedups),
             "min_speedup": min(speedups),
             "max_speedup": max(speedups),
-            "geomean_superblock_speedup": _geomean(super_speedups),
-            "min_superblock_speedup": min(super_speedups),
-            "max_superblock_speedup": max(super_speedups),
         })
         print(f"geomean speedup {summary['geomean_speedup']:.2f}x "
               f"(min {summary['min_speedup']:.2f}x, "
-              f"max {summary['max_speedup']:.2f}x); superblock "
-              f"{summary['geomean_superblock_speedup']:.2f}x")
+              f"max {summary['max_speedup']:.2f}x)")
     if ratios:
         summary["max_subheap_gap"] = max(ratios)
         summary["geomean_subheap_gap"] = _geomean(ratios)

@@ -110,7 +110,7 @@ def bench_cell(workload: str, config: str, scale: int, repeats: int,
         program, machine_config, "reference", armed=True,
         hash_events=True)
     fast_result, _, fast_digest, fast_profile = _run_once(
-        program, machine_config, "fastpath", armed=True,
+        program, machine_config, "auto", armed=True,
         hash_events=True)
     identical = (_observables(ref_result) == _observables(fast_result)
                  and ref_digest == fast_digest
@@ -131,10 +131,10 @@ def bench_cell(workload: str, config: str, scale: int, repeats: int,
         _, t, _, _ = _run_once(program, machine_config, "reference",
                                armed=True)
         seconds["reference_armed"] = min(seconds["reference_armed"], t)
-        _, t, _, _ = _run_once(program, machine_config, "fastpath",
+        _, t, _, _ = _run_once(program, machine_config, "auto",
                                armed=True)
         seconds["fastpath_armed"] = min(seconds["fastpath_armed"], t)
-        _, t, _, _ = _run_once(program, machine_config, "fastpath",
+        _, t, _, _ = _run_once(program, machine_config, "auto",
                                armed=False)
         seconds["fastpath_disarmed"] = min(
             seconds["fastpath_disarmed"], t)

@@ -91,7 +91,7 @@ def bench_cell(scheme: str, family: str, cases: List[JulietCase],
     notes: List[str] = []
     for case in cases:
         reference = _run_case(case, options, temporal, "reference")
-        fastpath = _run_case(case, options, temporal, "fastpath")
+        fastpath = _run_case(case, options, temporal, "auto")
         if _observables(reference) != _observables(fastpath):
             cell["divergent"] += 1
             notes.append(f"{case.name}: engines diverge "

@@ -73,9 +73,9 @@ def run_workload(workload: Workload, config: str, scale: int = 1,
     to finish raises :class:`repro.errors.WorkloadTimeout` (tagged with
     workload/config identity) instead of hanging the harness.
 
-    ``engine`` selects the execution engine ("auto", "fastpath",
-    "superblock", or "reference"); the default "auto" prefers the
-    fastpath even when an
+    ``engine`` selects the execution engine ("auto" or "reference";
+    the legacy spellings in ``ENGINE_ALIASES`` mean "auto"); the default
+    "auto" prefers the fastpath even when an
     observer, tracer, or fault injector is armed — the closure compiler
     then translates a second, guarded-emit variant of each function.
     Both engines are byte-identical in every simulated observable

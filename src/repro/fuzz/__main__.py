@@ -28,6 +28,7 @@ import sys
 from repro.eval.configs import CONFIG_NAMES
 from repro.fuzz.corpus import DEFAULT_CORPUS_DIR, load_entry
 from repro.fuzz.driver import DEFAULT_CONFIGS, replay_entry, run_fuzz
+from repro.vm.machine import ENGINE_CHOICES
 
 
 def main(argv=None) -> int:
@@ -87,7 +88,7 @@ def main(argv=None) -> int:
     parser.add_argument("--shard-retries", type=int, default=2,
                         help="requeues per failed shard (default 2)")
     parser.add_argument("--engine", type=str, default="auto",
-                        choices=("auto", "fastpath", "superblock", "reference"),
+                        choices=ENGINE_CHOICES,
                         help="execution engine for oracle runs; engines "
                              "are byte-identical in every simulated "
                              "observable (default auto)")

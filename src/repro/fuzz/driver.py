@@ -413,9 +413,9 @@ def run_fuzz(iterations: int, seed: int = 0,
     """Run the fuzzing loop; returns the run's :class:`FuzzStats`.
 
     ``engine`` selects the execution engine for every oracle run
-    (auto/fastpath/superblock/reference); engines are byte-identical in
-    every simulated observable, so fuzz verdicts never depend on this knob —
-    it only changes host throughput.  Both engines run instrumented
+    (auto/reference); the two are byte-identical in every simulated
+    observable, so fuzz verdicts never depend on this knob — it only
+    changes host throughput.  Both engines run instrumented
     (the fastpath compiles inline emit sites), so observation never
     forces the slow engine either.
 

@@ -19,7 +19,7 @@ downstream tooling can rely on one shape::
 
 Schema v2 (``repro.obs.metrics/v2``) adds one optional top-level field,
 ``labels`` — a *flat* string-to-string mapping for identity that is not
-a measurement: the engine that produced a run ("fastpath"/"superblock"/"reference")
+a measurement: the engine that produced a run ("fastpath"/"reference")
 and the :class:`~repro.obs.events.TraceContext` correlation ids
 (tenant, job, shard, seed).  ``to_prometheus`` merges them into every
 exposition line's label set.  v1 documents stay valid and are still

@@ -51,7 +51,7 @@ class Observer:
         #: interpreter so unit-level events inherit the attribution
         self.site: Optional[Tuple[str, int]] = None
         #: engine that produced the observed run ("fastpath" |
-        #: "superblock" | "reference"), stamped by Machine.run; exporters label
+        #: "reference"), stamped by Machine.run; exporters label
         #: profiles/forensics/metrics with it
         self.engine: Optional[str] = None
 

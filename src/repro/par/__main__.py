@@ -33,6 +33,7 @@ from repro.par.engine import (
 )
 from repro.par.merge import diff_documents
 from repro.par.pool import install_drain_handler
+from repro.vm.machine import ENGINE_CHOICES
 
 #: exit code for a campaign drained by SIGTERM/SIGINT: the checkpoint
 #: is resumable, but the run did not complete
@@ -227,7 +228,7 @@ def main(argv=None) -> int:
                        help="comma-separated configuration list")
     bench.add_argument("--scale", type=int, default=1)
     bench.add_argument("--engine", default="auto",
-                       choices=("auto", "fastpath", "superblock", "reference"),
+                       choices=ENGINE_CHOICES,
                        help="execution engine; byte-identical results "
                             "either way (default auto)")
     bench.add_argument("--out", metavar="JSON",

@@ -34,6 +34,7 @@ import argparse
 import sys
 
 from repro.resil.faults import FAULT_CLASSES
+from repro.vm.machine import ENGINE_CHOICES
 from repro.workloads import WORKLOADS
 
 
@@ -89,11 +90,11 @@ def main(argv=None) -> int:
     parser.add_argument("--shard-retries", type=int, default=2,
                         help="requeues per failed shard (default 2)")
     parser.add_argument("--engine", type=str, default="auto",
-                        choices=("auto", "fastpath", "superblock", "reference"),
-                        help="execution engine; 'auto' runs clean "
-                             "reference runs on the fastpath and "
-                             "fault-injected runs on the reference "
-                             "interpreter (default auto)")
+                        choices=ENGINE_CHOICES,
+                        help="execution engine; 'auto' runs clean and "
+                             "fault-injected runs on the fastpath, "
+                             "byte-identical to 'reference' (default "
+                             "auto)")
     parser.add_argument("--out", type=str, metavar="JSON",
                         help="write the matrix as a repro.obs "
                              "schema-v1 metrics document")

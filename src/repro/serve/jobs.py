@@ -23,6 +23,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import InvalidJobSpec
 from repro.par.plan import ShardPlan, plan_indices
+from repro.vm.machine import ENGINE_CHOICES
 
 #: campaign kinds a service accepts (``selftest`` is the deterministic
 #: toy campaign the tests and the latency benchmark submit)
@@ -150,7 +151,7 @@ def _fuzz_params(params: Dict[str, Any]) -> Dict[str, Any]:
             "params.backoff_base", params.get("backoff_base", 0.1)),
         "engine": _require_str(
             "params.engine", params.get("engine", "auto"),
-            ("auto", "fastpath", "superblock", "reference")),
+            ENGINE_CHOICES),
         "temporal": _require_str(
             "params.temporal", params.get("temporal", "off"),
             ("off", "check", "quarantine")),

@@ -78,7 +78,6 @@ simulated counter differs.
 
 from __future__ import annotations
 
-import re
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -108,29 +107,6 @@ _SIMPLE = 0    #: cannot raise; fusable anywhere in a block
 _RAISING = 1   #: may raise; fusable, but ends an accounting segment
 _TERM = 2      #: branch/ret; fusable only as the last instruction
 _BARRIER = 3   #: call/callptr; always compiled as its own block
-
-#: auto tier: straight-line functions graduate to the superblock tier
-#: after this many calls; functions with a backedge graduate immediately
-_SUPER_CALL_THRESHOLD = 16
-
-#: whole-function native chains dispatch by a linear arm scan, so only
-#: functions at or below this many block arms compile as one function;
-#: larger functions keep the fused table's O(1) dispatch and go native
-#: per loop region instead
-_SUPER_FUNC_ARMS = 24
-#: a natural loop collapses into one native-loop handler only when its
-#: arm chain stays below this length
-_SUPER_REGION_ARMS = 16
-
-# superblock tier: rewrite literal-indexed register accesses to pinned
-# locals (emit() only ever produces literal indices outside call frames)
-_PIN_REGS = re.compile(r"\bregs\[(\d+)\]")
-_PIN_BNDS = re.compile(r"\bbnds\[(\d+)\]")
-
-
-def _has_backedge(func: IRFunction) -> bool:
-    return any(ins.op in (Op.JMP, Op.BZ, Op.BNZ) and ins.target <= ip
-               for ip, ins in enumerate(func.instrs))
 
 
 def _elision_sites(func: IRFunction) -> frozenset:
@@ -922,346 +898,6 @@ class _FuncCompiler:
             ip = end
         return handlers
 
-    # -- superblock (whole-function) translation -----------------------------
-
-    def compile_super(self):
-        """Superblock tier: native control flow for hot code.
-
-        Returns either one compiled function covering the whole
-        IRFunction (small functions — the handler table and its
-        per-block closure calls disappear entirely) or an enhanced
-        handler table (large functions — identical to the fused table
-        except that each small natural loop is collapsed into a single
-        native-loop handler).
-
-        Inside a native chain, blocks are arms of an address-ordered
-        ``if ip ==`` chain under ``while True``; branches are rendered
-        at translate time (a later target falls through to its arm's
-        test, an earlier one ``continue``s, a target outside the chain
-        leaves it).  Within a *loop* chain the registers the loop
-        touches are additionally pinned to locals — unpacked once on
-        loop entry, spilled back to the activation's banks on every
-        exit edge — so iterating costs local loads instead of list
-        indexing, with no per-block dispatch at all.
-
-        Chains are linear scans, so only regions below a small arm cap
-        go native; everything else keeps the fused table's O(1)
-        dispatch.  Accounting is byte-identical to the fused tier (same
-        segment logic and counter lines); a block that could trip the
-        instruction budget spills its pinned registers and defers to
-        the single-step fallback so :class:`StepBudgetExceeded` fires
-        at the reference's exact instruction with the exact message.
-        Only the uninstrumented signature compiles here, and only for
-        runs without a deadline (instrumented or deadline-armed runs use
-        the fused tier, whose dispatch loop polls the watchdog), so the
-        ``regs[N]`` → pinned-local rewrite sees only literal indices.
-        """
-        assert self.sig == 0, "superblock tier is uninstrumented-only"
-        func = self.func
-        instrs = func.instrs
-        count = len(instrs)
-
-        leaders = {0, count}
-        for ip, ins in enumerate(instrs):
-            op = ins.op
-            if op in (Op.JMP, Op.BZ, Op.BNZ):
-                leaders.add(min(ins.target, count))
-                leaders.add(ip + 1)
-            elif op in (Op.CALL, Op.CALLPTR):
-                leaders.add(ip)
-                leaders.add(ip + 1)
-            elif op == Op.RET:
-                leaders.add(ip + 1)
-        order = sorted(leaders)
-        self._next_leader = {order[i]: order[i + 1]
-                             for i in range(len(order) - 1)}
-        starts = [ld for ld in order if ld < count]
-
-        # natural-loop extents: each backward branch at ip spans
-        # [target, ip + 1); overlapping spans merge, so afterwards every
-        # backward transfer is region-internal and every region boundary
-        # is a leader
-        spans = sorted((ins.target, ip + 1)
-                       for ip, ins in enumerate(instrs)
-                       if ins.op in (Op.JMP, Op.BZ, Op.BNZ)
-                       and ins.target <= ip)
-        regions: List[list] = []
-        for lo, hi in spans:
-            if regions and lo < regions[-1][1]:
-                if hi > regions[-1][1]:
-                    regions[-1][1] = hi
-            else:
-                regions.append([lo, hi])
-
-        if len(starts) <= _SUPER_FUNC_ARMS:
-            return self._compile_whole(starts, regions, count)
-
-        # Large function: fused dispatch, small loops collapsed into
-        # native-loop handlers entered through per-leader thunks.  The
-        # untouched base table is cached for the fused tier too.
-        base = self.interp._fused.get((func.name, 0))
-        if base is None:
-            base = self.interp._fused[(func.name, 0)] = self.compile_fused()
-        handlers = list(base)
-        for lo, hi in regions:
-            blocks = [b for b in starts if lo <= b < hi]
-            if len(blocks) > _SUPER_REGION_ARMS:
-                continue
-            native = self._compile_loop(blocks)
-            for leader in blocks:
-                handlers[leader] = _make_region_entry(native, leader)
-        return handlers
-
-    # -- native-chain block body ---------------------------------------------
-
-    def _native_block(self, start: int, transfer, spill: List[str],
-                      fb_call: List[str], pinned: bool) -> List[str]:
-        """Body lines for one block of a native chain.
-
-        ``transfer(target)`` renders a control transfer; ``spill``
-        restores the activation's register banks from pinned locals
-        (empty when the context is unpinned) and prefixes ``fb_call``
-        (the budget fallback) and every chain-leaving edge the caller
-        renders through ``transfer``.  ``pinned`` applies the
-        local-rewrite to the emitted lines.
-        """
-        instrs = self.func.instrs
-        end = self._next_leader[start]
-        ins0 = instrs[start]
-        if ins0.op in (Op.CALL, Op.CALLPTR):
-            # own block with the exact single-instruction budget check;
-            # no spill before the raise — nothing reads the register
-            # banks after an uninstrumented trap
-            body = [
-                "e = I.executed + 1",
-                "if e > LIMIT:",
-                "    raise StepBudgetExceeded(",
-                "        f'instruction limit exceeded"
-                " ({e:,} > {LIMIT:,})',",
-                f"        executed=e, limit=LIMIT, pc=(FN, {start}))",
-                "I.executed = e",
-            ]
-            call_lines = self._emit_call(ins0, start)
-            assert call_lines[-1] == f"return {start + 1}"
-            body += call_lines[:-1]
-            body += transfer(start + 1)
-            return _pin(body) if pinned else body
-        k = end - start
-        fb = f"_fb{start}"
-        self._native_fallbacks[fb] = _make_fallback(
-            self.interp, self.func, start, 0)
-        body = (["e0 = I.executed", f"if e0 + {k} > LIMIT:"]
-                + [f"    {line}" for line in spill]
-                + [f"    {line}" for line in fb_call])
-        seg_counts = [0] * 7
-        seg_lines: List[str] = []
-        done = 0
-
-        def close_segment(through: int) -> None:
-            nonlocal seg_counts, seg_lines, done
-            if through > done:
-                body.append(f"I.executed = e0 + {through}")
-            body.extend(self._counter_lines(seg_counts))
-            body.extend(seg_lines)
-            done = through
-            seg_counts = [0] * 7
-            seg_lines = []
-
-        terminated = False
-        for index in range(k):
-            ip = start + index
-            ins = instrs[ip]
-            em = self.emit(ins, ip)
-            for i, n in enumerate(em.counts):
-                seg_counts[i] += n
-            if em.kind == _RAISING:
-                close_segment(index + 1)
-                body.extend(em.lines)
-            elif em.kind == _TERM:
-                seg_lines.extend(em.lines)
-                close_segment(index + 1)
-                op = ins.op
-                if op == Op.RET:
-                    body.extend(self._native_ret)
-                elif op == Op.JMP:
-                    body.extend(transfer(ins.target))
-                else:
-                    cond = "==" if op == Op.BZ else "!="
-                    taken = transfer(ins.target)
-                    fall = transfer(ip + 1)
-                    body.append(f"if regs[{ins.a}] {cond} 0:")
-                    body.extend(f"    {line}" for line in taken)
-                    if taken[-1].startswith("ip = "):
-                        # both edges fall through to later arm tests;
-                        # keep them exclusive
-                        body.append("else:")
-                        body.extend(f"    {line}" for line in fall)
-                    else:
-                        body.extend(fall)
-                terminated = True
-                break
-            else:
-                seg_lines.extend(em.lines)
-        if not terminated:
-            close_segment(k)
-            body.extend(transfer(end))
-        return _pin(body) if pinned else body
-
-    def _reg_use(self, blocks: List[int]):
-        """Registers a set of blocks reads or writes (operand scan —
-        a superset of every literal index the emitted code contains)."""
-        instrs = self.func.instrs
-        used: set = set()
-        for start in blocks:
-            for ip in range(start, self._next_leader[start]):
-                ins = instrs[ip]
-                for r in (ins.dst, ins.a, ins.b):
-                    if r >= 0:
-                        used.add(r)
-                if ins.args:
-                    used.update(ins.args)
-        return sorted(used)
-
-    def _pin_lines(self, regs: List[int]):
-        """Unpack/spill line pairs for a pinned register subset.  Spills
-        write through the ``_R``/``_B`` prologue aliases so the
-        pinned-local rewrite cannot touch them."""
-        unpack = []
-        spill = []
-        for r in regs:
-            unpack.append(f"r{r} = regs[{r}]")
-            unpack.append(f"b{r} = bnds[{r}]")
-            spill.append(f"_R[{r}] = r{r}")
-            spill.append(f"_B[{r}] = b{r}")
-        return unpack, spill
-
-    def _compile_whole(self, starts: List[int], regions: List[list],
-                       count: int):
-        """One compiled function for the entire (small) IRFunction."""
-        func = self.func
-        self._native_fallbacks = {}
-        self._native_ret = ["return"]
-
-        items: list = []
-        ri = 0
-        for block in starts:
-            while ri < len(regions) and block >= regions[ri][1]:
-                ri += 1
-            if ri < len(regions) and regions[ri][0] <= block:
-                if items and items[-1][0] == "region" \
-                        and items[-1][1] == regions[ri][0]:
-                    items[-1][3].append(block)
-                else:
-                    items.append(["region", regions[ri][0],
-                                  regions[ri][1], [block]])
-            else:
-                items.append(["block", block])
-        items.append(["sentinel", count])
-
-        item_idx: Dict[int, int] = {}
-        inner_idx: Dict[int, int] = {}
-        for idx, item in enumerate(items):
-            if item[0] == "region":
-                for j, block in enumerate(item[3]):
-                    item_idx[block] = idx
-                    inner_idx[block] = j
-            else:
-                item_idx[item[1]] = idx
-
-        arms: List[str] = []
-        for idx, item in enumerate(items):
-            if item[0] == "block":
-                def transfer(target: int, _idx=idx) -> List[str]:
-                    lines = [f"ip = {target}"]
-                    if item_idx[target] <= _idx:  # pragma: no cover -
-                        # backward top-level edges are always
-                        # region-internal after span merging
-                        lines.append("continue")
-                    return lines
-                arms.append(f"if ip == {item[1]}:")
-                arms += [f"    {line}" for line in self._native_block(
-                    item[1], transfer, [], ["_fb%d(st)" % item[1],
-                                            "return"], False)]
-            elif item[0] == "region":
-                pinned_regs = self._reg_use(item[3])
-                unpack, spill = self._pin_lines(pinned_regs)
-                arms.append(f"if {item[1]} <= ip < {item[2]}:")
-                arms += [f"    {line}" for line in unpack]
-                arms.append("    while True:")
-                for j, block in enumerate(item[3]):
-                    def transfer(target: int, _idx=idx, _j=j,
-                                 _spill=spill) -> List[str]:
-                        if item_idx[target] == _idx:
-                            lines = [f"ip = {target}"]
-                            if inner_idx[target] <= _j:
-                                lines.append("continue")
-                            return lines
-                        return list(_spill) + [f"ip = {target}", "break"]
-                    arms.append(f"        if ip == {block}:")
-                    arms += [f"            {line}"
-                             for line in self._native_block(
-                                 block, transfer, spill,
-                                 ["_fb%d(st)" % block, "return"], True)]
-                arms.append("        raise AssertionError("
-                            "'superblock lost dispatch at %d' % ip)")
-            else:
-                msg = f"function {func.name} fell off the end"
-                arms.append(f"if ip == {count}:")
-                arms.append(f"    raise SimTrap({msg!r})")
-
-        src_lines = (["regs = st.regs", "bnds = st.bnds",
-                      "_R = regs", "_B = bnds", "c = st.c",
-                      "ip = 0", "while True:"]
-                     + [f"    {line}" for line in arms])
-        return self._load("_sf(st)", src_lines, self._native_fallbacks)
-
-    def _compile_loop(self, blocks: List[int]):
-        """One native-loop handler covering a small loop region of a
-        large function; callable as ``fn(st, entry_ip)``, returns the
-        next handler index (or -1 after ``ret``)."""
-        self._native_fallbacks = {}
-        self._native_ret = ["return -1"]
-        inner_idx = {block: j for j, block in enumerate(blocks)}
-        pinned_regs = self._reg_use(blocks)
-        unpack, spill = self._pin_lines(pinned_regs)
-
-        arms: List[str] = []
-        for j, block in enumerate(blocks):
-            def transfer(target: int, _j=j, _spill=spill) -> List[str]:
-                t_inner = inner_idx.get(target)
-                if t_inner is not None:
-                    lines = [f"ip = {target}"]
-                    if t_inner <= _j:
-                        lines.append("continue")
-                    return lines
-                return list(_spill) + [f"return {target}"]
-            arms.append(f"if ip == {block}:")
-            arms += [f"    {line}" for line in self._native_block(
-                block, transfer, spill,
-                ["return _fb%d(st)" % block], True)]
-        arms.append("raise AssertionError("
-                    "'superblock lost dispatch at %d' % ip)")
-
-        src_lines = (["regs = st.regs", "bnds = st.bnds",
-                      "_R = regs", "_B = bnds", "c = st.c"]
-                     + unpack
-                     + ["while True:"]
-                     + [f"    {line}" for line in arms])
-        return self._load("_rg(st, ip)", src_lines,
-                          self._native_fallbacks)
-
-
-def _make_region_entry(native, entry: int):
-    def _h(st):
-        return native(st, entry)
-    return _h
-
-
-def _pin(lines: List[str]) -> List[str]:
-    """Rewrite literal-indexed register-bank accesses to pinned locals."""
-    return [_PIN_BNDS.sub(r"b\1", _PIN_REGS.sub(r"r\1", line))
-            for line in lines]
-
 
 def _make_sentinel(name: str):
     def _h(st):
@@ -1306,16 +942,6 @@ class FastInterpreter(Interpreter):
         self._fused: Dict[Tuple[str, int], list] = {}
         #: (function name, signature) -> per-instruction handler list
         self._singles: Dict[Tuple[str, int], list] = {}
-        #: function name -> whole-function superblock translation
-        #: (signature 0 only; instrumented runs use the fused tier)
-        self._super: Dict[str, object] = {}
-        self._super_calls: Dict[str, int] = {}
-        self._super_loopy: Dict[str, bool] = {}
-        engine = machine.config.engine
-        #: superblock tier enabled at all (auto heuristic or forced)
-        self._super_on = engine in ("auto", "superblock")
-        #: engine=superblock: translate every function on first call
-        self._super_forced = engine == "superblock"
         #: instrument identities the cached instrumented translations
         #: are bound to (compiled code holds the tracer's bound method
         #: and the observer object directly)
@@ -1352,30 +978,11 @@ class FastInterpreter(Interpreter):
         self._singles[(func.name, sig)] = handlers
         return handlers
 
-    def _translate_super(self, func: IRFunction):
-        fn = _FuncCompiler(self, func, 0).compile_super()
-        self._super[func.name] = fn
-        return fn
-
-    def _super_fn(self, func: IRFunction):
-        """Tier heuristic: whole-function translation for hot or loopy
-        functions.  ``engine=superblock`` translates on first call;
-        ``auto`` translates immediately when the function has a backedge
-        (its iterations amortize the compile) and after
-        ``_SUPER_CALL_THRESHOLD`` calls otherwise."""
-        if not self._super_on:
-            return None
-        if not self._super_forced:
-            name = func.name
-            loopy = self._super_loopy.get(name)
-            if loopy is None:
-                loopy = self._super_loopy[name] = _has_backedge(func)
-            if not loopy:
-                n = self._super_calls.get(name, 0) + 1
-                self._super_calls[name] = n
-                if n < _SUPER_CALL_THRESHOLD:
-                    return None
-        return self._translate_super(func)
+    def _translate_super(self, func: IRFunction) -> None:
+        """Nothing calls this: the fused table is the only compiled
+        tier.  The name stays for per-kind translation profilers that
+        wrap every ``_translate_<kind>`` method (they count 0 here)."""
+        return None
 
     def _run(self, func: IRFunction, args: List[int],
              arg_bounds: List[Optional[Bounds]]
@@ -1400,15 +1007,6 @@ class FastInterpreter(Interpreter):
         ip = 0
         try:
             deadline = self._deadline
-            if sig == 0 and not deadline:
-                sup = self._super.get(name) or self._super_fn(func)
-                if sup is not None:
-                    if type(sup) is list:
-                        while ip >= 0:
-                            ip = sup[ip](st)
-                    else:
-                        sup(st)
-                    return st.ret, st.retb
             handlers = self._fused.get((name, sig)) \
                 or self._translate_fused(func, sig)
             if deadline:

@@ -18,6 +18,16 @@ from repro.vm.loader import LoadedImage, load_program
 from repro.vm.stats import RunStats
 
 
+#: the execution engines ``MachineConfig.engine`` selects between
+ENGINES = ("auto", "reference")
+#: legacy spellings from when the compiled engine had several tiers; they
+#: still parse and mean "auto".  Plans and job specs keep the spelling
+#: they were given, so recorded fingerprints stay valid.
+ENGINE_ALIASES = {"fastpath": "auto", "superblock": "auto"}
+#: every spelling a CLI or job spec accepts
+ENGINE_CHOICES = ENGINES + tuple(ENGINE_ALIASES)
+
+
 @dataclass(frozen=True)
 class MachineConfig:
     """Machine-level knobs (hardware config + harness limits)."""
@@ -44,19 +54,16 @@ class MachineConfig:
     #: addresses normally; "quarantine" additionally suppresses address
     #: reuse in the allocators so stale keys can never alias fresh ones
     temporal: str = "off"
-    #: execution engine: "auto" picks the closure-compiled fastpath —
-    #: including under an armed tracer/observer/fault injector, for
-    #: which it compiles an instrumented variant with inline emit sites
-    #: (see repro.vm.fastpath) — falling back to the reference
-    #: interpreter only when :meth:`Machine.fastpath_reasons` reports an
-    #: instrument the compiler cannot honour; uninstrumented hot
-    #: functions additionally graduate to the whole-function superblock
-    #: tier.  "reference" forces the reference interpreter; "fastpath"
-    #: forces the block-fused fastpath with the superblock tier off;
-    #: "superblock" forces whole-function translation on first call
-    #: (and errors when a fastpath_reasons fallback applies).  All
-    #: engines are byte-identical in every simulated observable,
-    #: including the emitted event stream — see DESIGN.md §8.
+    #: execution engine (one of :data:`ENGINES`): "auto" runs the
+    #: block-fused fastpath — including under an armed tracer/observer/
+    #: fault injector, for which it compiles an instrumented variant with
+    #: inline emit sites (see repro.vm.fastpath) — falling back to the
+    #: reference interpreter only when :meth:`Machine.fastpath_reasons`
+    #: reports an instrument the compiler cannot honour.  "reference"
+    #: forces the reference interpreter.  The legacy spellings in
+    #: :data:`ENGINE_ALIASES` still parse and mean "auto".  Both engines
+    #: are byte-identical in every simulated observable, including the
+    #: emitted event stream — see DESIGN.md §8.
     engine: str = "auto"
 
 
@@ -124,8 +131,7 @@ class Machine:
         #: optional observer (see repro.obs.attach_observer); None keeps
         #: every instrumented site on its zero-cost disabled path
         self.obs = None
-        #: engine the last ``run`` resolved to
-        #: ("fastpath"|"superblock"|"reference");
+        #: engine the last ``run`` resolved to ("fastpath"|"reference");
         #: None before the first run.  Telemetry labels use this.
         self.engine_used: Optional[str] = None
 
@@ -224,22 +230,13 @@ class Machine:
 
     def select_interp(self):
         """Resolve ``config.engine`` to the interpreter for this run."""
-        engine = self.config.engine
+        engine = ENGINE_ALIASES.get(self.config.engine, self.config.engine)
         if engine == "reference":
             return self.interp
-        if engine in ("auto", "fastpath", "superblock"):
-            reasons = self.fastpath_reasons()
-            if reasons:
-                if engine != "auto":
-                    raise ReproError(
-                        f"engine={engine!r} cannot honour the armed "
-                        "instruments: " + "; ".join(reasons)
-                        + " — use engine='auto' (it falls back to the "
-                        "reference interpreter) or detach the instrument")
-                return self.interp
-            return self._fastpath()
-        raise ReproError(f"unknown engine {engine!r} "
-                         "(expected auto|fastpath|superblock|reference)")
+        if engine == "auto":
+            return self.interp if self.fastpath_reasons() else self._fastpath()
+        raise ReproError(f"unknown engine {self.config.engine!r} "
+                         f"(expected {'|'.join(ENGINES)})")
 
     def _fastpath(self):
         if self._fast is None:
@@ -262,12 +259,8 @@ class Machine:
         timeout = (timeout_seconds if timeout_seconds is not None
                    else self.config.wall_clock_timeout)
         interp = self.select_interp()
-        if interp is self.interp:
-            self.engine_used = "reference"
-        elif self.config.engine == "superblock":
-            self.engine_used = "superblock"
-        else:
-            self.engine_used = "fastpath"
+        self.engine_used = ("reference" if interp is self.interp
+                            else "fastpath")
         if self.obs is not None:
             # let observability consumers label everything they export
             # with the engine that actually produced it

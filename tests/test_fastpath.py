@@ -61,12 +61,11 @@ def _assert_engines_agree(source: str, config_name: str,
     program = compile_source(source, build_options(config_name))
     config = build_machine_config(config_name, max_instructions)
     reference = _observables(program, config, "reference")
-    for engine in ("fastpath", "superblock"):
-        for timeout in (None, ARMED_TIMEOUT):
-            compiled = _observables(program, config, engine, timeout)
-            assert compiled == reference, (
-                f"engine {engine!r} diverged under {config_name!r}"
-                f" (timeout={timeout})")
+    for timeout in (None, ARMED_TIMEOUT):
+        compiled = _observables(program, config, "auto", timeout)
+        assert compiled == reference, (
+            f"engine 'auto' diverged under {config_name!r}"
+            f" (timeout={timeout})")
     return reference
 
 
@@ -120,13 +119,6 @@ class TestEngineSelection:
         assert machine.fastpath_reasons()
         assert machine.select_interp() is machine.interp
 
-    def test_forced_fastpath_rejects_alien_instruments(self):
-        program = compile_source(SMALL, CompilerOptions.baseline())
-        machine = Machine(program, MachineConfig(engine="fastpath"))
-        machine.tracer = object()
-        with pytest.raises(ReproError, match="record"):
-            machine.select_interp()
-
     def test_engine_used_is_reported(self):
         program = compile_source(SMALL, CompilerOptions.baseline())
         machine = Machine(program, MachineConfig(engine="reference"))
@@ -143,6 +135,45 @@ class TestEngineSelection:
         program = compile_source(SMALL, CompilerOptions.baseline())
         machine = Machine(program, MachineConfig(engine="reference"))
         assert machine.select_interp() is machine.interp
+
+    def test_legacy_engine_spellings_mean_auto(self, capsys):
+        # "fastpath" and "superblock" named compiled tiers that are now
+        # one; they must keep parsing everywhere an engine is accepted
+        # and run exactly as auto, including auto's fallback.
+        from repro.fuzz.__main__ import main as fuzz_main
+        from repro.par.__main__ import main as par_main
+        from repro.par.engine import plan_resil
+        from repro.resil.__main__ import main as resil_main
+        from repro.serve.jobs import validate_spec
+        from repro.vm.machine import ENGINE_ALIASES
+
+        program = compile_source(SMALL, CompilerOptions.baseline())
+        assert sorted(ENGINE_ALIASES) == ["fastpath", "superblock"]
+        for legacy in ENGINE_ALIASES:
+            machine = Machine(program, MachineConfig(engine=legacy))
+            assert machine.run().exit_code == 7
+            assert machine.engine_used == "fastpath"
+            machine.tracer = object()
+            assert machine.select_interp() is machine.interp
+            spec = validate_spec({"tenant": "t", "kind": "fuzz",
+                                  "params": {"engine": legacy}})
+            assert spec[3]["engine"] == legacy
+            assert fuzz_main(["-n", "0", "--engine", legacy]) == 0
+            # a bogus workload fails after argparse accepted the engine
+            assert par_main(["bench", "--workloads", "bogus",
+                             "--engine", legacy]) == 2
+            with pytest.raises(SystemExit):
+                resil_main(["--workloads", "bogus", "--engine", legacy])
+            assert "unknown workload" in capsys.readouterr().err
+        # plans record the spelling as given, so checkpoints and serve
+        # jobs written with it keep their fingerprints
+        plan = plan_resil(workloads=["anagram", "ks"],
+                          schemes=["wrapped", "subheap"],
+                          faults=["mac_corrupt", "tag_bit_flip"], seed=3,
+                          engine="superblock")
+        assert plan.fingerprint() == (
+            "a5c37463eebecd86bd4abfcaa3ed6c63"
+            "28162e3dcd3ff42fd545fb2cf7fa5fec")
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +210,26 @@ int add(int n) { if (n == 0) return 0; return n + add(n - 1); }
 int main(void) { return add(40); }
 """
 
+LOOPY = """
+int main(void) {
+    int i;
+    int sum = 0;
+    for (i = 0; i < 100; i++) sum = sum + i;
+    return sum & 0xFF;
+}
+"""
+
+DOUBLE_FREE = """
+int main(void) {
+    int *p = (int *)malloc(4 * sizeof(int));
+    int i;
+    for (i = 0; i < 4; i++) p[i] = i;
+    free(p);
+    free(p);
+    return 0;
+}
+"""
+
 
 class TestTrapEquivalence:
     @pytest.mark.parametrize("config", ["wrapped", "subheap"])
@@ -204,10 +255,43 @@ class TestTrapEquivalence:
     def test_call_heavy_program_identical(self):
         _assert_engines_agree(RECURSE, "wrapped")
 
+    def test_budget_trap_identical_inside_loop(self):
+        # The budget fires mid-iteration, inside a fused loop body
+        # (the single-step fallback path).
+        run = _assert_engines_agree(LOOPY, "baseline",
+                                    max_instructions=150)
+        assert run["trap"][0] == "StepBudgetExceeded"
+        assert run["trap"][2] == 151
+
+    @pytest.mark.parametrize("temporal", ["check", "quarantine"])
+    def test_temporal_modes_identical(self, temporal):
+        # Lock-and-key probes sit inline in compiled deref sites; they
+        # must stay byte-identical in both temporal modes, including a
+        # trapping double free.
+        from dataclasses import replace
+        for source in (SELF_MODIFY_METADATA, DOUBLE_FREE):
+            program = compile_source(source, build_options("subheap"))
+            config = replace(build_machine_config("subheap"),
+                             temporal=temporal)
+            reference = _observables(program, config, "reference")
+            for timeout in (None, ARMED_TIMEOUT):
+                assert _observables(program, config, "auto",
+                                    timeout) == reference, \
+                    f"auto diverged ({temporal}, {timeout})"
+
+    def test_elision_counters_engine_identical(self):
+        # promote_elisions blends dynamic memo hits with statically
+        # proven sites; the static pass must only elide where the
+        # reference's memo would have hit, keeping the counter equal.
+        run = _assert_engines_agree(WORKLOADS["treeadd"].source(1),
+                                    "subheap",
+                                    max_instructions=200_000_000)
+        assert run["stats"]["ifp"]["promote_elisions"] > 0
+
     def test_fastpath_wall_clock_watchdog_fires(self):
         program = compile_source(SPIN, CompilerOptions.baseline())
         machine = Machine(program, MachineConfig(
-            engine="fastpath", max_instructions=2_000_000_000))
+            engine="auto", max_instructions=2_000_000_000))
         with pytest.raises(WorkloadTimeout):
             machine.run(timeout_seconds=0.05)
 
@@ -257,7 +341,7 @@ class TestDeadlineTier:
             machine.run(timeout_seconds=EXPIRED)
         return program, machine, info.value
 
-    @pytest.mark.parametrize("engine", ["auto", "fastpath", "superblock"])
+    @pytest.mark.parametrize("engine", ["auto"])
     @pytest.mark.parametrize("guest", ["SPIN", "CALL_LOOP",
                                        "CALL_FIRST_RECURSE",
                                        "DEEP_RECURSE"])
@@ -270,7 +354,6 @@ class TestDeadlineTier:
         assert ref.executed <= exc.executed < ref.executed + longest
         assert exc.stats is not None
         assert machine._fast._singles == {}
-        assert machine._fast._super == {}
 
     def test_armed_run_builds_no_singles(self):
         program = compile_source(RECURSE, build_options("wrapped"))
@@ -298,10 +381,9 @@ class TestDeadlineTier:
             plan = FaultPlan.single(fault, seed=7, period=3, start=2)
             reference = _observables(program, config, "reference",
                                      fault_plan=plan)
-            for engine in ("auto", "fastpath", "superblock"):
-                assert _observables(program, config, engine,
-                                    ARMED_TIMEOUT, plan) == reference, \
-                    f"{engine} diverged under {fault}"
+            assert _observables(program, config, "auto",
+                                ARMED_TIMEOUT, plan) == reference, \
+                f"auto diverged under {fault}"
 
 
 class TestCodeMemo:
@@ -310,7 +392,7 @@ class TestCodeMemo:
 
     def test_machines_share_code_objects(self):
         program = compile_source(RECURSE, CompilerOptions.baseline())
-        config = MachineConfig(engine="fastpath")
+        config = MachineConfig(engine="auto")
         first = Machine(program, config)
         first.run()
         memo = dict(program.functions["add"].code_memo)
@@ -327,7 +409,7 @@ class TestCodeMemo:
 
     def test_fresh_compile_never_hits(self):
         program = compile_source(RECURSE, CompilerOptions.baseline())
-        Machine(program, MachineConfig(engine="fastpath")).run()
+        Machine(program, MachineConfig(engine="auto")).run()
         again = compile_source(RECURSE, CompilerOptions.baseline())
         assert all(not f.code_memo for f in again.functions.values())
 
@@ -337,7 +419,7 @@ class TestCodeMemo:
         before = repr(program)
         pristine = pickle.dumps(program)
         twin = dataclasses.replace(program.functions["add"])
-        Machine(program, MachineConfig(engine="superblock")).run()
+        Machine(program, MachineConfig(engine="auto")).run()
         assert program.functions["add"].code_memo
         assert not twin.code_memo
         assert twin == program.functions["add"]
@@ -346,7 +428,7 @@ class TestCodeMemo:
         clone = pickle.loads(pickle.dumps(program))
         assert repr(clone) == before
         assert "_code_memo" not in clone.functions["add"].__dict__
-        result = Machine(clone, MachineConfig(engine="fastpath")).run()
+        result = Machine(clone, MachineConfig(engine="auto")).run()
         assert result.exit_code == (40 * 41 // 2) & 0xFF
 
 
@@ -454,7 +536,7 @@ def _assert_instrumented_engines_agree(source: str, config_name: str,
                                           fault_plan)
     assert reference.pop("engine_used") == "reference"
     for timeout in (None, ARMED_TIMEOUT):
-        fastpath = _instrumented_observables(program, config, "fastpath",
+        fastpath = _instrumented_observables(program, config, "auto",
                                              fault_plan, timeout)
         assert fastpath.pop("engine_used") == "fastpath"
         assert fastpath == reference, (
@@ -528,13 +610,13 @@ class TestInstrumentedDifferential:
                                  build_options("wrapped"))
         config = build_machine_config("wrapped", 200_000_000)
         rings = {}
-        for engine in ("reference", "fastpath"):
+        for engine in ("reference", "auto"):
             machine = Machine(program, replace(config, engine=engine))
             tracer = attach_tracer(machine, capacity=512)
             result = machine.run()
             assert result.trap is None
             rings[engine] = (tracer.recorded, tracer.snapshot())
-        assert rings["reference"] == rings["fastpath"]
+        assert rings["reference"] == rings["auto"]
 
     def test_signature_keys_coexist_in_cache(self):
         # One FastInterpreter must hold disarmed and instrumented
@@ -546,7 +628,7 @@ class TestInstrumentedDifferential:
         program = compile_source(WORKLOADS["treeadd"].source(1),
                                  build_options("wrapped"))
         config = replace(build_machine_config("wrapped", 200_000_000),
-                         engine="fastpath")
+                         engine="auto")
         machine = Machine(program, config)
         plain = machine.run()
         assert machine.engine_used == "fastpath"
@@ -596,161 +678,16 @@ class TestCacheCoherence:
     def test_promote_cache_counters_populate(self):
         program = compile_source(WORKLOADS["treeadd"].source(1),
                                  build_options("subheap"))
-        machine = Machine(program, MachineConfig(engine="fastpath"))
+        machine = Machine(program, MachineConfig(engine="auto"))
         result = machine.run()
         ifp = result.stats.ifp
         assert ifp.promote_cache_hits + ifp.promote_cache_misses > 0
         assert ifp.promote_cache_hits > 0
 
-
-# ---------------------------------------------------------------------------
-# superblock (whole-function translation) tier
-# ---------------------------------------------------------------------------
-
-LOOPY = """
-int main(void) {
-    int i;
-    int sum = 0;
-    for (i = 0; i < 100; i++) sum = sum + i;
-    return sum & 0xFF;
-}
-"""
-
-
-class TestSuperblockTier:
-    """The whole-function tier's own contract: tier selection, both
-    translation shapes, and byte-identity where the fused tier's tests
-    don't already force it (temporal modes, deadline path, elision)."""
-
-    def test_forced_superblock_translates_on_first_call(self):
-        program = compile_source(LOOPY, CompilerOptions.baseline())
-        machine = Machine(program, MachineConfig(engine="superblock"))
-        result = machine.run()
-        assert result.exit_code == (99 * 100 // 2) & 0xFF
-        assert machine.engine_used == "superblock"
-        assert "main" in machine._fast._super
-
-    def test_auto_graduates_loopy_function_immediately(self):
-        program = compile_source(LOOPY, CompilerOptions.baseline())
-        machine = Machine(program, MachineConfig(engine="auto"))
-        machine.run()
-        assert machine.engine_used == "fastpath"
-        assert "main" in machine._fast._super
-
-    def test_auto_defers_straight_line_functions(self):
-        # A function with no backedge only graduates after the call
-        # threshold; SMALL's main runs once and must stay fused.
-        program = compile_source(SMALL, CompilerOptions.baseline())
-        machine = Machine(program, MachineConfig(engine="auto"))
-        machine.run()
-        assert "main" not in machine._fast._super
-
-    def test_hot_straight_line_function_graduates(self):
-        from repro.vm.fastpath import _SUPER_CALL_THRESHOLD
-        calls = _SUPER_CALL_THRESHOLD + 1
-        source = """
-        int leaf(int x) { return x + 1; }
-        int main(void) {
-            int i;
-            int v = 0;
-            for (i = 0; i < %d; i++) v = leaf(v);
-            return v;
-        }
-        """ % calls
-        program = compile_source(source, CompilerOptions.baseline())
-        machine = Machine(program, MachineConfig(engine="auto"))
-        result = machine.run()
-        assert result.exit_code == calls
-        assert "leaf" in machine._fast._super
-
-    def test_small_function_compiles_whole_large_gets_table(self):
-        # coremark's switch-heavy functions exceed the arm cap and keep
-        # handler-table dispatch with native loop regions; treeadd's
-        # functions all fit the whole-function shape.
-        for name, expects_table in (("coremark", True),
-                                    ("treeadd", False)):
-            program = compile_source(WORKLOADS[name].source(1),
-                                     build_options("baseline"))
-            machine = Machine(program,
-                              MachineConfig(engine="superblock"))
-            machine.run()
-            shapes = {type(fn) is list
-                      for fn in machine._fast._super.values()}
-            assert machine._fast._super, "nothing graduated"
-            if expects_table:
-                assert True in shapes, "no table-mode translation"
-            else:
-                assert shapes == {False}, "expected whole-function only"
-
-    def test_superblock_rejects_alien_instruments(self):
-        program = compile_source(SMALL, CompilerOptions.baseline())
-        machine = Machine(program, MachineConfig(engine="superblock"))
-        machine.tracer = object()
-        with pytest.raises(ReproError, match="superblock"):
-            machine.select_interp()
-
-    def test_superblock_wall_clock_watchdog_fires(self):
-        # A deadline-armed run dispatches through the fused table (the
-        # superblock tier never engages), which polls the watchdog at
-        # block boundaries.
-        program = compile_source(SPIN, CompilerOptions.baseline())
-        machine = Machine(program, MachineConfig(
-            engine="superblock", max_instructions=2_000_000_000))
-        with pytest.raises(WorkloadTimeout):
-            machine.run(timeout_seconds=0.05)
-
-    @pytest.mark.parametrize("temporal", ["check", "quarantine"])
-    def test_temporal_modes_identical(self, temporal):
-        # Lock-and-key probes sit inline in compiled deref sites; the
-        # superblock translation must keep them byte-identical in both
-        # temporal modes, including a trapping double free.
-        from dataclasses import replace
-        DOUBLE_FREE = """
-        int main(void) {
-            int *p = (int *)malloc(4 * sizeof(int));
-            int i;
-            for (i = 0; i < 4; i++) p[i] = i;
-            free(p);
-            free(p);
-            return 0;
-        }
-        """
-        for source in (SELF_MODIFY_METADATA, DOUBLE_FREE):
-            program = compile_source(source, build_options("subheap"))
-            config = replace(build_machine_config("subheap"),
-                             temporal=temporal)
-            reference = _observables(program, config, "reference")
-            for engine in ("fastpath", "superblock"):
-                for timeout in (None, ARMED_TIMEOUT):
-                    assert _observables(program, config, engine,
-                                        timeout) == reference, \
-                        f"{engine} diverged ({temporal}, {timeout})"
-
-    def test_budget_trap_identical_inside_native_loop(self):
-        # The budget must fire at the reference's exact instruction even
-        # when it lands inside a pinned native-loop region (the spill +
-        # single-step fallback path).
-        run = _assert_engines_agree(LOOPY, "baseline",
-                                    max_instructions=150)
-        assert run["trap"][0] == "StepBudgetExceeded"
-        assert run["trap"][2] == 151
-
-    def test_elision_counters_engine_identical(self):
-        # promote_elisions blends dynamic memo hits with statically
-        # proven sites; the static pass must only elide where the
-        # reference's memo would have hit, keeping the counter equal.
-        run = _assert_engines_agree(WORKLOADS["treeadd"].source(1),
-                                    "subheap",
-                                    max_instructions=200_000_000)
-        assert run["stats"]["ifp"]["promote_elisions"] > 0
-
-    def test_cache_coherence_under_superblock(self):
-        from dataclasses import replace
+    def test_cache_coherence_under_auto(self):
         program = compile_source(SELF_MODIFY_METADATA,
                                  build_options("subheap"))
-        config = replace(build_machine_config("subheap"),
-                         engine="superblock")
-        machine = Machine(program, config)
+        machine = Machine(program, build_machine_config("subheap"))
         result = machine.run()
         assert result.trap is None
-        assert machine.engine_used == "superblock"
+        assert machine.engine_used == "fastpath"

@@ -535,7 +535,7 @@ class TestArmedEngineEquivalence:
         ref_stream, ref_result, ref_profile = self._event_stream(
             NESTED_SOURCE, config, "reference")
         fast_stream, fast_result, fast_profile = self._event_stream(
-            NESTED_SOURCE, config, "fastpath")
+            NESTED_SOURCE, config, "auto")
         assert json.dumps(ref_stream) == json.dumps(fast_stream)
         assert ref_profile == fast_profile
         assert ref_result.output == fast_result.output

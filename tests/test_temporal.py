@@ -348,7 +348,7 @@ class TestEngineEquivalence:
         cases = generate_temporal_cases()[:10]
         for case in cases:
             pair = []
-            for engine in ("reference", "fastpath"):
+            for engine in ("reference", "auto"):
                 _machine, result = _run(case.source,
                                         temporal=temporal,
                                         engine=engine)
@@ -356,7 +356,7 @@ class TestEngineEquivalence:
             assert pair[0] == pair[1], case.name
 
     def test_fastpath_temporal_stats_match_reference(self):
-        for engine in ("reference", "fastpath"):
+        for engine in ("reference", "auto"):
             _machine, result = _run(REUSE_SOURCE, temporal="check",
                                     engine=engine)
             assert result.stats.temporal_checks > 0, engine
