@@ -166,22 +166,6 @@ class IRFunction:
     instrumented: bool = False
     local_objects: List[LocalObjectInfo] = field(default_factory=list)
 
-    @property
-    def code_memo(self) -> Dict[str, object]:
-        """Host code objects compiled from this function's generated
-        translation source (see :mod:`repro.vm.fastpath`), keyed by the
-        source text.  Not a dataclass field, so ``==`` and ``repr``
-        ignore it, and :meth:`__getstate__` leaves it out of pickles."""
-        memo = self.__dict__.get("_code_memo")
-        if memo is None:
-            memo = self.__dict__["_code_memo"] = {}
-        return memo
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_code_memo", None)
-        return state
-
     def dump(self) -> str:
         """Readable assembly listing (used by examples and docs)."""
         lines = [f"{self.name}: (regs={self.num_regs}, frame={self.frame_size})"]

@@ -78,6 +78,8 @@ simulated counter differs.
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -107,6 +109,24 @@ _SIMPLE = 0    #: cannot raise; fusable anywhere in a block
 _RAISING = 1   #: may raise; fusable, but ends an accounting segment
 _TERM = 2      #: branch/ret; fusable only as the last instruction
 _BARRIER = 3   #: call/callptr; always compiled as its own block
+
+#: Process-wide code cache: generated translation source -> code object,
+#: first-in-first-out past the cap.  Entries hold 3-6 KiB each, so a
+#: long-lived serve or fuzz process keeps at most ~11 MiB here.
+_CODE_CACHE: Dict[str, object] = {}
+_CODE_CACHE_CAP = 2048
+#: serializes misses; ``repro.serve`` translates on a thread pool
+_CODE_CACHE_LOCK = threading.Lock()
+
+
+def _reset_code_cache_lock() -> None:
+    # a forked repro.par worker must not inherit a lock held at fork
+    global _CODE_CACHE_LOCK
+    _CODE_CACHE_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_code_cache_lock)
 
 
 def _elision_sites(func: IRFunction) -> frozenset:
@@ -236,9 +256,9 @@ class _FuncCompiler:
     * ``singles`` — one handler per instruction, used only by the
       near-budget fallback of fused blocks.
 
-    Generated source is compiled once per distinct text and function
-    (:meth:`_load`), so machines sharing a compiled program share code
-    objects while each binds its own namespace.
+    Generated source is compiled once per distinct text per process
+    (:meth:`_load`): machines translating the same code share one code
+    object while each binds its own namespace.
 
     ``sig`` is the instrumentation signature (``SIG_TRACE`` |
     ``SIG_OBS``): it selects which emit statements are compiled inline.
@@ -735,17 +755,23 @@ class _FuncCompiler:
         """Define ``def {signature}:`` with body ``lines`` in a fresh
         copy of this machine's namespace and return the function.
 
-        The code object is memoized on the IRFunction keyed by the full
-        source text: same text, same code, so the memo is sound by
-        construction and machines sharing a compiled program compile
-        each translation once.  The memo never outlives the IR objects.
+        The code object comes from the process-wide :data:`_CODE_CACHE`,
+        keyed by the full source text, and is compiled only on a miss.
+        Sound by construction: every machine-specific binding lives in
+        the namespace ``exec`` fills, never in the code object, so the
+        same text always means the same code.
         """
         src = f"def {signature}:\n" + "".join(
             f"    {line}\n" for line in lines)
-        memo = self.func.code_memo
-        code = memo.get(src)
+        code = _CODE_CACHE.get(src)  # the hit path takes no lock
         if code is None:
-            code = memo[src] = compile(src, "<string>", "exec")
+            with _CODE_CACHE_LOCK:
+                code = _CODE_CACHE.get(src)
+                if code is None:
+                    code = compile(src, "<string>", "exec")
+                    while len(_CODE_CACHE) >= _CODE_CACHE_CAP:
+                        del _CODE_CACHE[next(iter(_CODE_CACHE))]
+                    _CODE_CACHE[src] = code
         ns = dict(self.ns)
         if extra:
             ns.update(extra)
@@ -772,11 +798,15 @@ class _FuncCompiler:
     def _counter_lines(counts) -> List[str]:
         return [f"c[{i}] += {n}" for i, n in enumerate(counts) if n]
 
-    def compile_single(self, ins, ip: int) -> object:
+    def compile_single(self, ins, ip: int,
+                       em: Optional[_Emitted] = None) -> object:
+        """One-instruction handler; ``em`` is ``ins``'s fragment when
+        the caller has already emitted it."""
         if ins.op == Op.CALL or ins.op == Op.CALLPTR:
             body = self._emit_call(ins, ip)
         else:
-            em = self.emit(ins, ip)
+            if em is None:
+                em = self.emit(ins, ip)
             body = self._counter_lines(em.counts) + list(em.lines)
             body.append(f"return {em.ret_expr if em.kind == _TERM else ip + 1}")
         # the reference records the trace before the budget check, on
@@ -820,25 +850,25 @@ class _FuncCompiler:
             seg_lines = []
 
         for index, (ip, em) in enumerate(emitted):
+            lines = em.lines
             if self.trace:
                 # in program order, before the instruction's own effect
                 # (and before any statement of it that can raise)
-                em.lines = [f"T(FN, {ip}, INS[{ip}], regs)"] \
-                    + list(em.lines)
+                lines = [f"T(FN, {ip}, INS[{ip}], regs)"] + list(lines)
             for i, n in enumerate(em.counts):
                 seg_counts[i] += n
             if em.kind == _RAISING:
                 # executed/counters (including this instruction's) must
                 # be current before any statement that can raise
                 close_segment(index + 1)
-                body.extend(em.lines)
+                body.extend(lines)
             elif em.kind == _TERM:
-                seg_lines.extend(em.lines)
+                seg_lines.extend(lines)
                 close_segment(index + 1)
                 body.append(f"return {em.ret_expr}")
                 break
             else:
-                seg_lines.extend(em.lines)
+                seg_lines.extend(lines)
         else:
             close_segment(k)
             body.append(f"return {emitted[-1][0] + 1}")
@@ -868,25 +898,31 @@ class _FuncCompiler:
         interp = self.interp
         func = self.func
         ip = 0
+        em = None  # the barrier that ended the previous block, if any
         while ip < count:
-            em = self.emit(instrs[ip], ip)
+            if em is None:
+                em = self.emit(instrs[ip], ip)
             if em.kind == _BARRIER:
                 handlers[ip] = self.compile_single(instrs[ip], ip)
                 ip += 1
+                em = None
                 continue
             # grow a block: stop before a barrier or a branch target,
             # stop after a terminator
             block = [(ip, em)]
             end = ip + 1
+            em = None
             while end < count and end not in targets \
                     and block[-1][1].kind != _TERM:
                 nxt = self.emit(instrs[end], end)
                 if nxt.kind == _BARRIER:
+                    em = nxt
                     break
                 block.append((end, nxt))
                 end += 1
             if len(block) == 1:
-                handlers[ip] = self.compile_single(instrs[ip], ip)
+                handlers[ip] = self.compile_single(instrs[ip], ip,
+                                                   block[0][1])
             else:
                 handlers[ip] = self.compile_block(
                     block, _make_fallback(interp, func, ip, self.sig))

@@ -15,16 +15,19 @@ gate (``benchmarks/bench_host_throughput.py --verify-only``).
 from __future__ import annotations
 
 import dataclasses
+import os
+import sys
 
 import pytest
 
 from repro.compiler import CompilerOptions, compile_source
+from repro.compiler.ir import IRFunction
 from repro.errors import ReproError, StepBudgetExceeded, WorkloadTimeout
 from repro.eval.configs import build_machine_config, build_options
 from repro.fuzz.attacks import attacks_for
 from repro.fuzz.generator import generate_program, render
 from repro.vm import Machine, MachineConfig
-from repro.vm.fastpath import FastInterpreter
+from repro.vm.fastpath import SIG_OBS, SIG_TRACE, FastInterpreter
 from repro.workloads import WORKLOADS
 
 
@@ -386,48 +389,220 @@ class TestDeadlineTier:
                 f"auto diverged under {fault}"
 
 
-class TestCodeMemo:
-    """Machines over one compiled program share translated code
-    objects through the IRFunction's memo; the IR stays plain data."""
+#: twin programs differing only in where ``g`` lands: ``get``'s
+#: translation inlines that address as a literal
+GLOBAL_AT = """
+int pad[%d];
+int g;
+int get(void) { return g; }
+int main(void) {
+    int i;
+    for (i = 0; i < %d; i++) pad[i] = i;
+    g = %d;
+    return get() + pad[%d - 1];
+}
+"""
 
-    def test_machines_share_code_objects(self):
-        program = compile_source(RECURSE, CompilerOptions.baseline())
+
+def _blocks(machine, name: str, sig: int = 0) -> list:
+    """The compiled ``_b`` handlers of one fused translation."""
+    return [h for h in machine._fast._fused[(name, sig)]
+            if getattr(h, "__name__", "") == "_b"]
+
+
+def _run_recurse_into(queue) -> None:
+    program = compile_source(RECURSE, CompilerOptions.baseline())
+    queue.put(Machine(program, MachineConfig(engine="auto")).run().exit_code)
+
+
+class TestCodeCache:
+    """Translations share code objects through the process-wide,
+    source-keyed cache while each machine binds its own namespace;
+    the IR stays plain data."""
+
+    def test_fresh_compiles_share_code_objects(self):
         config = MachineConfig(engine="auto")
-        first = Machine(program, config)
-        first.run()
-        memo = dict(program.functions["add"].code_memo)
-        assert memo
-        second = Machine(program, config)
-        second.run()
-        assert program.functions["add"].code_memo == memo
-        key = ("add", 0)
-        for old, new in zip(first._fast._fused[key],
-                            second._fast._fused[key]):
-            if hasattr(old, "__code__") and old.__name__ == "_b":
-                assert old is not new
-                assert old.__code__ is new.__code__
+        machines = []
+        for _ in range(2):
+            program = compile_source(RECURSE, CompilerOptions.baseline())
+            reference = _observables(program, config, "reference")
+            assert _observables(program, config, "auto") == reference
+            machine = Machine(program, config)
+            machine.run()
+            machines.append(machine)
+        first, second = (_blocks(m, "add") for m in machines)
+        assert first and len(first) == len(second)
+        for old, new in zip(first, second):
+            assert old is not new
+            assert old.__code__ is new.__code__
 
-    def test_fresh_compile_never_hits(self):
-        program = compile_source(RECURSE, CompilerOptions.baseline())
-        Machine(program, MachineConfig(engine="auto")).run()
-        again = compile_source(RECURSE, CompilerOptions.baseline())
-        assert all(not f.code_memo for f in again.functions.values())
+    def test_inlined_global_address_keys_its_own_code(self):
+        config = MachineConfig(engine="auto")
+        runs = []
+        for n in (4, 8):
+            program = compile_source(GLOBAL_AT % (n, n, n, n),
+                                     CompilerOptions.baseline())
+            reference = _observables(program, config, "reference")
+            assert reference["exit_code"] == 2 * n - 1
+            assert _observables(program, config, "auto") == reference
+            machine = Machine(program, config)
+            machine.run()
+            runs.append((machine, machine._fast.symbols["g"]))
+        (first, g1), (second, g2) = runs
+        assert g1 != g2
+        entry1, entry2 = _blocks(first, "get")[0], _blocks(second, "get")[0]
+        assert entry1.__code__ is not entry2.__code__
+        assert g1 in entry1.__code__.co_consts
+        assert g2 in entry2.__code__.co_consts
 
-    def test_memo_leaves_pickle_eq_and_repr_alone(self):
+    def test_cap_bounds_the_cache_and_evicted_code_recompiles(
+            self, monkeypatch):
+        from repro.vm import fastpath
+
+        cap = 4
+        peak = []
+
+        class Watched(dict):
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                peak.append(len(self))
+
+        compiled = []
+        real_compile = compile
+
+        def counting_compile(*args, **kwargs):
+            compiled.append(args[0])
+            return real_compile(*args, **kwargs)
+
+        monkeypatch.setattr(fastpath, "_CODE_CACHE", Watched())
+        monkeypatch.setattr(fastpath, "_CODE_CACHE_CAP", cap)
+        monkeypatch.setattr(fastpath, "compile", counting_compile,
+                            raising=False)
+        program = compile_source(WORKLOADS["treeadd"].source(1),
+                                 build_options("wrapped"))
+        config = build_machine_config("wrapped", 200_000_000)
+        reference = _observables(program, config, "reference")
+        assert _observables(program, config, "auto") == reference
+        first = list(compiled)
+        assert len(first) > cap
+        assert max(peak) <= cap
+        # the cache now holds only the last few sources: a fresh run
+        # recompiles the evicted ones and stays byte-identical
+        compiled.clear()
+        assert _observables(program, config, "auto") == reference
+        assert set(compiled) & set(first[:-cap])
+        assert max(peak) <= cap
+        assert len(fastpath._CODE_CACHE) <= cap
+
+    def test_concurrent_translation_matches_reference(self, monkeypatch):
+        import threading
+
+        from repro.vm import fastpath
+
+        monkeypatch.setattr(fastpath, "_CODE_CACHE", {})
+        sources = [RECURSE, LOOPY, OVERFLOW, DOUBLE_FREE]
+        config = build_machine_config("wrapped", 5_000_000)
+        programs = [compile_source(src, build_options("wrapped"))
+                    for src in sources]
+        references = [_observables(p, config, "reference")
+                      for p in programs]
+        start = threading.Barrier(len(programs))
+        results = [[] for _ in programs]
+        errors = []
+
+        def work(index):
+            try:
+                start.wait()
+                for _ in range(3):
+                    # a fresh compile each round: same text, new IR
+                    program = compile_source(sources[index],
+                                             build_options("wrapped"))
+                    results[index].append(
+                        _observables(program, config, "auto"))
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(len(programs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the miss paths finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        for runs, reference in zip(results, references):
+            assert runs == [reference] * 3
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_worker_translates_while_parent_holds_the_lock(
+            self, monkeypatch):
+        import multiprocessing
+
+        from repro.vm import fastpath
+
+        monkeypatch.setattr(fastpath, "_CODE_CACHE", {})
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        with fastpath._CODE_CACHE_LOCK:
+            child = ctx.Process(target=_run_recurse_into, args=(queue,))
+            child.start()
+            try:
+                exit_code = queue.get(timeout=30)
+            finally:
+                child.join(5)
+                if child.is_alive():
+                    child.kill()
+        assert exit_code == (40 * 41 // 2) & 0xFF
+
+    def test_observer_streams_stay_on_their_own_bus(self):
+        from repro.obs import attach_observer
+
+        config = build_machine_config("wrapped", 5_000_000)
+        reference = _instrumented_observables(
+            compile_source(OVERFLOW, build_options("wrapped")), config,
+            "reference")["events"]
+        assert reference
+        machines, streams = [], []
+        for _ in range(2):
+            program = compile_source(OVERFLOW, build_options("wrapped"))
+            machine = Machine(program, config)
+            events = []
+            obs = attach_observer(machine, profile=True, forensics=True)
+            obs.bus.subscribe(lambda event, out=events:
+                              out.append(event.to_dict()))
+            machines.append(machine)
+            streams.append(events)
+        for machine in machines:
+            machine.run()
+        assert streams == [reference, reference]
+        first, second = (_blocks(m, "main", SIG_TRACE | SIG_OBS)
+                         for m in machines)
+        assert first
+        for old, new in zip(first, second):
+            assert old is not new
+            assert old.__code__ is new.__code__
+
+    def test_ir_stays_plain_data_after_a_run(self):
         import pickle
         program = compile_source(RECURSE, CompilerOptions.baseline())
         before = repr(program)
         pristine = pickle.dumps(program)
-        twin = dataclasses.replace(program.functions["add"])
+        # shallow copies share the (identity-compared) Instr objects
+        twins = {name: dataclasses.replace(func)
+                 for name, func in program.functions.items()}
+        fields = {f.name for f in dataclasses.fields(IRFunction)}
         Machine(program, MachineConfig(engine="auto")).run()
-        assert program.functions["add"].code_memo
-        assert not twin.code_memo
-        assert twin == program.functions["add"]
         assert repr(program) == before
         assert pickle.dumps(program) == pristine
-        clone = pickle.loads(pickle.dumps(program))
-        assert repr(clone) == before
-        assert "_code_memo" not in clone.functions["add"].__dict__
+        assert program.functions == twins
+        for func in program.functions.values():
+            assert set(vars(func)) == fields
+        clone = pickle.loads(pristine)
         result = Machine(clone, MachineConfig(engine="auto")).run()
         assert result.exit_code == (40 * 41 // 2) & 0xFF
 
