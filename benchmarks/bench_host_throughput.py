@@ -17,7 +17,7 @@ baseline-config MIPS over subheap-config MIPS for the same workload
 under the compiled engine, the host-side cost factor of subheap
 protection.  ``--max-subheap-gap`` turns that ratio into a gate.
 
-Results land in ``BENCH_host_throughput.json`` (repro.obs schema v1).
+Results land in ``BENCH_host_throughput.json`` (repro.obs schema v2).
 With ``--baseline`` the run is additionally gated against a committed
 record: any cell whose speedup drops more than ``--max-regression``
 below its baseline speedup fails the run.  Speedup ratios, not raw

@@ -18,7 +18,7 @@ dozen bytes, so ``wrapped`` compiles them onto LOCAL_OFFSET and
 ``subheap`` onto SUBHEAP; the big (``_gt``) variants allocate 8192-int
 buffers, which overflow both fast schemes and land in the GLOBAL_TABLE.
 
-Results land in ``BENCH_temporal_matrix.json`` — a repro.obs schema v1
+Results land in ``BENCH_temporal_matrix.json`` — a repro.obs schema v2
 document with one numeric cell per ``<scheme>/<family>`` key.  CI runs
 with ``--check``: zero missed detections, zero false positives, and
 zero engine divergences in check mode, or exit 1.

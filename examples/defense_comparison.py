@@ -10,7 +10,6 @@ Run:  python examples/defense_comparison.py
 """
 
 from repro.compiler import CompilerOptions, compile_source
-from repro.debug import attach_tracer
 from repro.vm import Machine, MachineConfig
 from repro.workloads import get
 

@@ -1,8 +1,10 @@
 """Bounded execution tracing for the VM.
 
-The interpreter consults ``machine.tracer`` once per instruction; with no
-tracer attached (the default) the cost is a single attribute test at call
-setup.  Traces are ring-buffered so tracing a long run keeps the tail.
+The tracer rides on the machine's observer (``machine.obs.tracer``), the
+one instrument slot: both engines record each instruction before it
+executes, and with no observer attached (the default) nothing is
+recorded and nothing is paid.  Traces are ring-buffered so tracing a
+long run keeps the tail.
 """
 
 from __future__ import annotations
@@ -104,7 +106,15 @@ IFP_OPS = {Op.PROMOTE, Op.IFPADD, Op.IFPIDX, Op.IFPBND, Op.IFPCHK,
 
 def attach_tracer(machine, capacity: int = 4096,
                   ifp_only: bool = False) -> Tracer:
-    """Create a tracer and attach it to a machine (before ``run``)."""
-    tracer = Tracer(capacity, IFP_OPS if ifp_only else None)
-    machine.tracer = tracer
-    return tracer
+    """Create a tracer and attach it to a machine (before ``run``).
+
+    The tracer rides on the machine's observer; a machine without one
+    gets a bare observer (no profiler, no event tail, no forensics).
+    """
+    from repro.obs.observer import attach_observer
+    obs = machine.obs
+    if obs is None:
+        obs = attach_observer(machine, profile=False, forensics=False,
+                              event_tail=0)
+    obs.tracer = Tracer(capacity, IFP_OPS if ifp_only else None)
+    return obs.tracer

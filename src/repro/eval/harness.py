@@ -74,10 +74,10 @@ def run_workload(workload: Workload, config: str, scale: int = 1,
     workload/config identity) instead of hanging the harness.
 
     ``engine`` selects the execution engine ("auto" or "reference";
-    the legacy spellings in ``ENGINE_ALIASES`` mean "auto"); the default
-    "auto" prefers the fastpath even when an
-    observer, tracer, or fault injector is armed — the closure compiler
-    then translates a second, guarded-emit variant of each function.
+    the legacy spellings in ``ENGINE_ALIASES`` mean "auto"); "auto"
+    always runs the fastpath — under an observer (and the tracer it
+    carries) the closure compiler translates one armed variant of each
+    function with the emits inline, and fault injectors need no variant.
     Both engines are byte-identical in every simulated observable
     (including the emitted event stream), so results never depend on
     this knob.

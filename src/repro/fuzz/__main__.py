@@ -102,7 +102,7 @@ def main(argv=None) -> int:
                         help="re-run one corpus entry verbatim")
     parser.add_argument("--metrics-out", type=str, metavar="JSON",
                         help="write run metrics in the repro.obs "
-                             "schema-v1 JSON format")
+                             "schema-v2 JSON format")
     parser.add_argument("--quiet", "-q", action="store_true",
                         help="suppress progress lines")
     args = parser.parse_args(argv)

@@ -155,7 +155,7 @@ class FuzzStats:
         return "\n".join(lines)
 
     def metrics(self) -> dict:
-        """Schema-v1 ``metrics`` payload (see :mod:`repro.obs.metrics`)."""
+        """Schema-v2 ``metrics`` payload (see :mod:`repro.obs.metrics`)."""
         elapsed = self.elapsed or 1e-9
         return {
             "iterations": self.iterations,
@@ -182,7 +182,7 @@ class FuzzStats:
 
     def to_dict(self) -> dict:
         """Full JSON form — lossless (unlike :meth:`metrics`, which is
-        the schema-v1 numeric subset).  The shape parallel shard
+        the schema-v2 numeric subset).  The shape parallel shard
         results travel in and checkpoints persist."""
         return {
             "seed": self.seed, "iterations": self.iterations,

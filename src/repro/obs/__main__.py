@@ -341,7 +341,7 @@ def main(argv=None) -> int:
     report.add_argument("--top", type=int, default=10,
                         help="sites to show (default 10)")
     report.add_argument("--metrics-out", metavar="JSON",
-                        help="write schema-v1 metrics JSON here")
+                        help="write schema-v2 metrics JSON here")
     report.add_argument("--prometheus", action="store_true",
                         help="also print Prometheus text format")
     report.add_argument("--par-events", metavar="JSONL",

@@ -209,10 +209,9 @@ def capture_forensics(machine, trap: SimTrap,
                                 f"0x{trap.address:x}")
         report.anatomy_text = _temporal_anatomy(trap)
 
-    tracer = machine.tracer
-    if tracer is not None and trace_tail > 0:
-        report.trace_tail = [str(e) for e in tracer.tail(trace_tail)]
     obs = machine.obs
+    if obs is not None and obs.tracer is not None and trace_tail > 0:
+        report.trace_tail = [str(e) for e in obs.tracer.tail(trace_tail)]
     if obs is not None and obs.recent is not None and event_tail > 0:
         report.recent_events = [
             _format_event(e) for e in list(obs.recent)[-event_tail:]]

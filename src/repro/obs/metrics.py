@@ -5,11 +5,12 @@ Everything the repo measures — harness runs, fuzzing campaigns, the
 downstream tooling can rely on one shape::
 
     {
-      "schema": "repro.obs.metrics/v1",
+      "schema": "repro.obs.metrics/v2",
       "name": "<run or bench name>",
       "timestamp": <unix seconds, float>,
       "config": <str or flat dict describing the configuration>,
-      "metrics": {<str>: <number> | {<str>: <number> | {...}}, ...}
+      "metrics": {<str>: <number> | {<str>: <number> | {...}}, ...},
+      "labels": {<str>: <str>, ...}
     }
 
 ``metrics`` values are numbers or nested string-keyed dicts of numbers
@@ -17,15 +18,17 @@ downstream tooling can rely on one shape::
 :func:`to_prometheus` flattens the nesting with ``_`` joins into
 ``repro_<metric>{name=...,config=...} <value>`` exposition lines.
 
-Schema v2 (``repro.obs.metrics/v2``) adds one optional top-level field,
-``labels`` — a *flat* string-to-string mapping for identity that is not
-a measurement: the engine that produced a run ("fastpath"/"reference")
-and the :class:`~repro.obs.events.TraceContext` correlation ids
-(tenant, job, shard, seed).  ``to_prometheus`` merges them into every
-exposition line's label set.  v1 documents stay valid and are still
-written wherever byte-stable comparison against historical artifacts
-matters (the ``repro.par diff`` gates); :func:`validate_document`
-accepts both versions.
+``labels`` is a *flat* string-to-string mapping (``{}`` when there is
+none) for identity that is not a measurement: the engine that produced
+a run ("fastpath"/"reference") and the
+:class:`~repro.obs.events.TraceContext` correlation ids (tenant, job,
+shard, seed).  ``to_prometheus`` merges them into every exposition
+line's label set.
+
+Only v2 is written.  Schema v1 (``repro.obs.metrics/v1``) is the same
+shape without ``labels``; :func:`validate_document` and
+:func:`load_metrics` still accept it, so committed v1 artifacts (bench
+baselines) keep loading.
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ import time
 from dataclasses import fields
 from typing import Any, Dict, List, Optional, Union
 
+#: the legacy schema, still read (never written)
 SCHEMA = "repro.obs.metrics/v1"
+#: the schema every document is written in
 SCHEMA_V2 = "repro.obs.metrics/v2"
 
 
@@ -69,21 +74,16 @@ def metrics_document(name: str, config: Union[str, Dict[str, Any]],
                      timestamp: Optional[float] = None,
                      labels: Optional[Dict[str, str]] = None
                      ) -> Dict[str, Any]:
-    """Assemble one metrics document (timestamp defaults to now).
-
-    Without ``labels`` this is a byte-stable schema-v1 document;
-    passing ``labels`` (engine, correlation ids) upgrades it to v2.
-    """
-    doc = {
-        "schema": SCHEMA if labels is None else SCHEMA_V2,
+    """Assemble one schema-v2 metrics document (timestamp defaults to
+    now, ``labels`` to none)."""
+    return {
+        "schema": SCHEMA_V2,
         "name": name,
         "timestamp": time.time() if timestamp is None else timestamp,
         "config": config,
         "metrics": metrics,
+        "labels": dict(labels or {}),
     }
-    if labels is not None:
-        doc["labels"] = dict(labels)
-    return doc
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,11 @@ so the disabled path costs one pointer comparison and allocates nothing.
 :func:`attach_observer` wires an observer into a machine before ``run``:
 it subscribes the requested sinks, mirrors itself onto the IFP unit (so
 metadata/MAC/narrow events flow without a machine back-reference), and —
-when forensics is requested — attaches a small instruction tracer so
-trap reports include the last executed instructions.
+when forensics is requested — gives it a small instruction tracer so
+trap reports include the last executed instructions.  The observer is
+the machine's only instrument: the tracer rides on it
+(:attr:`Observer.tracer`), and :func:`repro.debug.attach_tracer` arms a
+bare observer to carry one.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional, Tuple
 
+from repro.debug.trace import Tracer
 from repro.obs.events import (
     AllocEvent, DegradeEvent, Event, EventBus, FaultEvent, MacVerifyEvent,
     MetadataFetchEvent, NarrowEvent, SchemeAssignEvent, TrapEvent,
@@ -50,6 +54,9 @@ class Observer:
         #: code site of the instruction currently observed, set by the
         #: interpreter so unit-level events inherit the attribution
         self.site: Optional[Tuple[str, int]] = None
+        #: optional instruction tracer (repro.debug.trace.Tracer),
+        #: recorded before every executed instruction
+        self.tracer: Optional[Tracer] = None
         #: engine that produced the observed run ("fastpath" |
         #: "reference"), stamped by Machine.run; exporters label
         #: profiles/forensics/metrics with it
@@ -113,12 +120,18 @@ class Observer:
 def attach_observer(machine, profile: bool = True, forensics: bool = True,
                     event_tail: int = 64,
                     tracer_capacity: int = 256) -> Observer:
-    """Create an observer and wire it into ``machine`` (before ``run``)."""
+    """Create an observer and wire it into ``machine`` (before ``run``).
+
+    A tracer the machine's previous observer carries (e.g. from
+    :func:`repro.debug.attach_tracer`) moves to the new one; otherwise
+    ``forensics`` with ``tracer_capacity > 0`` gives it a fresh tracer.
+    """
     obs = Observer(profile=profile, forensics=forensics,
                    event_tail=event_tail)
+    if machine.obs is not None:
+        obs.tracer = machine.obs.tracer
+    if forensics and obs.tracer is None and tracer_capacity > 0:
+        obs.tracer = Tracer(tracer_capacity)
     machine.obs = obs
     machine.ifp.obs = obs
-    if forensics and machine.tracer is None and tracer_capacity > 0:
-        from repro.debug.trace import attach_tracer
-        attach_tracer(machine, capacity=tracer_capacity)
     return obs

@@ -243,7 +243,7 @@ class HotSiteProfiler:
         return "; ".join(parts)
 
     def metrics(self, top: int = 10) -> dict:
-        """Numeric-only nested dict, valid as schema-v1 ``metrics``."""
+        """Numeric-only nested dict, valid as schema-v2 ``metrics``."""
         return {
             "hot_sites": {s.label: s.cycles for s in self.top_sites(top)},
             "hot_site_promotes": {s.label: s.promotes

@@ -216,7 +216,7 @@ def main(argv=None) -> int:
     juliet.add_argument("--allocator", choices=("wrapped", "subheap"),
                         default="wrapped")
     juliet.add_argument("--out", metavar="JSON",
-                        help="write schema-v1 metrics JSON here")
+                        help="write schema-v2 metrics JSON here")
     _add_pool_args(juliet)
     juliet.set_defaults(func=_cmd_juliet)
 
@@ -232,7 +232,7 @@ def main(argv=None) -> int:
                        help="execution engine; byte-identical results "
                             "either way (default auto)")
     bench.add_argument("--out", metavar="JSON",
-                       help="write schema-v1 metrics JSON here")
+                       help="write schema-v2 metrics JSON here")
     _add_pool_args(bench)
     bench.set_defaults(func=_cmd_bench)
 

@@ -232,7 +232,7 @@ class PlanResult:
                 for shard in plan.shards]
 
     def utilization_metrics(self) -> Dict[str, Any]:
-        """Schema-v1 metrics fragment describing pool efficiency."""
+        """Schema-v2 metrics fragment describing pool efficiency."""
         wall = self.wall_seconds or 1e-9
         return {
             "shards_executed": len(self.executed),

@@ -19,7 +19,7 @@ module          role
 ==============  ======================================================
 
 ``python -m repro.resil`` runs a campaign and writes the matrix as a
-``repro.obs.metrics/v1`` document.
+``repro.obs.metrics/v2`` document.
 
 Import discipline: this package root must stay importable from
 ``repro.vm.machine`` (which carries the policy), so it only pulls in

@@ -2,7 +2,7 @@
 
 Runs a resilience campaign — every selected workload under every
 selected fault class and metadata scheme — and writes the resulting
-fault class × scheme matrix as a ``repro.obs.metrics/v1`` document.
+fault class × scheme matrix as a ``repro.obs.metrics/v2`` document.
 
 Examples::
 
@@ -97,7 +97,7 @@ def main(argv=None) -> int:
                              "auto)")
     parser.add_argument("--out", type=str, metavar="JSON",
                         help="write the matrix as a repro.obs "
-                             "schema-v1 metrics document")
+                             "schema-v2 metrics document")
     parser.add_argument("--quiet", "-q", action="store_true",
                         help="suppress per-cell progress lines")
     args = parser.parse_args(argv)

@@ -412,7 +412,7 @@ def run_chaos_campaign(*, seed: int = 0,
                        log: Callable[[str], None] = lambda m: None
                        ) -> Dict[str, Any]:
     """Run the chaos matrix: one cell per campaign kind plus the
-    selftest poison cell; returns the schema-v1 chaos matrix document.
+    selftest poison cell; returns the schema-v2 chaos matrix document.
 
     The matrix's ``ok`` criterion — zero ``diverged`` cells — is the
     whole harness's contract: under seeded host faults every campaign

@@ -204,7 +204,7 @@ class CampaignResult:
             and not self.temporal_silent_corruptions()
 
     def metrics(self) -> dict:
-        """Schema-v1 ``metrics`` payload (numbers / nested dicts only)."""
+        """Schema-v2 ``metrics`` payload (numbers / nested dicts only)."""
         totals = self.outcome_totals()
         return {
             "cells": len(self.cells),

@@ -67,7 +67,7 @@ class TenantState:
         return bool(self.queue) and self.running < self.quota.max_running
 
     def counters(self) -> Dict[str, float]:
-        """Schema-v1 numeric fragment for the /metrics document."""
+        """Schema-v2 numeric fragment for the /metrics document."""
         return {
             "queued": len(self.queue),
             "running": self.running,

@@ -41,32 +41,32 @@ count has crossed a multiple of 4096 since the previous handler started.
 Blocks end before every branch target and at every call, so each loop
 back-edge, call entry and call return passes a poll.
 
-Instrumented runs compile a *second variant* instead of falling back to
-the reference interpreter.  Translations are keyed by an
-**instrumentation signature** — a bitmask of which instruments are
-armed (``SIG_TRACE`` for a tracer, ``SIG_OBS`` for an observer) — and
-the signature selects what the compiler inlines at each emit site:
+Observed runs compile a *second variant* instead of falling back to the
+reference interpreter.  The machine has one instrument slot,
+``machine.obs`` (a :class:`~repro.obs.observer.Observer`, which may
+carry an instruction tracer), and translations are keyed by
+``(function name, armed)`` with ``armed = machine.obs is not None``:
 
-* signature 0 is today's zero-cost variant: no guard, no emit, not even
-  a dead branch — observability costs literally nothing when disarmed;
-* with ``SIG_TRACE`` every instruction is prefixed with a direct call to
-  the tracer's bound ``record`` method, placed exactly where the
-  reference calls it (before the budget check, on pre-execution
-  register values);
-* with ``SIG_OBS`` the observer's emits are compiled inline at the
+* the disarmed variant is the zero-cost one: no guard, no emit, not
+  even a dead branch — observability costs literally nothing;
+* the armed variant compiles the observer's emits inline at the
   reference's exact sites: ``CheckEvent`` between the bounds predicate
   and the trap, ``PromoteEvent`` (with ``obs.site`` attribution
   bracketing the IFP-unit call), ``BoundsSpillEvent`` before the
   bounds-table access, and ``scheme_assigned`` after local-object
-  registration.
+  registration.  When the observer carries a tracer at translate time,
+  every instruction is also prefixed with a direct call to the tracer's
+  bound ``record`` method, placed exactly where the reference calls it
+  (before the budget check, on pre-execution register values).
 
 Fault injectors need no translation support at all: they live in the
 shared IFP unit / metadata port, which both engines call through the
-same bound methods.  The event *stream* (kinds, payloads, order), the
-``RunStats``, and trap forensics are byte-identical to the reference
-under any signature; the only latitude is that ``executed`` and the
-deferred cycle counters lag by at most one basic block mid-block, which
-no event payload (and hence no sink) can observe.
+same bound methods, and they affect no translation key.  The event
+*stream* (kinds, payloads, order), the ``RunStats``, and trap forensics
+are byte-identical to the reference in either variant; the only
+latitude is that ``executed`` and the deferred cycle counters lag by at
+most one basic block mid-block, which no event payload (and hence no
+sink) can observe.
 
 The one knowable divergence is the watchdog's poll point: the
 reference polls at the instruction that reaches a multiple of 4096, this
@@ -99,10 +99,6 @@ from repro.vm.interp import (
 
 #: clears both poison bits of a tagged pointer
 _PCLR = ~(3 << 62)
-
-# instrumentation-signature bits (translation-cache key, see module doc)
-SIG_TRACE = 1  #: a tracer is armed: inline tracer.record before each ins
-SIG_OBS = 2    #: an observer is armed: inline guarded emits
 
 # instruction classification for block formation
 _SIMPLE = 0    #: cannot raise; fusable anywhere in a block
@@ -260,19 +256,18 @@ class _FuncCompiler:
     (:meth:`_load`): machines translating the same code share one code
     object while each binds its own namespace.
 
-    ``sig`` is the instrumentation signature (``SIG_TRACE`` |
-    ``SIG_OBS``): it selects which emit statements are compiled inline.
-    Signature 0 produces the uninstrumented variant with no emit code at
-    all.
+    ``armed`` compiles the machine's observer emits inline, plus its
+    tracer's ``record`` calls when it carries one; unarmed produces the
+    variant with no emit code at all.
     """
 
     def __init__(self, interp: "FastInterpreter", func: IRFunction,
-                 sig: int = 0):
+                 armed: bool = False):
         self.interp = interp
         self.func = func
-        self.sig = sig
-        self.trace = bool(sig & SIG_TRACE)
-        self.obs = bool(sig & SIG_OBS)
+        self.armed = armed
+        obs = interp.machine.obs if armed else None
+        self.trace = obs is not None and obs.tracer is not None
         self.ns = {
             "U64": U64, "ADDRESS_MASK": ADDRESS_MASK, "_signed": _signed,
             "Bounds": Bounds, "SimTrap": SimTrap, "PoisonTrap": PoisonTrap,
@@ -308,20 +303,13 @@ class _FuncCompiler:
         if self.trace:
             # the bound method, resolved once at translate time: a traced
             # instruction costs one direct call, no attribute walk
-            self.ns["T"] = interp.machine.tracer.record
+            self.ns["T"] = obs.tracer.record
             self.ns["INS"] = func.instrs
-        if self.obs:
-            obs = interp.machine.obs
+        if armed:
             self.ns["OB"] = obs
-            # Specialize the emit call: for the standard Observer (whose
-            # emit() only forwards to its bus) bind the bus's emit
-            # directly, skipping one call frame per event.  Custom
-            # observers keep their own emit.
-            emit = obs.emit
-            from repro.obs.observer import Observer
-            if type(obs) is Observer:
-                emit = obs.bus.emit
-            self.ns["OBE"] = emit
+            # Observer.emit only forwards to its bus: bind the bus's emit
+            # directly, skipping one call frame per event
+            self.ns["OBE"] = obs.bus.emit
             self.ns["CK"] = CheckEvent
             self.ns["PE"] = PromoteEvent
             self.ns["BSE"] = BoundsSpillEvent
@@ -359,7 +347,7 @@ class _FuncCompiler:
                 "if _bd is not None:",
                 "    stats.implicit_checks += 1",
             ]
-            if self.obs:
+            if self.armed:
                 # the reference emits the CheckEvent between computing
                 # the predicate and delivering the trap
                 lines += [
@@ -475,7 +463,7 @@ class _FuncCompiler:
             # own memo fires at exactly the same dynamic sites and the
             # elision counters stay engine-identical
             pfn = "elide" if ip in self.elide_sites else "promote"
-            if self.obs:
+            if self.armed:
                 # site attribution brackets the unit call so unit-level
                 # events (metadata fetch, MAC, narrow) inherit it; if
                 # promote raises, site stays set — as in the reference
@@ -567,7 +555,7 @@ class _FuncCompiler:
                 "    _ad = _v & ADDRESS_MASK",
                 "    stats.implicit_checks += 1",
             ]
-            if self.obs:
+            if self.armed:
                 lines += [
                     f"    _ps = (_bd.lower <= _ad"
                     f" and _ad + {imm} <= _bd.upper)",
@@ -607,7 +595,7 @@ class _FuncCompiler:
                 lines.append("stats.local_objects += 1")
                 if ins.name == "local+lt":
                     lines.append("stats.local_objects_lt += 1")
-                if self.obs:
+                if self.armed:
                     lines += [
                         f"OB.site = {self._site(ip)}",
                         f"OB.scheme_assigned('local', regs[{d}], 0,"
@@ -626,7 +614,7 @@ class _FuncCompiler:
                             _SIMPLE)
         if op == Op.LDBND:
             lines = ([f"OBE(BSE({self._site(ip)}, False))"]
-                     if self.obs else []) + [
+                     if self.armed else []) + [
                 f"_ea = (regs[{a}] & ADDRESS_MASK) + {imm}",
                 "c[4] += access(_ea, 16, False)",
                 "if not memory.is_mapped(_ea, 16):",
@@ -639,7 +627,7 @@ class _FuncCompiler:
             return _Emitted((0, 0, 0, 1, 0, 0, 0), lines, _RAISING)
         if op == Op.STBND:
             lines = ([f"OBE(BSE({self._site(ip)}, True))"]
-                     if self.obs else []) + [
+                     if self.armed else []) + [
                 f"_ea = (regs[{a}] & ADDRESS_MASK) + {imm}",
                 "c[4] += access(_ea, 16, True)",
                 "if not memory.is_mapped(_ea, 16):",
@@ -925,7 +913,7 @@ class _FuncCompiler:
                                                    block[0][1])
             else:
                 handlers[ip] = self.compile_block(
-                    block, _make_fallback(interp, func, ip, self.sig))
+                    block, _make_fallback(interp, func, ip, self.armed))
             # non-leader slots inside the block are never entered (blocks
             # stop before branch targets); point them at the sentinel's
             # defensive neighbour anyway for debuggability
@@ -949,14 +937,14 @@ def _make_unreachable(name: str, ip: int):
 
 
 def _make_fallback(interp: "FastInterpreter", func: IRFunction, base: int,
-                   sig: int):
+                   armed: bool):
     """Single-step continuation for a block entered too close to the
     instruction budget: runs the per-instruction handlers (which carry
     the exact budget check) until the function returns or traps."""
     def _fb(st):
-        singles = interp._singles.get((func.name, sig))
+        singles = interp._singles.get((func.name, armed))
         if singles is None:
-            singles = interp._translate_singles(func, sig)
+            singles = interp._translate_singles(func, armed)
         ip = base
         while ip >= 0:
             ip = singles[ip](st)
@@ -974,44 +962,41 @@ class FastInterpreter(Interpreter):
 
     def __init__(self, machine):
         super().__init__(machine)
-        #: (function name, signature) -> fused handler list
-        self._fused: Dict[Tuple[str, int], list] = {}
-        #: (function name, signature) -> per-instruction handler list
-        self._singles: Dict[Tuple[str, int], list] = {}
-        #: instrument identities the cached instrumented translations
-        #: are bound to (compiled code holds the tracer's bound method
-        #: and the observer object directly)
+        #: (function name, armed) -> fused handler list
+        self._fused: Dict[Tuple[str, bool], list] = {}
+        #: (function name, armed) -> per-instruction handler list
+        self._singles: Dict[Tuple[str, bool], list] = {}
+        #: the (observer, tracer) the cached armed translations are bound
+        #: to (compiled code holds the observer and the tracer's bound
+        #: method directly)
         self._armed = (None, None)
-
-    def _sig(self) -> int:
-        machine = self.machine
-        return ((SIG_TRACE if machine.tracer is not None else 0)
-                | (SIG_OBS if machine.obs is not None else 0))
 
     def arm_deadline(self, timeout_seconds) -> None:
         super().arm_deadline(timeout_seconds)
-        # Called once per Machine.run: if the armed instrument objects
-        # changed since the last run, instrumented translations bound to
-        # the old objects are stale — drop them (signature-0 entries
-        # bind no instrument and stay valid).
-        armed = (self.machine.tracer, self.machine.obs)
+        # Called once per Machine.run: if the observer or its tracer
+        # changed since the last run, armed translations bound to the
+        # old objects are stale — drop them (unarmed entries bind no
+        # instrument and stay valid).
+        obs = self.machine.obs
+        armed = (obs, obs.tracer if obs is not None else None)
         if armed != self._armed:
             self._fused = {key: handlers
                            for key, handlers in self._fused.items()
-                           if key[1] == 0}
+                           if not key[1]}
             self._singles = {key: handlers
                              for key, handlers in self._singles.items()
-                             if key[1] == 0}
+                             if not key[1]}
             self._armed = armed
 
-    def _translate_fused(self, func: IRFunction, sig: int = 0) -> list:
-        handlers = _FuncCompiler(self, func, sig).compile_fused()
-        self._fused[(func.name, sig)] = handlers
+    def _translate_fused(self, func: IRFunction, armed: bool = False) -> list:
+        handlers = _FuncCompiler(self, func, armed).compile_fused()
+        self._fused[(func.name, armed)] = handlers
         return handlers
 
-    def _translate_singles(self, func: IRFunction, sig: int = 0) -> list:
-        handlers = _FuncCompiler(self, func, sig).compile_singles()
-        self._singles[(func.name, sig)] = handlers
+    def _translate_singles(self, func: IRFunction,
+                           armed: bool = False) -> list:
+        handlers = _FuncCompiler(self, func, armed).compile_singles()
+        self._singles[(func.name, armed)] = handlers
         return handlers
 
     def _translate_super(self, func: IRFunction) -> None:
@@ -1039,12 +1024,12 @@ class FastInterpreter(Interpreter):
                     if index < len(arg_bounds) else None
         stats = self.stats
         name = func.name
-        sig = self._sig()
+        armed = machine.obs is not None
         ip = 0
         try:
             deadline = self._deadline
-            handlers = self._fused.get((name, sig)) \
-                or self._translate_fused(func, sig)
+            handlers = self._fused.get((name, armed)) \
+                or self._translate_fused(func, armed)
             if deadline:
                 # Watchdog armed: poll the deadline before a handler when
                 # the previous one crossed a multiple of 4096.  Starting

@@ -155,8 +155,8 @@ class Interpreter:
         cycles = 0
         loads = 0
         stores = 0
-        tracer = machine.tracer
         obs = machine.obs
+        tracer = obs.tracer if obs is not None else None
         try:
             while ip < count:
                 ins = instrs[ip]

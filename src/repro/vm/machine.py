@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.cache import CacheHierarchy, HierarchyConfig
 from repro.compiler.ir import IRProgram
@@ -55,15 +55,13 @@ class MachineConfig:
     #: reuse in the allocators so stale keys can never alias fresh ones
     temporal: str = "off"
     #: execution engine (one of :data:`ENGINES`): "auto" runs the
-    #: block-fused fastpath — including under an armed tracer/observer/
-    #: fault injector, for which it compiles an instrumented variant with
-    #: inline emit sites (see repro.vm.fastpath) — falling back to the
-    #: reference interpreter only when :meth:`Machine.fastpath_reasons`
-    #: reports an instrument the compiler cannot honour.  "reference"
-    #: forces the reference interpreter.  The legacy spellings in
-    #: :data:`ENGINE_ALIASES` still parse and mean "auto".  Both engines
-    #: are byte-identical in every simulated observable, including the
-    #: emitted event stream — see DESIGN.md §8.
+    #: block-fused fastpath, which under an armed observer (and its
+    #: optional tracer) compiles one armed variant with inline emit
+    #: sites (see repro.vm.fastpath); "reference" runs the reference
+    #: interpreter.  The legacy spellings in :data:`ENGINE_ALIASES`
+    #: still parse and mean "auto".  Both engines are byte-identical in
+    #: every simulated observable, including the emitted event stream —
+    #: see DESIGN.md §8.
     engine: str = "auto"
 
 
@@ -126,10 +124,10 @@ class Machine:
         self.output_parts: List[str] = []
         self.rand_state = 0x2545F491
         self.clock_cycles_base = 0
-        #: optional execution tracer (see repro.debug.attach_tracer)
-        self.tracer = None
-        #: optional observer (see repro.obs.attach_observer); None keeps
-        #: every instrumented site on its zero-cost disabled path
+        #: optional observer (see repro.obs.attach_observer), the one
+        #: instrument slot; it carries the optional instruction tracer
+        #: (repro.debug.attach_tracer).  None keeps every instrumented
+        #: site on its zero-cost disabled path
         self.obs = None
         #: engine the last ``run`` resolved to ("fastpath"|"reference");
         #: None before the first run.  Telemetry labels use this.
@@ -188,57 +186,14 @@ class Machine:
 
     # -- engine selection ---------------------------------------------------------
 
-    def _instrumented(self) -> bool:
-        """True when any instrument is armed (tracer, observer, or
-        fault injector).  Instrumented runs still use the fastpath —
-        the translator compiles an instrumented variant — unless
-        :meth:`fastpath_reasons` reports an instrument it cannot
-        honour."""
-        ifp = self.ifp
-        return (self.tracer is not None or self.obs is not None
-                or ifp.obs is not None or ifp.faults is not None
-                or ifp.port.faults is not None)
-
-    def fastpath_reasons(self) -> List[str]:
-        """Why this machine would fall back to the reference engine.
-
-        Empty (the overwhelmingly common case) means the fastpath can
-        honour everything that is armed: tracers compile to inline
-        ``record`` calls, observers to inline guarded emits, and fault
-        injectors live in the shared IFP unit, so none of them force the
-        reference interpreter anymore.  A non-empty list names armed
-        instruments that don't speak the standard protocol (a tracer
-        without ``record``, an observer without ``emit``/``site``) —
-        the translator cannot bind their emit sites, so ``engine=auto``
-        degrades to the reference interpreter, which duck-types the
-        same calls one instruction at a time.
-        """
-        reasons: List[str] = []
-        tracer = self.tracer
-        if tracer is not None \
-                and not callable(getattr(tracer, "record", None)):
-            reasons.append(
-                f"tracer {type(tracer).__name__} has no record() method")
-        obs = self.obs
-        if obs is not None \
-                and (not callable(getattr(obs, "emit", None))
-                     or not hasattr(obs, "site")):
-            reasons.append(
-                f"observer {type(obs).__name__} lacks the emit()/site "
-                f"protocol")
-        return reasons
-
     def select_interp(self):
         """Resolve ``config.engine`` to the interpreter for this run."""
         engine = ENGINE_ALIASES.get(self.config.engine, self.config.engine)
         if engine == "reference":
             return self.interp
-        if engine == "auto":
-            return self.interp if self.fastpath_reasons() else self._fastpath()
-        raise ReproError(f"unknown engine {self.config.engine!r} "
-                         f"(expected {'|'.join(ENGINES)})")
-
-    def _fastpath(self):
+        if engine != "auto":
+            raise ReproError(f"unknown engine {self.config.engine!r} "
+                             f"(expected {'|'.join(ENGINES)})")
         if self._fast is None:
             from repro.vm.fastpath import FastInterpreter
             self._fast = FastInterpreter(self)
@@ -264,10 +219,7 @@ class Machine:
         if self.obs is not None:
             # let observability consumers label everything they export
             # with the engine that actually produced it
-            try:
-                self.obs.engine = self.engine_used
-            except AttributeError:  # slotted custom observer
-                pass
+            self.obs.engine = self.engine_used
         interp.arm_deadline(timeout)
         old_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(40_000)

@@ -27,7 +27,7 @@ from repro.eval.configs import build_machine_config, build_options
 from repro.fuzz.attacks import attacks_for
 from repro.fuzz.generator import generate_program, render
 from repro.vm import Machine, MachineConfig
-from repro.vm.fastpath import SIG_OBS, SIG_TRACE, FastInterpreter
+from repro.vm.fastpath import FastInterpreter
 from repro.workloads import WORKLOADS
 
 
@@ -92,7 +92,6 @@ class TestEngineSelection:
         program = compile_source(SMALL, CompilerOptions.wrapped())
         machine = Machine(program, MachineConfig(engine="auto"))
         attach_observer(machine, profile=True, forensics=True)
-        assert machine.fastpath_reasons() == []
         assert isinstance(machine.select_interp(), FastInterpreter)
 
     def test_auto_uses_instrumented_fastpath_with_tracer(self):
@@ -100,7 +99,6 @@ class TestEngineSelection:
         program = compile_source(SMALL, CompilerOptions.baseline())
         machine = Machine(program, MachineConfig(engine="auto"))
         attach_tracer(machine, capacity=64)
-        assert machine.fastpath_reasons() == []
         assert isinstance(machine.select_interp(), FastInterpreter)
 
     def test_forced_fastpath_runs_instrumented(self):
@@ -111,16 +109,6 @@ class TestEngineSelection:
         result = machine.run()
         assert result.exit_code == 7
         assert machine.engine_used == "fastpath"
-
-    def test_alien_tracer_falls_back_with_reason(self):
-        # An armed instrument that doesn't speak the record() protocol
-        # can't be compiled in; auto degrades to the reference and
-        # fastpath_reasons says why.
-        program = compile_source(SMALL, CompilerOptions.baseline())
-        machine = Machine(program, MachineConfig(engine="auto"))
-        machine.tracer = object()
-        assert machine.fastpath_reasons()
-        assert machine.select_interp() is machine.interp
 
     def test_engine_used_is_reported(self):
         program = compile_source(SMALL, CompilerOptions.baseline())
@@ -142,7 +130,7 @@ class TestEngineSelection:
     def test_legacy_engine_spellings_mean_auto(self, capsys):
         # "fastpath" and "superblock" named compiled tiers that are now
         # one; they must keep parsing everywhere an engine is accepted
-        # and run exactly as auto, including auto's fallback.
+        # and run exactly as auto.
         from repro.fuzz.__main__ import main as fuzz_main
         from repro.par.__main__ import main as par_main
         from repro.par.engine import plan_resil
@@ -156,8 +144,6 @@ class TestEngineSelection:
             machine = Machine(program, MachineConfig(engine=legacy))
             assert machine.run().exit_code == 7
             assert machine.engine_used == "fastpath"
-            machine.tracer = object()
-            assert machine.select_interp() is machine.interp
             spec = validate_spec({"tenant": "t", "kind": "fuzz",
                                   "params": {"engine": legacy}})
             assert spec[3]["engine"] == legacy
@@ -404,9 +390,9 @@ int main(void) {
 """
 
 
-def _blocks(machine, name: str, sig: int = 0) -> list:
+def _blocks(machine, name: str, armed: bool = False) -> list:
     """The compiled ``_b`` handlers of one fused translation."""
-    return [h for h in machine._fast._fused[(name, sig)]
+    return [h for h in machine._fast._fused[(name, armed)]
             if getattr(h, "__name__", "") == "_b"]
 
 
@@ -580,7 +566,7 @@ class TestCodeCache:
         for machine in machines:
             machine.run()
         assert streams == [reference, reference]
-        first, second = (_blocks(m, "main", SIG_TRACE | SIG_OBS)
+        first, second = (_blocks(m, "main", True)
                          for m in machines)
         assert first
         for old, new in zip(first, second):
@@ -695,8 +681,8 @@ def _instrumented_observables(program, config: MachineConfig,
                  getattr(trap, "pc", None)) if trap else None,
         "stats": dataclasses.asdict(result.stats),
         "events": events,
-        "trace": machine.tracer.snapshot(),
-        "trace_recorded": machine.tracer.recorded,
+        "trace": obs.tracer.snapshot(),
+        "trace_recorded": obs.tracer.recorded,
         "forensics": [report.to_dict() for report in obs.reports],
         "profile": obs.profiler.to_dict(),
     }
@@ -775,8 +761,8 @@ class TestInstrumentedDifferential:
         assert any(e["kind"] == "fault" for e in run["events"])
 
     def test_tracer_only_run_identical(self):
-        # A tracer without an observer exercises the SIG_TRACE-only
-        # variant of the translation cache.
+        # A tracer armed on its own rides on a bare observer: the armed
+        # variant with only the tracer's record calls doing any work.
         from dataclasses import replace
 
         from repro.debug.trace import attach_tracer
@@ -807,8 +793,8 @@ class TestInstrumentedDifferential:
         machine = Machine(program, config)
         plain = machine.run()
         assert machine.engine_used == "fastpath"
-        sigs = {key[1] for key in machine._fast._fused}
-        assert sigs == {0}
+        armed = {key[1] for key in machine._fast._fused}
+        assert armed == {False}
         machine2 = Machine(program, config)
         obs = attach_observer(machine2, profile=True, forensics=True)
         observed = machine2.run()
@@ -816,8 +802,59 @@ class TestInstrumentedDifferential:
         assert observed.exit_code == plain.exit_code
         assert observed.output == plain.output
         assert obs.bus.emitted > 0
-        sigs = {key[1] for key in machine2._fast._fused}
-        assert sigs <= {0, 3} and 3 in sigs
+        armed = {key[1] for key in machine2._fast._fused}
+        assert armed <= {False, True} and True in armed
+
+
+class TestInstrumentSlot:
+    """The observer is the machine's only instrument: the tracer rides
+    on it, and each function has one armed translation variant."""
+
+    @staticmethod
+    def _machine(engine: str) -> Machine:
+        program = compile_source(WORKLOADS["anagram"].source(1),
+                                 build_options("wrapped"))
+        config = build_machine_config("wrapped", 200_000_000)
+        return Machine(program, dataclasses.replace(config, engine=engine))
+
+    def test_observer_keeps_an_earlier_tracer(self):
+        from repro.debug.trace import attach_tracer
+        from repro.obs import attach_observer
+
+        rings = {}
+        for engine in ("reference", "auto"):
+            machine = self._machine(engine)
+            tracer = attach_tracer(machine, capacity=512)
+            obs = attach_observer(machine, profile=True, forensics=True)
+            assert obs.tracer is tracer
+            assert machine.obs is obs and machine.ifp.obs is obs
+            assert machine.run().trap is None
+            assert tracer.recorded > 0
+            rings[engine] = (tracer.recorded, tracer.snapshot())
+        assert rings["reference"] == rings["auto"]
+
+    def test_tracer_attached_between_runs_rebinds_armed_variant(self):
+        from repro.debug.trace import attach_tracer
+        from repro.obs import attach_observer
+
+        rings = {}
+        for engine in ("reference", "auto"):
+            machine = self._machine(engine)
+            obs = attach_observer(machine, profile=False, forensics=False)
+            assert obs.tracer is None
+            assert machine.run().trap is None
+            tracer = attach_tracer(machine, capacity=512)
+            assert machine.obs is obs and obs.tracer is tracer
+            assert machine.run().trap is None
+            rings[engine] = (tracer.recorded, tracer.snapshot())
+            if engine == "auto":
+                names = {key[0] for key in machine._fast._fused}
+                assert set(machine._fast._fused) <= {
+                    (name, armed) for name in names
+                    for armed in (False, True)}
+                assert {key[1] for key in machine._fast._fused} == {True}
+        assert rings["reference"][0] > 0
+        assert rings["reference"] == rings["auto"]
 
 
 # ---------------------------------------------------------------------------

@@ -481,11 +481,20 @@ class TestMetricsV2:
         path = write_metrics(str(tmp_path / "v2.json"), doc)
         assert load_metrics(path)["labels"]["engine"] == "fastpath"
 
-    def test_no_labels_stays_v1(self):
+    def test_no_labels_writes_v2_and_v1_still_validates(self, tmp_path):
+        from repro.obs import SCHEMA_V2
         from repro.obs.metrics import SCHEMA
         doc = metrics_document("run", "wrapped", {"cycles": 7})
-        assert doc["schema"] == SCHEMA
-        assert "labels" not in doc
+        assert doc["schema"] == SCHEMA_V2
+        assert doc["labels"] == {}
+        assert validate_document(doc) == []
+        legacy = {key: value for key, value in doc.items()
+                  if key != "labels"}
+        legacy["schema"] = SCHEMA
+        assert validate_document(legacy) == []
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(legacy))
+        assert load_metrics(str(path)) == legacy
 
     def test_v2_rejects_non_string_labels(self):
         doc = metrics_document("run", "wrapped", {"cycles": 7},

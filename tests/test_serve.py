@@ -366,6 +366,18 @@ class TestServeFuzzEquivalence:
 # restart recovery: drained and SIGKILLed services resume byte-identical
 # ---------------------------------------------------------------------------
 
+def _any_shard_done(checkpoints) -> bool:
+    """True once some job's checkpoint manifest has a ``done`` row."""
+    for manifest in checkpoints.glob("*/manifest.json"):
+        try:
+            rows = json.loads(manifest.read_text())["shards"].values()
+        except (OSError, ValueError, KeyError):
+            continue  # not written yet
+        if any(row["status"] == "done" for row in rows):
+            return True
+    return False
+
+
 class TestRestartRecovery:
     def test_drained_job_parks_and_resumes_identically(self, tmp_path):
         first = _service(tmp_path)
@@ -411,10 +423,11 @@ class TestRestartRecovery:
         child = subprocess.Popen([sys.executable, "-c", script])
         deadline = time.monotonic() + 30.0
         try:
+            # Kill only once a manifest row says "done": the shard result
+            # file is written before its row flips, so a kill between the
+            # two would leave nothing restorable.
             while time.monotonic() < deadline:
-                checkpoints = store / "checkpoints"
-                if checkpoints.is_dir() and any(
-                        checkpoints.glob("*/shard-*.json")):
+                if _any_shard_done(store / "checkpoints"):
                     break
                 time.sleep(0.02)
             else:
