@@ -212,10 +212,9 @@ class IFPUnitStats:
     layout_cache_misses: int = 0
     promote_cache_hits: int = 0
     promote_cache_misses: int = 0
-    #: promotes served straight from the last-promote memo — the check
-    #: elision path (dynamic memo hits plus statically proven sites)
+    #: promotes served straight from the last-promote memo
     promote_elisions: int = 0
-    #: entries discarded at a generation swap (capacity pressure)
+    #: entries dropped by a clear-on-full (capacity pressure)
     promote_cache_evictions: int = 0
     #: entries dropped because a guest store hit their metadata lines
     promote_cache_invalidations: int = 0
@@ -244,10 +243,8 @@ _CACHE_COUNTER_FIELDS = frozenset((
 #: no MAC/layout-cache queries
 _PROMOTE_DELTA_EXCLUDED = _CACHE_COUNTER_FIELDS | {"promote_cycles"}
 
-#: per-generation capacity bounding host memory under adversarial
-#: inputs; eviction is generational (the full current generation becomes
-#: the previous one, whose entries are still hit-able until the *next*
-#: swap discards them), so there is no clear-on-full cliff
+#: capacity bounding host memory under adversarial inputs; a full cache
+#: is cleared (as the MAC and layout-walk caches are)
 _PROMOTE_CACHE_CAPACITY = 1 << 16
 
 
@@ -284,20 +281,14 @@ class IFPUnit:
         # no longer bypasses them: each entry carries a phase-split trace
         # plus the static facts of its emissions, so a replay re-emits the
         # exact event sequence a recomputed promote would.
-        self._promote_cache = {}      # version-vector key -> entry (current)
-        self._promote_prev = {}       # previous generation, still hit-able
-        self._promote_deps = {}       # 64-byte line -> {keys} (current gen)
-        self._promote_deps_prev = {}  # same, for the previous generation
+        self._promote_cache = {}      # version-vector key -> entry
+        self._promote_deps = {}       # 64-byte line -> {keys}
         self._layout_cache = {}       # (layout_ptr, subobject_index) -> walk
         self._layout_env = (0, 0)     # [base, end) of compile-time tables
-        #: unmap generation — joins the cache key, so an unmap is an O(1)
-        #: version bump instead of a full flush
-        self._mem_epoch = 0
-        # Last-promote memo (the check-elision fast path): valid while
-        # no entry has been dropped since it was set.  ``_inval_epoch``
-        # bumps whenever any cached promote is discarded (store snoop,
-        # generation swap, unmap), which over-approximates "this memo's
-        # entry died" safely.
+        # Last-promote memo: valid while no entry has been dropped since
+        # it was set.  ``_inval_epoch`` bumps whenever any cached promote
+        # is discarded (store snoop, clear-on-full, unmap), which
+        # over-approximates "this memo's entry died" safely.
         self._memo = None             # (key, entry) of the last promote
         self._memo_epoch = -1
         self._inval_epoch = 0
@@ -336,33 +327,29 @@ class IFPUnit:
             lo, hi = self._layout_env
             if address < hi and address + size > lo:
                 self._layout_cache.clear()
+        deps = self._promote_deps
+        if not deps:
+            return
         dropped = 0
         cache = self._promote_cache
-        prev = self._promote_prev
-        for deps in (self._promote_deps, self._promote_deps_prev):
-            if not deps:
-                continue
-            for line in range(first, last + 1):
-                keys = deps.pop(line, None)
-                if keys:
-                    for key in keys:
-                        if cache.pop(key, None) is not None:
-                            dropped += 1
-                        if prev and prev.pop(key, None) is not None:
-                            dropped += 1
+        for line in range(first, last + 1):
+            keys = deps.pop(line, None)
+            if keys:
+                for key in keys:
+                    if cache.pop(key, None) is not None:
+                        dropped += 1
         if dropped:
             self.stats.promote_cache_invalidations += dropped
             self._inval_epoch += 1
 
     def on_unmap(self, base: int, size: int) -> None:
-        """Unmap snoop (installed as ``Memory.unmap_watcher``): bump the
-        memory epoch so every cached promote key goes stale — unmapped
-        metadata must fault again on promote.  Stale entries age out at
-        the next generation swaps instead of being scanned here."""
-        self._mem_epoch += 1
+        """Unmap snoop (installed as ``Memory.unmap_watcher``): flush the
+        promote and layout-walk caches — unmapped metadata must fault
+        again on promote."""
+        self._promote_cache.clear()
+        self._promote_deps.clear()
         self._inval_epoch += 1
-        if self._layout_cache:
-            self._layout_cache.clear()
+        self._layout_cache.clear()
 
     # -- the promote instruction ----------------------------------------------
 
@@ -371,7 +358,7 @@ class IFPUnit:
 
         Unless a fault injector is armed, results are served from /
         recorded into the promote cache keyed by the version vector
-        ``(pointer, control.version, mem_epoch[, registry.version])``; a
+        ``(pointer, control.version[, registry.version])``; a
         replay re-applies the recorded stat deltas and fetch trace through
         the live metadata port, so every simulated observable (cycles,
         loads, L1 state, counters) matches a recomputed promote exactly.
@@ -384,22 +371,14 @@ class IFPUnit:
             # the registry version joins the key so a free/realloc (or an
             # injected lock corruption) can never replay a cached bounds
             # register whose temporal fact is stale
-            key = ((pointer, self.control.version, self._mem_epoch)
-                   if registry is None
-                   else (pointer, self.control.version, self._mem_epoch,
-                         registry.version))
+            key = ((pointer, self.control.version) if registry is None
+                   else (pointer, self.control.version, registry.version))
             memo = self._memo
             if memo is not None and self._memo_epoch == self._inval_epoch \
                     and memo[0] == key:
                 stats.promote_elisions += 1
                 return self._replay_promote(memo[1])
             cached = self._promote_cache.get(key)
-            if cached is None and self._promote_prev:
-                cached = self._promote_prev.get(key)
-                if cached is not None:
-                    # resurrect into the current generation so it outlives
-                    # the next swap; its line deps re-register with it
-                    self._insert_promote(key, cached)
             if cached is not None:
                 stats.promote_cache_hits += 1
                 self._memo = (key, cached)
@@ -422,28 +401,6 @@ class IFPUnit:
             self._remember_promote(key, result, trace, extra, deltas, rec)
             return result
         return self._promote_execute(pointer)
-
-    def elide_promote(self, pointer: int) -> PromoteResult:
-        """Promote at a statically proven memo-resident site.
-
-        The translator calls this instead of :meth:`promote` only where
-        its elision pass proved that, on every path reaching the site, an
-        earlier promote in the same basic block set the memo and nothing
-        since could have changed the version vector (no store, no bounds
-        spill, no call).  Under that proof a pointer match plus an
-        unchanged invalidation epoch implies the full key would match
-        too, so the key tuple is never built and the cache dict is never
-        probed.  Observably identical to :meth:`promote` in all cases —
-        whenever the guard fires here, the memo compare in ``promote``
-        would have fired for the same entry.
-        """
-        if self.faults is None and self.port.faults is None:
-            memo = self._memo
-            if memo is not None and self._memo_epoch == self._inval_epoch \
-                    and memo[0][0] == pointer:
-                self.stats.promote_elisions += 1
-                return self._replay_promote(memo[1])
-        return self.promote(pointer)
 
     def _replay_promote(self, entry) -> PromoteResult:
         (pointer, bounds, outcome, narrowed, narrow_attempted,
@@ -500,21 +457,15 @@ class IFPUnit:
 
     def _insert_promote(self, key, entry) -> None:
         cache = self._promote_cache
+        deps = self._promote_deps
         if len(cache) >= _PROMOTE_CACHE_CAPACITY:
-            # Generation swap: the current generation stays hit-able as
-            # the previous one; what was previous is discarded along with
-            # its dependency index.  The memo may reference a discarded
-            # entry, so the invalidation epoch must advance.
-            discarded = self._promote_prev
-            self._promote_prev = cache
-            self._promote_deps_prev = self._promote_deps
-            self._promote_cache = cache = {}
-            self._promote_deps = {}
-            if discarded:
-                self.stats.promote_cache_evictions += len(discarded)
+            # clear-on-full; the memo may reference a dropped entry, so
+            # the invalidation epoch must advance
+            self.stats.promote_cache_evictions += len(cache)
+            cache.clear()
+            deps.clear()
             self._inval_epoch += 1
         cache[key] = entry
-        deps = self._promote_deps
         lines = set()
         for address, size in entry[5]:
             first = address >> 6

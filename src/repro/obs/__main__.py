@@ -173,7 +173,7 @@ def render_hotpath(cells: "dict[str, object]") -> str:
     ``cells`` maps ``"<workload>/<config>"`` to that run's
     :class:`~repro.ifp.unit.IFPUnitStats`.  Cells are ranked by
     promote-cache misses — the promotes that still walk metadata on the
-    host after the promote-result cache and the check-elision memo have
+    host after the promote-result cache and the promote memo have
     taken their share — so the top row is where IFP-unit host time
     concentrates.
     """
@@ -200,7 +200,7 @@ def render_hotpath(cells: "dict[str, object]") -> str:
             f"{ifp.promote_cache_misses:8d} "
             f"{ifp.promote_cache_invalidations:6d}")
     lines.append(
-        "elided = promotes served by the check-elision memo; cache/mac/"
+        "elided = promotes served by the promote memo; cache/mac/"
         "walk = hit rates of the promote-result, MAC, and layout-walk "
         "caches; miss = promotes still walking metadata on the host; "
         "inval = store-snoop invalidations")

@@ -125,63 +125,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_code_cache_lock)
 
 
-def _elision_sites(func: IRFunction) -> frozenset:
-    """Static promote-elision pass (the CGuard / L4-Pointer move).
-
-    A ``promote`` site is *elidable* when some earlier promote in the
-    same basic block consumed provably the same register value with no
-    intervening ``call``/``callptr``.  At such a site the IFP unit's
-    one-entry promote memo is guaranteed fresh up to its runtime guards:
-    only calls can reach the allocator/runtime, so the version vector
-    (control-register versions, unmap epoch, temporal-registry version)
-    cannot have moved since the dominating promote — guest stores may
-    invalidate cached promote lines, but that bumps the unit's
-    invalidation epoch, which the memo guard re-checks at run time.
-    Elidable sites therefore compile to ``elide_promote``, which skips
-    key construction and cache probing entirely on the (dominant) hit
-    path and falls back to the full ``promote`` otherwise.
-
-    Tracked state: the set of registers known to hold the last-promoted
-    input value unchanged.  ``mv`` propagates membership; any other
-    write to a tracked register evicts it; block leaders and calls
-    clear the set.  The pass never *requires* a hit — ``elide_promote``
-    degrades to ``promote`` when its pointer/epoch guard fails — so an
-    over-approximation here costs speed, never soundness.
-    """
-    leaders = {0}
-    for ip, ins in enumerate(func.instrs):
-        op = ins.op
-        if op in (Op.JMP, Op.BZ, Op.BNZ):
-            leaders.add(ins.target)
-            leaders.add(ip + 1)
-        elif op in (Op.CALL, Op.CALLPTR, Op.RET):
-            leaders.add(ip + 1)
-    sites = set()
-    srcs: set = set()
-    for ip, ins in enumerate(func.instrs):
-        if ip in leaders:
-            srcs.clear()
-        op = ins.op
-        if op == Op.PROMOTE:
-            if ins.a in srcs:
-                sites.add(ip)
-            # dst == a keeps the result in srcs: the result pointer
-            # usually equals the input, and elide_promote's pointer
-            # equality guard turns a mismatch into a plain promote
-            srcs.clear()
-            srcs.add(ins.a)
-        elif op in (Op.CALL, Op.CALLPTR):
-            srcs.clear()
-        elif op == Op.MV:
-            if ins.a in srcs:
-                srcs.add(ins.dst)
-            else:
-                srcs.discard(ins.dst)
-        elif ins.dst >= 0:
-            srcs.discard(ins.dst)
-    return frozenset(sites)
-
-
 class _Act:
     """Per-activation state threaded through the compiled handlers.
 
@@ -281,7 +224,6 @@ class _FuncCompiler:
             "mac_compute": interp.ifp.mac.compute,
             "tagged": interp._ifpadd_tagged,
             "promote": interp.ifp.promote,
-            "elide": interp.ifp.elide_promote,
             "call_function": interp.call_function,
             "FBA": interp.functions_by_address,
             "FN": func.name, "LIMIT": interp._limit, "PCLR": _PCLR,
@@ -291,10 +233,6 @@ class _FuncCompiler:
         # machine compiles exactly the code it always did — zero cost.
         # Translations are cached per machine instance and the policy is
         # fixed at construction, so the specialization cannot go stale.
-        # statically-proven promote-elision sites (empty when promotes
-        # are compiled away entirely under no_promote)
-        self.elide_sites = (frozenset() if interp._no_promote
-                            else _elision_sites(func))
         self.temporal = interp._temporal is not None
         if self.temporal:
             self.ns["tprobe"] = interp._temporal.probe
@@ -457,12 +395,6 @@ class _FuncCompiler:
                 return _Emitted((0, 1, 0, 0, 1, 0, 0),
                                 [f"regs[{d}] = regs[{a}]",
                                  f"bnds[{d}] = None"], _SIMPLE)
-            # statically-elidable sites go through the unit's memo-only
-            # entry point (see _elision_sites); both names resolve to
-            # bound methods of the shared IFP unit, so the reference's
-            # own memo fires at exactly the same dynamic sites and the
-            # elision counters stay engine-identical
-            pfn = "elide" if ip in self.elide_sites else "promote"
             if self.armed:
                 # site attribution brackets the unit call so unit-level
                 # events (metadata fetch, MAC, narrow) inherit it; if
@@ -471,13 +403,13 @@ class _FuncCompiler:
                 if self.temporal:
                     promote_call = [
                         "try:",
-                        f"    _pr = {pfn}(_pv)",
+                        "    _pr = promote(_pv)",
                         "except TemporalViolation as _tv:",
                         f"    _tv.pc = {site}",
                         "    raise",
                     ]
                 else:
-                    promote_call = [f"_pr = {pfn}(_pv)"]
+                    promote_call = ["_pr = promote(_pv)"]
                 lines = [
                     f"_pv = regs[{a}]",
                     f"OB.site = {site}",
@@ -498,13 +430,13 @@ class _FuncCompiler:
                 # and a promote contributes no baseline cycle)
                 lines = [
                     "try:",
-                    f"    _pr = {pfn}(regs[{a}])",
+                    f"    _pr = promote(regs[{a}])",
                     "except TemporalViolation as _tv:",
                     f"    _tv.pc = (FN, {ip})",
                     "    raise",
                 ]
             else:
-                lines = [f"_pr = {pfn}(regs[{a}])"]
+                lines = [f"_pr = promote(regs[{a}])"]
             lines += [
                 "c[4] += _pr.cycles",
                 f"regs[{d}] = _pr.pointer",

@@ -20,13 +20,13 @@ Semantics notes:
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import (
     BoundsTrap, GuestExit, LinkError, PoisonTrap, SimTrap,
     StepBudgetExceeded, TemporalViolation, WorkloadTimeout,
 )
-from repro.compiler.ir import BIN_CODES, IRFunction, Op
+from repro.compiler.ir import IRFunction, Op
 from repro.ifp.bounds import Bounds
 from repro.mem.layout import ADDRESS_MASK
 from repro.obs.events import BoundsSpillEvent, CheckEvent, PromoteEvent
@@ -36,11 +36,6 @@ _SCHEME_NAMES = ("LEGACY", "LOCAL_OFFSET", "SUBHEAP", "GLOBAL_TABLE")
 
 U64 = (1 << 64) - 1
 _SIGN = 1 << 63
-
-#: BIN/BINI variant codes now live with the IR and are assigned at
-#: compile/load time (see :func:`repro.compiler.ir.assign_bin_codes`);
-#: kept as an alias for backward compatibility.
-_BIN_CODES: Dict[str, int] = BIN_CODES
 
 _MUL_EXTRA = 2   #: extra cycles for multiply
 _DIV_EXTRA = 7   #: extra cycles for divide/remainder
@@ -79,14 +74,10 @@ class Interpreter:
         self._deadline = 0.0
         self._timeout_seconds = 0.0
         self._no_promote = machine.config.no_promote
-        self._mac_key = machine.config.mac_key
         #: temporal lock registry (None when config.temporal == "off");
         #: deref sites gate on ``bound.tkey`` — nonzero only when the
         #: registry minted a key, so the probe below never sees None
         self._temporal = machine.temporal
-        # BIN/BINI codes are assigned at compile/load time (satellite of
-        # the fastpath work): constructing thousands of Machines over one
-        # program no longer re-walks every function.
 
     def arm_deadline(self, timeout_seconds: Optional[float]) -> None:
         """Arm (or disarm, with None) the wall-clock watchdog."""

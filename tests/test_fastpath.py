@@ -22,10 +22,13 @@ import pytest
 
 from repro.compiler import CompilerOptions, compile_source
 from repro.compiler.ir import IRFunction
-from repro.errors import ReproError, StepBudgetExceeded, WorkloadTimeout
+from repro.errors import (
+    MemoryFault, ReproError, StepBudgetExceeded, WorkloadTimeout,
+)
 from repro.eval.configs import build_machine_config, build_options
 from repro.fuzz.attacks import attacks_for
 from repro.fuzz.generator import generate_program, render
+from repro.ifp import unit as ifp_unit
 from repro.vm import Machine, MachineConfig
 from repro.vm.fastpath import FastInterpreter
 from repro.workloads import WORKLOADS
@@ -269,9 +272,9 @@ class TestTrapEquivalence:
                     f"auto diverged ({temporal}, {timeout})"
 
     def test_elision_counters_engine_identical(self):
-        # promote_elisions blends dynamic memo hits with statically
-        # proven sites; the static pass must only elide where the
-        # reference's memo would have hit, keeping the counter equal.
+        # promote_elisions counts hits of the IFP unit's last-promote
+        # memo; both engines call the same unit.promote at the same
+        # dynamic sites, so the memo must fire equally often.
         run = _assert_engines_agree(WORKLOADS["treeadd"].source(1),
                                     "subheap",
                                     max_instructions=200_000_000)
@@ -903,3 +906,77 @@ class TestCacheCoherence:
         result = machine.run()
         assert result.trap is None
         assert machine.engine_used == "fastpath"
+
+    def test_clear_on_full_keeps_simulated_observables(self, monkeypatch):
+        # A full promote cache is cleared; the dropped entries re-execute
+        # on their next promote, so only host-side cache counters move.
+        program = compile_source(WORKLOADS["treeadd"].source(1),
+                                 build_options("subheap"))
+        config = build_machine_config("subheap", 200_000_000)
+
+        def simulated(observables):
+            ifp = observables["stats"]["ifp"]
+            for name in ifp_unit._CACHE_COUNTER_FIELDS:
+                del ifp[name]
+            return observables
+
+        uncapped = simulated(_observables(program, config, "reference"))
+        cap = 8
+        monkeypatch.setattr(ifp_unit, "_PROMOTE_CACHE_CAPACITY", cap)
+        largest = [0]
+        insert = ifp_unit.IFPUnit._insert_promote
+
+        def checked_insert(unit, key, entry):
+            insert(unit, key, entry)
+            largest[0] = max(largest[0], len(unit._promote_cache))
+
+        monkeypatch.setattr(ifp_unit.IFPUnit, "_insert_promote",
+                            checked_insert)
+        runs = {engine: _observables(program, config, engine)
+                for engine in ("reference", "auto")}
+        assert runs["auto"] == runs["reference"]
+        assert runs["reference"]["stats"]["ifp"][
+            "promote_cache_evictions"] > 0
+        assert 0 < largest[0] <= cap
+        assert simulated(runs["reference"]) == uncapped
+
+    def test_unmap_flushes_cached_promote(self):
+        # Unmapping a pointer's metadata page must make the next promote
+        # of that pointer fault as on a cold unit, not replay the cache.
+        program = compile_source(SMALL, build_options("wrapped"))
+        obj = 0x5000_0000
+
+        def machine_with_object():
+            machine = Machine(program, build_machine_config("wrapped"))
+            machine.memory.map_range(obj, 0x1000)
+            ifp = machine.ifp
+            ifp.local_offset.write_metadata(machine.memory, obj, 24, 0,
+                                            ifp.mac_key)
+            return machine, ifp.local_offset.make_pointer(obj, obj, 24)
+
+        def simulated_stats(unit):
+            return {name: value
+                    for name, value in dataclasses.asdict(unit.stats).items()
+                    if name not in ifp_unit._CACHE_COUNTER_FIELDS}
+
+        cold, pointer = machine_with_object()
+        cold.memory.unmap_range(obj, 0x1000)
+        with pytest.raises(MemoryFault) as cold_fault:
+            cold.ifp.promote(pointer)
+
+        machine, pointer = machine_with_object()
+        ifp = machine.ifp
+        ifp.promote(pointer)
+        ifp.promote(pointer)
+        assert ifp.stats.promote_elisions == 1
+        machine.memory.unmap_range(obj, 0x1000)
+        assert not ifp._promote_cache
+        before = simulated_stats(ifp)
+        with pytest.raises(MemoryFault) as fault:
+            ifp.promote(pointer)
+        assert str(fault.value) == str(cold_fault.value)
+        assert ifp.stats.promote_elisions == 1
+        assert ifp.stats.promote_cache_misses == 2
+        after = simulated_stats(ifp)
+        assert {name: after[name] - before[name]
+                for name in after} == simulated_stats(cold.ifp)
