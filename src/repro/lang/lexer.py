@@ -1,9 +1,16 @@
-"""Tokenizer for mini-C."""
+"""Tokenizer for mini-C.
+
+One compiled regex scans whitespace, ``//`` comments, identifiers,
+integers and operators; block comments and character and string
+literals take the slower paths below.  Positions come from the offset
+of the current line's first character, advanced past the newlines of
+each skipped span.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional
+import re
+from typing import List, NamedTuple
 
 from repro.errors import LexError
 
@@ -25,9 +32,19 @@ _OPERATORS = [
 
 _ESCAPES = {"n": 10, "t": 9, "r": 13, "0": 0, "\\": 92, "'": 39, '"': 34}
 
+#: One token (or skipped span) per match; ``lastgroup`` names its kind.
+#: ``word`` also admits numeric non-digit characters, which
+#: :func:`tokenize` rejects: identifiers start with ``str.isalpha`` or _.
+_SCAN = re.compile(
+    r"(?P<skip>(?:[ \t\r\n]+|//[^\n]*)+)"
+    r"|(?P<word>[^\W\d]\w*)"
+    r"|0[xX](?P<hex>[0-9a-fA-F]*)[uUlL]*"
+    r"|(?P<dec>\d+)[uUlL]*"
+    r"|(?P<block>/\*)"
+    r"|(?P<op>" + "|".join(map(re.escape, _OPERATORS)) + ")")
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str   #: 'ident' | 'keyword' | 'int' | 'string' | 'op' | 'eof'
     text: str
     value: int = 0      #: numeric value for 'int' tokens
@@ -41,90 +58,63 @@ class Token:
 def tokenize(source: str) -> List[Token]:
     """Tokenize mini-C source into a token list ending with an 'eof' token."""
     tokens: List[Token] = []
+    append = tokens.append
+    scan = _SCAN.match
+    new = tuple.__new__     #: builds a Token without its __new__ frame
     pos = 0
     line = 1
-    col = 1
+    line_start = 0      #: offset of the current line's first character
     length = len(source)
-
-    def advance(count: int) -> None:
-        nonlocal pos, line, col
-        for _ in range(count):
-            if source[pos] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            pos += 1
-
     while pos < length:
-        ch = source[pos]
-        # Whitespace.
-        if ch in " \t\r\n":
-            advance(1)
+        col = pos - line_start + 1
+        match = scan(source, pos)
+        kind = match.lastgroup if match else None
+        if kind == "op":
+            pos = match.end()
+            append(new(Token, ("op", match.group(), 0, line, col)))
             continue
-        # Comments.
-        if source.startswith("//", pos):
-            while pos < length and source[pos] != "\n":
-                advance(1)
+        if kind == "word":
+            pos = match.end()
+            text = match.group()
+            if not (text[0].isalpha() or text[0] == "_"):
+                raise LexError(f"unexpected character {text[0]!r}", line, col)
+            append(new(Token, ("keyword" if text in KEYWORDS else "ident",
+                               text, 0, line, col)))
             continue
-        if source.startswith("/*", pos):
+        if kind == "dec" or kind == "hex":
+            digits = match.group(kind)
+            if not digits:
+                raise LexError("malformed hex literal", line, col)
+            # Integer suffixes (L/U/UL) are accepted and ignored.
+            value = int(digits, 10 if kind == "dec" else 16)
+            append(new(Token, ("int", match.group(), value, line, col)))
+            pos = match.end()
+            continue
+        # Whitespace, comments and literals may span lines (a character
+        # literal can hold a raw newline).
+        if kind == "skip":
+            end = match.end()
+        elif kind == "block":
             end = source.find("*/", pos + 2)
             if end < 0:
                 raise LexError("unterminated block comment", line, col)
-            advance(end + 2 - pos)
-            continue
-        start_line, start_col = line, col
-        # Identifiers and keywords.
-        if ch.isalpha() or ch == "_":
-            end = pos
-            while end < length and (source[end].isalnum() or source[end] == "_"):
-                end += 1
-            text = source[pos:end]
-            kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, 0, start_line, start_col))
-            advance(end - pos)
-            continue
-        # Numbers.
-        if ch.isdigit():
-            end = pos
-            if source.startswith(("0x", "0X"), pos):
-                end = pos + 2
-                while end < length and source[end] in "0123456789abcdefABCDEF":
-                    end += 1
-                value = int(source[pos:end], 16)
-            else:
-                while end < length and source[end].isdigit():
-                    end += 1
-                value = int(source[pos:end])
-            # Integer suffixes (L/U/UL) are accepted and ignored.
-            while end < length and source[end] in "uUlL":
-                end += 1
-            tokens.append(Token("int", source[pos:end], value,
-                                start_line, start_col))
-            advance(end - pos)
-            continue
-        # Character literals become int tokens.
-        if ch == "'":
+            end += 2
+        elif source[pos] == "'":
             value, consumed = _read_char(source, pos, line, col)
-            tokens.append(Token("int", source[pos:pos + consumed], value,
-                                start_line, start_col))
-            advance(consumed)
-            continue
-        # String literals.
-        if ch == '"':
+            end = pos + consumed
+            append(new(Token, ("int", source[pos:end], value, line, col)))
+        elif source[pos] == '"':
             text, consumed = _read_string(source, pos, line, col)
-            tokens.append(Token("string", text, 0, start_line, start_col))
-            advance(consumed)
-            continue
-        # Operators / punctuation.
-        for op in _OPERATORS:
-            if source.startswith(op, pos):
-                tokens.append(Token("op", op, 0, start_line, start_col))
-                advance(len(op))
-                break
+            end = pos + consumed
+            append(new(Token, ("string", text, 0, line, col)))
         else:
-            raise LexError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", 0, line, col))
+            raise LexError(f"unexpected character {source[pos]!r}", line, col)
+        newlines = source.count("\n", pos, end)
+        if newlines:
+            line += newlines
+            line_start = source.rfind("\n", pos, end) + 1
+        pos = end
+    append(new(Token, ("eof", "", 0, line, pos - line_start + 1)))
     return tokens
 
 

@@ -46,6 +46,10 @@ _BINARY_LEVELS: List[List[str]] = [
     ["*", "/", "%"],
 ]
 
+#: Binary operator -> its index in :data:`_BINARY_LEVELS`.
+_BINARY_PRECEDENCE: Dict[str, int] = {
+    op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
+
 
 def parse(source: str) -> ast.TranslationUnit:
     """Parse mini-C source into a translation unit."""
@@ -56,24 +60,23 @@ class _Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.pos = 0
+        #: the current token, ``tokens[pos]``; only :meth:`next` moves it
+        self.tok = tokens[0]
         self.structs: Dict[str, StructType] = {}
         self.typedefs: Dict[str, CType] = {}
         self.unit = ast.TranslationUnit()
 
     # -- token plumbing -----------------------------------------------------
 
-    @property
-    def tok(self) -> Token:
-        return self.tokens[self.pos]
-
     def peek(self, ahead: int = 1) -> Token:
         index = min(self.pos + ahead, len(self.tokens) - 1)
         return self.tokens[index]
 
     def next(self) -> Token:
-        token = self.tokens[self.pos]
+        token = self.tok
         if token.kind != "eof":
             self.pos += 1
+            self.tok = self.tokens[self.pos]
         return token
 
     def expect(self, text: str) -> Token:
@@ -512,15 +515,18 @@ class _Parser:
                                    otherwise)
         return cond
 
-    def _parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self.parse_unary()
-        left = self._parse_binary(level + 1)
-        while self.tok.text in _BINARY_LEVELS[level] and self.tok.kind == "op":
-            op = self.next().text
+    def _parse_binary(self, min_level: int) -> ast.Expr:
+        """Precedence climbing over the operators at ``min_level`` or
+        tighter; every level is left-associative."""
+        left = self.parse_unary()
+        while True:
+            token = self.tok
+            level = _BINARY_PRECEDENCE.get(token.text, -1)
+            if level < min_level or token.kind != "op":
+                return left
+            self.next()
             right = self._parse_binary(level + 1)
-            left = ast.Binary(left.line, None, False, op, left, right)
-        return left
+            left = ast.Binary(left.line, None, False, token.text, left, right)
 
     def parse_unary(self) -> ast.Expr:
         token = self.tok

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import LexError, ParseError, TypeError_
-from repro.lang import analyze, parse, tokenize
+from repro.lang import analyze, astnodes as ast, parse, tokenize
 from repro.lang.ctypes import (
     ArrayType, CHAR, INT, LONG, PointerType, StructType, UINT, ULONG,
     common_int_type, decay,
@@ -47,6 +47,31 @@ class TestLexer:
         assert tokens[0].line == 1
         assert tokens[1].line == 2
         assert tokens[2].line == 3 and tokens[2].col == 3
+
+    def test_malformed_hex_literal(self):
+        for source in ("int x = 0x;", "int x = 0XZ;"):
+            with pytest.raises(LexError, match="malformed hex literal") as exc:
+                tokenize(source)
+            assert (exc.value.line, exc.value.col) == (1, 9)
+
+    def test_numeric_non_digit_cannot_start_token(self):
+        # '\u00b2' and '\u00bd' are str.isalnum but not str.isalpha, so
+        # neither starts an identifier; inside one they are accepted.
+        for source in ("a = \u00b2;", "a = \u00bd;", "a = 1\u00b2;"):
+            with pytest.raises(LexError, match="unexpected character"):
+                tokenize(source)
+        assert tokenize("x\u00b2")[0].text == "x\u00b2"
+
+    def test_token_is_a_tuple_with_the_old_repr(self):
+        token = tokenize("\n  foo")[0]
+        assert token == ("ident", "foo", 0, 2, 3)
+        assert repr(token) == "Token(ident, 'foo' @2:3)"
+
+    def test_positions_after_multiline_spans(self):
+        source = "a /* x\n\ny */ b // c\n\r\t'\n' \"s\" d"
+        assert [(t.text, t.line, t.col) for t in tokenize(source)] == [
+            ("a", 1, 1), ("b", 3, 6), ("'\n'", 4, 3), ("s", 5, 3),
+            ("d", 5, 7), ("", 5, 8)]
 
     def test_adjacent_string_concatenation(self):
         unit = parse('char *s = "ab" "cd";')
@@ -134,6 +159,42 @@ class TestParser:
         assert init.op == "+"
         assert init.right.op == "*"
 
+    def test_precedence_crosses_every_binary_level(self):
+        init = parse("int x = a || b && c | d ^ e & f == g < h << i + j * k;"
+                     ).globals[0].init
+        assert _shape(init) == (
+            "(|| a (&& b (| c (^ d (& e (== f (< g (<< h (+ i (* j k))))))))))")
+
+    def test_left_associativity_within_a_level(self):
+        assert _expr_shape("a - b - c") == "(- (- a b) c)"
+        assert _expr_shape("a / b % c") == "(% (/ a b) c)"
+        assert _expr_shape("a < b >= c != d == e") == (
+            "(== (!= (>= (< a b) c) d) e)")
+        assert _expr_shape("a * b + c * d - e") == (
+            "(- (+ (* a b) (* c d)) e)")
+
+    def test_conditional_and_assignment_above_binary_levels(self):
+        assert _expr_shape("x = y += a || b ? c : d ? e : f") == (
+            "(= x (+= y (?: (|| a b) c (?: d e f))))")
+        assert _expr_shape("a ? b = 1 : c") == "(?: a (= b 1) c)"
+
+    def test_string_token_is_not_an_operator(self):
+        with pytest.raises(ParseError, match="expected ';', found '\\+'") \
+                as exc:
+            parse('int f(void) { return a "+" b; }')
+        assert (exc.value.line, exc.value.col) == (1, 24)
+
+    def test_error_position_after_block_comment(self):
+        with pytest.raises(ParseError) as exc:
+            parse("int f(void) {\n  /* one\n     two */ return 1 }")
+        assert (exc.value.line, exc.value.col) == (3, 22)
+        assert "expected ';', found '}'" in str(exc.value)
+
+    def test_error_position_at_eof(self):
+        with pytest.raises(ParseError, match="unexpected token ''") as exc:
+            parse("int f(void) {\n  return 1;\n  ")
+        assert (exc.value.line, exc.value.col) == (3, 3)
+
     def test_do_while(self):
         unit = parse("int f(void) { int i = 0; do { i++; } while (i < 3);"
                      " return i; }")
@@ -150,6 +211,25 @@ class TestParser:
         outer_if = unit.functions[0].body.body[0]
         assert outer_if.otherwise is None
         assert outer_if.then.otherwise is not None
+
+
+def _shape(expr) -> str:
+    """An expression tree as an s-expression of operators and leaves."""
+    if isinstance(expr, ast.Binary):
+        return f"({expr.op} {_shape(expr.left)} {_shape(expr.right)})"
+    if isinstance(expr, ast.Assign):
+        return f"({expr.op} {_shape(expr.target)} {_shape(expr.value)})"
+    if isinstance(expr, ast.Conditional):
+        return (f"(?: {_shape(expr.cond)} {_shape(expr.then)} "
+                f"{_shape(expr.otherwise)})")
+    if isinstance(expr, ast.Ident):
+        return expr.name
+    return str(expr.value)
+
+
+def _expr_shape(text: str) -> str:
+    body = parse(f"int f(void) {{ return {text}; }}").functions[0].body
+    return _shape(body.body[0].value)
 
 
 class TestSema:
