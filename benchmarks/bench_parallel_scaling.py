@@ -18,7 +18,8 @@ import os
 import pytest
 
 from repro.obs.metrics import write_bench
-from repro.par.engine import parallel_fuzz, plan_fuzz
+from repro.par.engine import run_campaign_plan
+from repro.par.kinds import plan_fuzz
 from repro.par.merge import canonical_metrics
 
 _SEED = 0
@@ -42,7 +43,7 @@ def test_parallel_scaling(benchmark, tmp_path):
         plan = plan_fuzz(
             _ITERATIONS, _SEED, configs=_CONFIGS,
             corpus_dir=str(tmp_path / f"corpus-j{jobs}"), jobs=jobs)
-        return parallel_fuzz(plan, jobs=jobs)
+        return run_campaign_plan(plan, jobs=jobs)
 
     def sweep():
         for jobs in _JOBS:

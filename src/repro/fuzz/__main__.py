@@ -121,27 +121,27 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown configuration(s): {', '.join(unknown)}")
 
+    from repro.par.kinds import campaign_kind, plan_fuzz
+    plan = plan_fuzz(
+        args.iterations, args.seed, configs=configs, start=args.start,
+        clean=not args.inject_only, inject=not args.no_inject,
+        corpus_dir=args.corpus, minimize=not args.no_minimize,
+        max_attacks=args.max_attacks, plant_bug=args.plant_bug,
+        timeout_seconds=args.timeout, retries=args.retries,
+        backoff_base=args.backoff, jobs=args.jobs,
+        shard_size=args.shard_size, engine=args.engine,
+        temporal=args.temporal)
     ok = True
     drained = False
     if args.jobs > 1 or args.checkpoint:
         import threading
 
-        from repro.par.engine import parallel_fuzz, plan_fuzz
+        from repro.par.engine import run_campaign_plan
         from repro.par.pool import install_drain_handler
-        plan = plan_fuzz(
-            args.iterations, args.seed, configs=configs,
-            start=args.start, clean=not args.inject_only,
-            inject=not args.no_inject, corpus_dir=args.corpus,
-            minimize=not args.no_minimize,
-            max_attacks=args.max_attacks, plant_bug=args.plant_bug,
-            timeout_seconds=args.timeout, retries=args.retries,
-            backoff_base=args.backoff, jobs=args.jobs,
-            shard_size=args.shard_size, engine=args.engine,
-            temporal=args.temporal)
         stop = threading.Event()
         restore = install_drain_handler(stop, log=log)
         try:
-            stats, outcome = parallel_fuzz(
+            stats, outcome = run_campaign_plan(
                 plan, jobs=args.jobs, checkpoint_dir=args.checkpoint,
                 shard_timeout=args.shard_timeout,
                 shard_retries=args.shard_retries, log=log, stop=stop)
@@ -168,18 +168,11 @@ def main(argv=None) -> int:
             temporal=args.temporal)
     print(stats.summary())
     if args.metrics_out:
-        from repro.obs.metrics import metrics_document, write_metrics
-        # The config/payload deliberately exclude jobs and pool
-        # accounting: a --jobs N document must compare equal to the
-        # --jobs 1 document for the same seed (the CI determinism
-        # gate diffs them with `python -m repro.par diff`).
-        path = write_metrics(args.metrics_out, metrics_document(
-            "fuzz",
-            {"seed": args.seed, "iterations": args.iterations,
-             "configs": ",".join(configs),
-             **({"temporal": args.temporal}
-                if args.temporal != "off" else {})},
-            stats.metrics()))
+        from repro.obs.metrics import write_metrics
+        # the plan's document, identical at every --jobs (the CI
+        # determinism gate diffs them with `python -m repro.par diff`)
+        path = write_metrics(args.metrics_out,
+                             campaign_kind("fuzz").document(plan, stats))
         print(f"metrics written to {path}")
     if drained:
         return 3

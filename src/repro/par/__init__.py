@@ -21,47 +21,15 @@ module          role
 `merge`         fold shard results into sequential-identical artifacts;
                 timing-insensitive document diffing
 `campaigns`     worker-side shard runners per campaign kind
-`engine`        plan → execute → merge entry points for the CLIs
+`kinds`         the campaign-kind table: one record per kind holding
+                its runner, planner, merge, verdict, summary and
+                metrics document
+`engine`        execute → merge → resume entry points for the CLIs and
+                the campaign service
 ==============  ======================================================
+
+The package root imports nothing: ``repro.par.seeds`` sits on the
+``import repro`` path (retry reseeding), and the pool, checkpoint and
+merge layers load only when a campaign runs.  Import from the
+submodules.
 """
-
-from repro.par.seeds import (
-    GOLDEN_GAMMA, backoff_delay, derive_seed, jittered_backoff,
-    shard_seed, splitmix64,
-)
-from repro.par.plan import (
-    PLAN_KINDS, ShardPlan, ShardSpec, default_shard_count,
-    plan_indices, plan_range, split_evenly,
-)
-from repro.par.checkpoint import Checkpoint, CheckpointMismatch
-from repro.par.pool import (
-    PlanResult, ShardFailure, ShardQuarantined, WorkerStats,
-    install_drain_handler, resolve_runner, run_plan,
-)
-from repro.par.merge import (
-    canonical_metrics, diff_documents, merge_bench, merge_campaign,
-    merge_fuzz_stats, merge_juliet,
-)
-from repro.par.campaigns import SHARD_RUNNERS, runner_for
-from repro.par.engine import (
-    execute_plan, parallel_bench, parallel_fuzz, parallel_juliet,
-    parallel_resil, parallel_selftest, plan_bench, plan_fuzz,
-    plan_juliet, plan_resil, resume_checkpoint, run_campaign_plan,
-)
-
-__all__ = [
-    "GOLDEN_GAMMA", "backoff_delay", "derive_seed", "jittered_backoff",
-    "shard_seed", "splitmix64",
-    "PLAN_KINDS", "ShardPlan", "ShardSpec", "default_shard_count",
-    "plan_indices", "plan_range", "split_evenly",
-    "Checkpoint", "CheckpointMismatch",
-    "PlanResult", "ShardFailure", "ShardQuarantined", "WorkerStats",
-    "install_drain_handler", "resolve_runner", "run_plan",
-    "canonical_metrics", "diff_documents", "merge_bench",
-    "merge_campaign", "merge_fuzz_stats", "merge_juliet",
-    "SHARD_RUNNERS", "runner_for",
-    "execute_plan", "parallel_bench", "parallel_fuzz",
-    "parallel_juliet", "parallel_resil", "parallel_selftest",
-    "plan_bench", "plan_fuzz", "plan_juliet", "plan_resil",
-    "resume_checkpoint", "run_campaign_plan",
-]

@@ -27,10 +27,8 @@ import json
 import sys
 import threading
 
-from repro.par.engine import (
-    parallel_bench, parallel_juliet, plan_bench, plan_juliet,
-    resume_checkpoint,
-)
+from repro.par.engine import resume_checkpoint, run_campaign_plan
+from repro.par.kinds import campaign_kind, plan_bench, plan_juliet
 from repro.par.merge import diff_documents
 from repro.par.pool import install_drain_handler
 from repro.vm.machine import ENGINE_CHOICES
@@ -56,41 +54,40 @@ def _log_for(args):
     return (lambda message: None) if args.quiet else print
 
 
-def _print_outcome(outcome, quiet: bool) -> None:
-    if not quiet:
+def _report(plan, merged, outcome, args) -> int:
+    """Print any campaign's summary and pool outcome, write its metrics
+    document to ``--out`` when given, and map the verdict to the exit
+    code."""
+    kind = campaign_kind(plan.kind)
+    print(kind.summary(merged))
+    if not args.quiet:
         print(outcome.summary())
     if outcome.drained:
         print("drained: campaign interrupted; resume with "
               "`python -m repro.par resume --checkpoint DIR`",
               file=sys.stderr)
-
-
-def _cmd_juliet(args) -> int:
-    plan = plan_juliet(seed=args.seed, allocator=args.allocator,
-                       jobs=args.jobs, shard_size=args.shard_size)
-    with _drain_on_signal(_log_for(args)) as stop:
-        report, outcome = parallel_juliet(
-            plan, jobs=args.jobs, checkpoint_dir=args.checkpoint,
-            shard_timeout=args.shard_timeout,
-            shard_retries=args.retries, log=_log_for(args), stop=stop)
-    print(report.summary())
-    _print_outcome(outcome, args.quiet)
     if args.out:
-        from repro.obs.metrics import metrics_document, write_metrics
-        by_cwe = {cwe: dict(row)
-                  for cwe, row in report.by_cwe().items()}
-        path = write_metrics(args.out, metrics_document(
-            "juliet_parallel",
-            {"seed": args.seed, "allocator": args.allocator},
-            {"total": report.total, "detected": report.detected,
-             "bad_total": report.bad_total,
-             "false_positives": report.false_positives,
-             "good_total": report.good_total, "by_cwe": by_cwe,
-             "pool": outcome.utilization_metrics()}))
+        from repro.obs.metrics import write_metrics
+        path = write_metrics(args.out, kind.document(plan, merged))
         print(f"metrics written to {path}")
     if outcome.drained:
         return EXIT_DRAINED
-    return 0 if report.all_passed and outcome.ok else 1
+    return 0 if kind.ok(merged) and outcome.ok else 1
+
+
+def _run(plan, args) -> int:
+    with _drain_on_signal(_log_for(args)) as stop:
+        merged, outcome = run_campaign_plan(
+            plan, jobs=args.jobs, checkpoint_dir=args.checkpoint,
+            shard_timeout=args.shard_timeout,
+            shard_retries=args.retries, log=_log_for(args), stop=stop)
+    return _report(plan, merged, outcome, args)
+
+
+def _cmd_juliet(args) -> int:
+    return _run(plan_juliet(seed=args.seed, allocator=args.allocator,
+                            jobs=args.jobs, shard_size=args.shard_size),
+                args)
 
 
 def _cmd_bench(args) -> int:
@@ -109,37 +106,19 @@ def _cmd_bench(args) -> int:
         print(f"unknown configuration(s): {', '.join(unknown)}",
               file=sys.stderr)
         return 2
-    plan = plan_bench(workloads=workloads, configs=configs,
-                      scale=args.scale,
-                      timeout_seconds=args.shard_timeout,
-                      seed=args.seed, jobs=args.jobs,
-                      shard_size=args.shard_size, engine=args.engine)
-    with _drain_on_signal(_log_for(args)) as stop:
-        cells, outcome = parallel_bench(
-            plan, jobs=args.jobs, checkpoint_dir=args.checkpoint,
-            shard_timeout=args.shard_timeout,
-            shard_retries=args.retries, log=_log_for(args), stop=stop)
-    for key in cells:
-        print(f"  {key:30s} instructions="
-              f"{cells[key].get('total_instructions', 0)}")
-    _print_outcome(outcome, args.quiet)
-    if args.out:
-        from repro.obs.metrics import metrics_document, write_metrics
-        path = write_metrics(args.out, metrics_document(
-            "bench_sweep",
-            {"workloads": ",".join(workloads),
-             "configs": ",".join(configs), "scale": args.scale},
-            {"cells": cells, "pool": outcome.utilization_metrics()}))
-        print(f"metrics written to {path}")
-    if outcome.drained:
-        return EXIT_DRAINED
-    return 0 if outcome.ok else 1
+    return _run(plan_bench(workloads=workloads, configs=configs,
+                           scale=args.scale,
+                           timeout_seconds=args.shard_timeout,
+                           seed=args.seed, jobs=args.jobs,
+                           shard_size=args.shard_size,
+                           engine=args.engine),
+                args)
 
 
 def _cmd_resume(args) -> int:
     try:
         with _drain_on_signal(_log_for(args)) as stop:
-            kind, merged, outcome = resume_checkpoint(
+            plan, merged, outcome = resume_checkpoint(
                 args.checkpoint, jobs=args.jobs,
                 shard_timeout=args.shard_timeout,
                 shard_retries=args.retries, log=_log_for(args),
@@ -147,22 +126,7 @@ def _cmd_resume(args) -> int:
     except (FileNotFoundError, ValueError) as exc:
         print(f"cannot resume: {exc}", file=sys.stderr)
         return 2
-    if kind == "fuzz":
-        print(merged.summary())
-        ok = merged.ok
-    elif kind == "resil":
-        print(merged.render())
-        ok = merged.ok
-    elif kind == "juliet":
-        print(merged.summary())
-        ok = merged.all_passed
-    else:
-        print(json.dumps(merged, indent=2, sort_keys=True))
-        ok = True
-    _print_outcome(outcome, args.quiet)
-    if outcome.drained:
-        return EXIT_DRAINED
-    return 0 if ok and outcome.ok else 1
+    return _report(plan, merged, outcome, args)
 
 
 def _cmd_diff(args) -> int:
@@ -244,7 +208,7 @@ def main(argv=None) -> int:
                         metavar="SECONDS")
     resume.add_argument("--retries", type=int, default=2)
     resume.add_argument("--quiet", "-q", action="store_true")
-    resume.set_defaults(func=_cmd_resume)
+    resume.set_defaults(func=_cmd_resume, out=None)
 
     diff = sub.add_parser(
         "diff", help="compare two metrics documents, ignoring "

@@ -1,7 +1,8 @@
 """Shard runners: the worker-side half of every campaign kind.
 
 Each runner is a module-level function ``runner(shard_dict, attempt)``
-→ JSON-able dict, referenced by ``"module:function"`` string so worker
+→ JSON-able dict, referenced by ``"module:function"`` string from its
+kind's :data:`~repro.par.kinds.CAMPAIGN_KINDS` record so worker
 processes import it fresh (fork *and* spawn safe).  Runners must be
 pure functions of the shard spec: the merge layer's byte-identical
 guarantee assumes re-running a shard (crash recovery, checkpoint
@@ -19,24 +20,6 @@ import time
 from typing import Any, Dict, Tuple
 
 from repro.par.seeds import derive_seed, splitmix64
-
-#: campaign kind -> worker-importable runner reference
-SHARD_RUNNERS: Dict[str, str] = {
-    "fuzz": "repro.par.campaigns:run_fuzz_shard",
-    "resil": "repro.par.campaigns:run_resil_shard",
-    "juliet": "repro.par.campaigns:run_juliet_shard",
-    "bench": "repro.par.campaigns:run_bench_shard",
-    "selftest": "repro.par.campaigns:run_selftest_shard",
-}
-
-
-def runner_for(kind: str) -> str:
-    try:
-        return SHARD_RUNNERS[kind]
-    except KeyError:
-        raise ValueError(f"no shard runner for campaign kind {kind!r}; "
-                         f"expected one of "
-                         f"{tuple(SHARD_RUNNERS)}") from None
 
 
 # ---------------------------------------------------------------------------

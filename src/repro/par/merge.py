@@ -15,7 +15,11 @@ from __future__ import annotations
 
 import copy
 from collections import Counter
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
+
+if TYPE_CHECKING:
+    from repro.par.plan import ShardPlan
+    from repro.par.pool import PlanResult
 
 #: metric/document keys that measure wall-clock, not campaign content
 TIMING_KEYS = frozenset({
@@ -81,29 +85,27 @@ def diff_documents(a: Any, b: Any, *, ignore_timing: bool = True,
 
 
 # ---------------------------------------------------------------------------
-# Fuzz campaign merge
+# Per-kind merges: ``merge_<kind>(plan, outcome)`` folds a pool run's
+# shard results, in shard order, into the kind's sequential result.
+# ``None`` entries (shards that exhausted their retry budget or were
+# quarantined) are skipped; the pool reports them as typed failures.
 # ---------------------------------------------------------------------------
 
-def merge_fuzz_stats(shard_results: Sequence[Optional[Dict[str, Any]]],
-                     *, seed: int,
-                     configs: Sequence[str],
-                     temporal: str = "off") -> "FuzzStats":
-    """Fold per-shard ``FuzzStats.to_dict()`` payloads (in shard order)
-    into one :class:`~repro.fuzz.driver.FuzzStats`.
+def merge_fuzz(plan: ShardPlan, outcome: PlanResult) -> "FuzzStats":
+    """Fold per-shard ``FuzzStats.to_dict()`` payloads into one
+    :class:`~repro.fuzz.driver.FuzzStats`.
 
     Counters sum, trap histograms sum, and failure records concatenate
     — shard order *is* iteration order because the plan splits the
     iteration range contiguously, so the merged failure list matches a
-    sequential run record-for-record.  ``None`` entries (shards that
-    exhausted their retry budget) are skipped; the caller reports them
-    as typed :class:`~repro.par.pool.ShardFailure` results.
+    sequential run record-for-record.
     """
     from repro.fuzz.driver import FuzzStats
 
-    merged = FuzzStats(seed=seed, configs=list(configs),
-                       temporal=temporal)
+    merged = FuzzStats(seed=plan.seed, configs=list(plan.params["configs"]),
+                       temporal=plan.params.get("temporal", "off"))
     histogram: Counter = Counter()
-    for payload in shard_results:
+    for payload in outcome.ordered_results(plan):
         if payload is None:
             continue
         shard = FuzzStats.from_dict(payload)
@@ -122,18 +124,12 @@ def merge_fuzz_stats(shard_results: Sequence[Optional[Dict[str, Any]]],
         histogram.update(shard.trap_histogram)
         merged.failures.extend(shard.failures)
     merged.trap_histogram = histogram
+    merged.elapsed = outcome.wall_seconds
     return merged
 
 
-# ---------------------------------------------------------------------------
-# Resilience campaign merge
-# ---------------------------------------------------------------------------
-
-def merge_campaign(shard_results: Sequence[Optional[Dict[str, Any]]],
-                   *, seed: int, policy_name: str,
-                   workloads: Sequence[str], schemes: Sequence[str],
-                   faults: Sequence[str]) -> "CampaignResult":
-    """Fold per-shard cell lists (in shard order) into one
+def merge_resil(plan: ShardPlan, outcome: PlanResult) -> "CampaignResult":
+    """Fold per-shard cell lists into one
     :class:`~repro.resil.matrix.CampaignResult`.
 
     Shards carry contiguous slices of the
@@ -141,12 +137,15 @@ def merge_campaign(shard_results: Sequence[Optional[Dict[str, Any]]],
     concatenation reproduces the sequential cell order exactly.
     """
     from repro.resil.matrix import CampaignResult, CellResult
+    from repro.resil.policy import DEFAULT_POLICY, STRICT_POLICY
 
+    params = plan.params
+    policy = STRICT_POLICY if params["strict"] else DEFAULT_POLICY
     campaign = CampaignResult(
-        seed=seed, policy_name=policy_name,
-        workloads=list(workloads), schemes=list(schemes),
-        faults=list(faults))
-    for payload in shard_results:
+        seed=plan.seed, policy_name=policy.name,
+        workloads=list(params["workloads"]),
+        schemes=list(params["schemes"]), faults=list(params["faults"]))
+    for payload in outcome.ordered_results(plan):
         if payload is None:
             continue
         campaign.cells.extend(CellResult.from_dict(cell)
@@ -154,29 +153,24 @@ def merge_campaign(shard_results: Sequence[Optional[Dict[str, Any]]],
     return campaign
 
 
-# ---------------------------------------------------------------------------
-# Juliet suite merge
-# ---------------------------------------------------------------------------
-
-def merge_juliet(shard_results: Sequence[Optional[Dict[str, Any]]],
-                 temporal: str = "off") -> "JulietReport":
+def merge_juliet(plan: ShardPlan, outcome: PlanResult) -> "JulietReport":
     """Fold per-shard case verdicts into one
     :class:`~repro.juliet.runner.JulietReport`.
 
     Cases are regenerated deterministically on the merge side (they are
     a pure function of nothing but the generator code), so shard
-    payloads only carry ``(case_index, trapped, trap)`` triples.
-    ``temporal`` must match the plan's policy: an armed campaign's case
-    list additionally contains the CWE-415/CWE-416 lifetime families.
+    payloads only carry ``(case_index, trapped, trap)`` triples.  An
+    armed plan's case list additionally contains the CWE-415/CWE-416
+    lifetime families.
     """
     from repro.juliet.cases import generate_cases, generate_temporal_cases
     from repro.juliet.runner import CaseResult, JulietReport
 
     cases = generate_cases()
-    if temporal != "off":
+    if plan.params.get("temporal", "off") != "off":
         cases = cases + generate_temporal_cases()
     report = JulietReport()
-    for payload in shard_results:
+    for payload in outcome.ordered_results(plan):
         if payload is None:
             continue
         for row in payload["cases"]:
@@ -186,17 +180,18 @@ def merge_juliet(shard_results: Sequence[Optional[Dict[str, Any]]],
     return report
 
 
-# ---------------------------------------------------------------------------
-# Bench sweep merge
-# ---------------------------------------------------------------------------
-
-def merge_bench(shard_results: Sequence[Optional[Dict[str, Any]]]
-                ) -> Dict[str, Any]:
+def merge_bench(plan: ShardPlan, outcome: PlanResult) -> Dict[str, Any]:
     """Fold per-shard ``{cell_key: metrics}`` maps into one metrics
     mapping keyed ``<workload>/<config>``."""
     merged: Dict[str, Any] = {}
-    for payload in shard_results:
-        if payload is None:
-            continue
-        merged.update(payload["cells"])
+    for payload in outcome.ordered_results(plan):
+        if payload is not None:
+            merged.update(payload["cells"])
     return dict(sorted(merged.items()))
+
+
+def merge_selftest(plan: ShardPlan, outcome: PlanResult
+                   ) -> List[Optional[int]]:
+    """The toy campaign's per-shard values in shard order."""
+    return [payload["value"] if payload else None
+            for payload in outcome.ordered_results(plan)]

@@ -119,16 +119,16 @@ def main(argv=None) -> int:
 
     log = (lambda message: None) if args.quiet else print
     timeout = args.timeout if args.timeout > 0 else None
+    from repro.par.kinds import campaign_kind, plan_resil
+    plan = plan_resil(
+        workloads=list(workloads), schemes=list(schemes),
+        faults=list(faults), seed=args.seed, scale=args.scale,
+        timeout_seconds=timeout, strict=args.strict, jobs=args.jobs,
+        shard_size=args.shard_size, engine=args.engine)
     pool_ok = True
     if args.jobs > 1 or args.checkpoint:
-        from repro.par.engine import parallel_resil, plan_resil
-        plan = plan_resil(
-            workloads=list(workloads), schemes=list(schemes),
-            faults=list(faults), seed=args.seed, scale=args.scale,
-            timeout_seconds=timeout, strict=args.strict,
-            jobs=args.jobs, shard_size=args.shard_size,
-            engine=args.engine)
-        campaign, outcome = parallel_resil(
+        from repro.par.engine import run_campaign_plan
+        campaign, outcome = run_campaign_plan(
             plan, jobs=args.jobs, checkpoint_dir=args.checkpoint,
             shard_timeout=args.shard_timeout,
             shard_retries=args.shard_retries, log=log)
@@ -143,18 +143,11 @@ def main(argv=None) -> int:
     print(campaign.render())
 
     if args.out:
-        from repro.obs.metrics import metrics_document, write_metrics
-        # config/payload exclude jobs and pool accounting so --jobs N
-        # output compares equal to --jobs 1 for the same seed (the CI
+        from repro.obs.metrics import write_metrics
+        # the plan's document, identical at every --jobs (the CI
         # determinism gate)
-        path = write_metrics(args.out, metrics_document(
-            "resil",
-            {"seed": args.seed, "scale": args.scale,
-             "policy": campaign.policy_name,
-             "workloads": ",".join(workloads),
-             "schemes": ",".join(schemes),
-             "faults": ",".join(faults)},
-            campaign.metrics()))
+        path = write_metrics(args.out,
+                             campaign_kind("resil").document(plan, campaign))
         print(f"matrix written to {path}")
     return 0 if campaign.ok and pool_ok else 1
 

@@ -235,7 +235,7 @@ def _plan_for_cell(kind: str, seed: int, work_dir: str,
                    tag: str) -> "ShardPlan":
     """The (small, CI-sized) campaign plan one chaos cell runs.  A pure
     function of ``(kind, seed)`` modulo the scratch directories."""
-    from repro.par.engine import plan_fuzz, plan_juliet
+    from repro.par.kinds import plan_fuzz, plan_juliet
     from repro.par.plan import plan_indices
 
     if kind == "fuzz":
@@ -325,13 +325,13 @@ def run_chaos_cell(kind: str, seed: int, *, work_dir: str,
     rounds, the schedule eventually runs dry and a round completes.
     """
     from repro.hostio import sweep_stale_tmp
-    from repro.par.campaigns import runner_for
     from repro.par.checkpoint import Checkpoint
+    from repro.par.kinds import campaign_kind
     from repro.par.merge import diff_documents
     from repro.par.pool import run_plan
 
     name = f"{kind}-poison" if kind == "selftest" else kind
-    runner = runner_for(kind)
+    runner = campaign_kind(kind).runner
 
     # -- fault-free reference ------------------------------------------------
     ref_plan = _plan_for_cell(kind, seed, work_dir, f"{name}-ref")

@@ -1,10 +1,11 @@
 """Multi-tenant campaign service: ``repro.serve``.
 
 A long-running, stdlib-only HTTP service that accepts campaign job
-specs (fuzz / resil / juliet / bench / selftest), validates them into
-deterministic :class:`~repro.par.plan.ShardPlan`\\ s, and multiplexes
-them onto one shared shard-worker budget with per-tenant quotas,
-weighted-fair scheduling, and bounded-queue backpressure.  Jobs persist
+specs of every kind in :data:`repro.par.kinds.CAMPAIGN_KINDS`,
+validates them into deterministic
+:class:`~repro.par.plan.ShardPlan`\\ s, and multiplexes them onto
+one shared shard-worker budget with per-tenant quotas, weighted-fair
+scheduling, and bounded-queue backpressure.  Jobs persist
 through the fingerprinted checkpoint store: a killed service resumes
 in-flight campaigns on restart, and the resumed results are
 byte-identical (timing aside) to an uninterrupted run.
@@ -27,7 +28,7 @@ module          role
 """
 
 from repro.serve.jobs import (
-    JOB_KINDS, JOB_STATUSES, JobRecord, build_plan, validate_spec,
+    JOB_STATUSES, JobRecord, build_plan, validate_spec,
 )
 from repro.serve.tenants import TenantQuota, TenantState
 from repro.serve.scheduler import STRIDE, WeightedFairScheduler
@@ -37,8 +38,7 @@ from repro.serve.api import dispatch
 from repro.serve.server import BackgroundServer, CampaignServer
 
 __all__ = [
-    "JOB_KINDS", "JOB_STATUSES", "JobRecord", "build_plan",
-    "validate_spec",
+    "JOB_STATUSES", "JobRecord", "build_plan", "validate_spec",
     "TenantQuota", "TenantState",
     "STRIDE", "WeightedFairScheduler",
     "JobStore",

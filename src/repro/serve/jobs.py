@@ -22,14 +22,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import InvalidJobSpec
-from repro.par.plan import ShardPlan, plan_indices
+from repro.par.kinds import CAMPAIGN_KINDS
+from repro.par.plan import ShardPlan
 from repro.vm.machine import ENGINE_CHOICES
-
-#: campaign kinds a service accepts (``selftest`` is the deterministic
-#: toy campaign the tests and the latency benchmark submit)
-JOB_KINDS: Tuple[str, ...] = (
-    "fuzz", "resil", "juliet", "bench", "selftest",
-)
 
 #: job lifecycle states (terminal: done / failed / cancelled)
 JOB_STATUSES: Tuple[str, ...] = (
@@ -247,17 +242,14 @@ def _selftest_params(params: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-_PARAM_SCHEMAS = {
-    "fuzz": _fuzz_params,
-    "resil": _resil_params,
-    "juliet": _juliet_params,
-    "bench": _bench_params,
-    "selftest": _selftest_params,
-}
+#: kind -> its ``_<kind>_params`` schema; a kind added to the campaign
+#: table without a schema here fails at import
+_PARAM_SCHEMAS = {kind: globals()[f"_{kind}_params"]
+                  for kind in CAMPAIGN_KINDS}
 
 
 def validate_spec(body: Any, *,
-                  allowed_kinds: Sequence[str] = JOB_KINDS
+                  allowed_kinds: Sequence[str] = tuple(CAMPAIGN_KINDS)
                   ) -> Tuple[str, str, int, Dict[str, Any]]:
     """Validate a job submission body into
     ``(tenant, kind, workers, resolved_params)``.
@@ -275,7 +267,8 @@ def validate_spec(body: Any, *,
             ch.isalnum() or ch in "-_." for ch in tenant):
         raise InvalidJobSpec(
             "expected 1-64 chars from [a-zA-Z0-9._-]", field="tenant")
-    kind = _require_str("kind", body.get("kind", ""), JOB_KINDS)
+    kind = _require_str("kind", body.get("kind", ""),
+                        tuple(CAMPAIGN_KINDS))
     if kind not in allowed_kinds:
         raise InvalidJobSpec(
             f"kind {kind!r} is disabled on this service "
@@ -306,63 +299,12 @@ def build_plan(kind: str, params: Dict[str, Any],
 
     Pure function of ``(kind, params, workers)`` — submit, execute, and
     restart-resume all derive the identical plan (and therefore the
-    identical checkpoint fingerprint) from the persisted record.
+    identical checkpoint fingerprint) from the persisted record.  The
+    resolved parameter names are the kind's planner keywords; a spec
+    persisted before a parameter existed takes the planner's default,
+    which keeps the plan (and its fingerprint) unchanged.
     """
-    if kind == "fuzz":
-        from repro.par.engine import plan_fuzz
-        p = dict(params)
-        return plan_fuzz(
-            p.pop("iterations"), p.pop("seed"),
-            configs=p.pop("configs"), start=p.pop("start"),
-            clean=p.pop("clean"), inject=p.pop("inject"),
-            corpus_dir=p.pop("corpus_dir"), minimize=p.pop("minimize"),
-            max_attacks=p.pop("max_attacks"),
-            plant_bug=p.pop("plant_bug"),
-            timeout_seconds=p.pop("timeout_seconds"),
-            retries=p.pop("retries"),
-            backoff_base=p.pop("backoff_base"),
-            jobs=workers, shard_size=p.pop("shard_size"),
-            engine=p.pop("engine"),
-            # specs persisted before the temporal policy existed
-            # resolve to "off", which plan_fuzz keeps out of the plan
-            # params — the fingerprint stays stable either way
-            temporal=p.pop("temporal", "off"))
-    if kind == "resil":
-        from repro.par.engine import plan_resil
-        return plan_resil(
-            workloads=params["workloads"], schemes=params["schemes"],
-            faults=params["faults"], seed=params["seed"],
-            scale=params["scale"],
-            timeout_seconds=params["timeout_seconds"],
-            strict=params["strict"], jobs=workers,
-            shard_size=params["shard_size"])
-    if kind == "juliet":
-        from repro.par.engine import plan_juliet
-        return plan_juliet(
-            seed=params["seed"], allocator=params["allocator"],
-            temporal=params.get("temporal", "off"),
-            jobs=workers, shard_size=params["shard_size"])
-    if kind == "bench":
-        from repro.par.engine import plan_bench
-        return plan_bench(
-            workloads=params["workloads"], configs=params["configs"],
-            scale=params["scale"],
-            timeout_seconds=params["timeout_seconds"],
-            seed=params["seed"], jobs=workers,
-            shard_size=params["shard_size"])
-    if kind == "selftest":
-        runner_params = {
-            "sleep_seconds": params["sleep_seconds"],
-            "fail_shards": params["fail_shards"],
-            "mode": params["mode"],
-            "succeed_attempt": params["succeed_attempt"],
-            "marker": params["marker"],
-        }
-        return plan_indices(
-            "selftest", params["seed"],
-            list(range(params["total"])), params=runner_params,
-            shards=params["shards"])
-    raise InvalidJobSpec(f"unknown kind {kind!r}", field="kind")
+    return CAMPAIGN_KINDS[kind].plan(**params, jobs=workers)
 
 
 # ---------------------------------------------------------------------------

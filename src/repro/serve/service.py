@@ -48,11 +48,12 @@ from repro.obs.events import (
 )
 from repro.obs.metrics import metrics_document
 from repro.par.engine import run_campaign_plan
+from repro.par.kinds import CAMPAIGN_KINDS
+from repro.par.plan import ShardPlan
 from repro.par.pool import PlanResult
 from repro.serve.breaker import BreakerBoard
 from repro.serve.jobs import (
-    JOB_KINDS, JOB_STATUSES, JobRecord, build_plan, new_record,
-    validate_spec,
+    JOB_STATUSES, JobRecord, build_plan, new_record, validate_spec,
 )
 from repro.serve.scheduler import WeightedFairScheduler
 from repro.serve.store import JobStore
@@ -79,7 +80,7 @@ class CampaignService:
             base_cooldown=breaker_cooldown,
             on_transition=self._on_breaker)
         self.workers_total = max(1, workers_total)
-        self.allowed_kinds = tuple(kinds) if kinds else JOB_KINDS
+        self.allowed_kinds = tuple(kinds or CAMPAIGN_KINDS)
         self.bus = bus if bus is not None else EventBus()
         self.log = log or (lambda message: None)
         self._lock = threading.RLock()
@@ -294,10 +295,11 @@ class CampaignService:
             self.breakers.record_failure(record.tenant, error["type"])
             self._finish(record, granted, status="failed", error=error)
             return
-        self._on_executed(record, granted, merged, outcome)
+        self._on_executed(record, granted, plan, merged, outcome)
 
     def _on_executed(self, record: JobRecord, granted: int,
-                     merged: Any, outcome: PlanResult) -> None:
+                     plan: ShardPlan, merged: Any,
+                     outcome: PlanResult) -> None:
         record.progress["shards_done"] = \
             len(outcome.executed) + len(outcome.restored)
         record.progress["shards_restored"] = len(outcome.restored)
@@ -310,12 +312,24 @@ class CampaignService:
                 self._finish(record, granted, status="queued",
                              event="requeued")
             return
-        result = _render_result(record.kind, record.params, merged,
-                                outcome)
-        # Correlation ids ride beside the metrics document, never in
-        # it: the embedded document must stay byte-comparable with the
-        # batch CLI's artifact for the same seed.
-        result["correlation"] = self._job_ctx(record).to_dict()
+        # The body is read off the campaign table: the embedded
+        # metrics document is the one the batch CLI writes for the same
+        # plan, so it compares equal under the timing-insensitive
+        # projection even across a kill and restart.  Pool accounting
+        # and correlation ids ride beside it, never in it.
+        kind = CAMPAIGN_KINDS[plan.kind]
+        result: Dict[str, Any] = {
+            "ok": kind.ok(merged) and outcome.ok,
+            "summary": kind.summary(merged),
+            "pool": outcome.utilization_metrics(),
+            "correlation": self._job_ctx(record).to_dict(),
+        }
+        if kind.document is not None:
+            result["metrics_document"] = kind.document(plan, merged)
+        else:
+            # a kind without a metrics document reports its merged
+            # result as-is
+            result["values"] = merged
         if outcome.quarantined:
             # poison shards are typed result records, not job failures:
             # the campaign completed around them — but the tenant's
@@ -327,7 +341,7 @@ class CampaignService:
                 record.tenant,
                 f"{record.job_id} shard "
                 f"{outcome.quarantined[0].shard_id}")
-        if outcome.ok and result.get("ok", True):
+        if result["ok"]:
             if not outcome.quarantined:
                 self.breakers.record_success(record.tenant)
             self._finish(record, granted, status="done",
@@ -548,78 +562,3 @@ class CampaignService:
                  "and checkpointing")
         self._executor.shutdown(wait=wait)
 
-
-def _render_result(kind: str, params: Dict[str, Any], merged: Any,
-                   outcome: PlanResult) -> Dict[str, Any]:
-    """Project a merged campaign result into the JSON body clients see.
-
-    The embedded ``metrics_document`` deliberately excludes pool
-    accounting (shards executed/restored, utilization) so it compares
-    byte-identical — under the timing-insensitive
-    :func:`repro.par.merge.canonical_metrics` projection — with the
-    document the batch CLI writes for the same seed, even when the
-    service was killed and restarted mid-campaign.  Pool accounting
-    lives alongside in ``pool``.
-    """
-    pool = outcome.utilization_metrics()
-    if kind == "fuzz":
-        return {
-            "ok": merged.ok,
-            "summary": merged.summary(),
-            "metrics_document": metrics_document(
-                "fuzz",
-                {"seed": params["seed"],
-                 "iterations": params["iterations"],
-                 "configs": ",".join(params["configs"])},
-                merged.metrics()),
-            "pool": pool,
-        }
-    if kind == "resil":
-        return {
-            "ok": merged.ok,
-            "summary": merged.render(),
-            "metrics_document": metrics_document(
-                "resil",
-                {"seed": params["seed"], "scale": params["scale"],
-                 "policy": merged.policy_name,
-                 "workloads": ",".join(params["workloads"]),
-                 "schemes": ",".join(params["schemes"]),
-                 "faults": ",".join(params["faults"])},
-                merged.metrics()),
-            "pool": pool,
-        }
-    if kind == "juliet":
-        by_cwe = {cwe: dict(row)
-                  for cwe, row in merged.by_cwe().items()}
-        return {
-            "ok": merged.all_passed,
-            "summary": merged.summary(),
-            "metrics_document": metrics_document(
-                "juliet_parallel",
-                {"seed": params["seed"],
-                 "allocator": params["allocator"]},
-                {"total": merged.total, "detected": merged.detected,
-                 "bad_total": merged.bad_total,
-                 "false_positives": merged.false_positives,
-                 "good_total": merged.good_total, "by_cwe": by_cwe}),
-            "pool": pool,
-        }
-    if kind == "bench":
-        return {
-            "ok": True,
-            "metrics_document": metrics_document(
-                "bench_sweep",
-                {"workloads": ",".join(params["workloads"]),
-                 "configs": ",".join(params["configs"]),
-                 "scale": params["scale"]},
-                {"cells": merged}),
-            "pool": pool,
-        }
-    if kind == "selftest":
-        return {
-            "ok": outcome.ok,
-            "values": [payload["value"] if payload else None
-                       for payload in merged],
-            "pool": pool,
-        }
-    raise ValueError(f"unknown kind {kind!r}")

@@ -13,7 +13,9 @@ from repro.hostio import (
     TMP_SUFFIX, atomic_write_json, crc32_of_json, inject_faults,
     sweep_stale_tmp,
 )
-from repro.par import Checkpoint, plan_indices, run_plan
+from repro.par.checkpoint import Checkpoint
+from repro.par.plan import plan_indices
+from repro.par.pool import run_plan
 from repro.resil.chaos import (
     CELL_VERDICTS, HOST_FAULT_CLASSES, POISON_SHARD, ChaosSchedule,
     HostFaultInjector, check_matrix, run_chaos_cell, run_chaos_campaign,

@@ -136,7 +136,7 @@ class TestEngineSelection:
         # and run exactly as auto.
         from repro.fuzz.__main__ import main as fuzz_main
         from repro.par.__main__ import main as par_main
-        from repro.par.engine import plan_resil
+        from repro.par.kinds import plan_resil
         from repro.resil.__main__ import main as resil_main
         from repro.serve.jobs import validate_spec
         from repro.vm.machine import ENGINE_ALIASES

@@ -13,19 +13,39 @@ from repro.errors import (
 )
 from repro.fuzz.corpus import CorpusEntry
 from repro.fuzz.driver import FuzzStats, run_fuzz
-from repro.par import (
-    GOLDEN_GAMMA, Checkpoint, CheckpointMismatch, PlanResult,
-    ShardFailure, ShardPlan, ShardSpec, backoff_delay,
-    canonical_metrics, derive_seed, diff_documents, jittered_backoff,
-    plan_indices, plan_range, run_plan, shard_seed, split_evenly,
-    splitmix64,
+from repro.par.checkpoint import Checkpoint, CheckpointMismatch
+from repro.par.engine import run_campaign_plan
+from repro.par.kinds import plan_fuzz, plan_resil
+from repro.par.merge import canonical_metrics, diff_documents
+from repro.par.plan import (
+    ShardPlan, ShardSpec, plan_indices, plan_range, split_evenly,
 )
-from repro.par.engine import (
-    parallel_fuzz, parallel_resil, plan_fuzz, plan_resil,
+from repro.par.pool import PlanResult, ShardFailure, run_plan
+from repro.par.seeds import (
+    GOLDEN_GAMMA, backoff_delay, derive_seed, jittered_backoff,
+    shard_seed, splitmix64,
 )
 from repro.resil.faults import FaultPlan
 
 SELFTEST = "repro.par.campaigns:run_selftest_shard"
+
+
+def test_import_repro_does_not_load_the_pool():
+    """``import repro`` reaches ``repro.par.seeds`` (retry reseeding);
+    the package root must not drag the pool and merge layers in."""
+    import os
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    script = (f"import sys; sys.path.insert(0, {src!r})\n"
+              "import repro\n"
+              "loaded = sorted(m for m in sys.modules\n"
+              "                if m.startswith('repro.par'))\n"
+              "assert 'repro.par.pool' not in sys.modules, loaded\n")
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +354,7 @@ class TestCheckpoint:
 class TestMergeDeterminism:
     FUZZ_CONFIGS = ("baseline", "wrapped")
 
-    def test_parallel_fuzz_matches_sequential(self, tmp_path):
+    def test_sharded_fuzz_matches_sequential(self, tmp_path):
         sequential = run_fuzz(
             8, seed=11, configs=list(self.FUZZ_CONFIGS),
             corpus_dir=str(tmp_path / "seq"), plant_bug=True,
@@ -342,7 +362,7 @@ class TestMergeDeterminism:
         plan = plan_fuzz(8, 11, configs=list(self.FUZZ_CONFIGS),
                          corpus_dir=str(tmp_path / "par"),
                          plant_bug=True, jobs=2)
-        merged, outcome = parallel_fuzz(plan, jobs=2)
+        merged, outcome = run_campaign_plan(plan, jobs=2)
         assert outcome.ok
 
         expected = sequential.to_dict()
@@ -389,14 +409,14 @@ class TestMergeDeterminism:
                          inject=False)
         revived = ShardPlan.from_dict(
             json.loads(json.dumps(plan.to_dict())))
-        merged, outcome = parallel_fuzz(revived, jobs=1)
+        merged, outcome = run_campaign_plan(revived, jobs=1)
         assert outcome.ok
         assert merged.temporal == "off"
 
     def test_armed_juliet_plan_covers_temporal_cases(self):
         from repro.juliet.cases import generate_cases, \
             generate_temporal_cases
-        from repro.par.engine import plan_juliet
+        from repro.par.kinds import plan_juliet
         default = plan_juliet(jobs=2)
         armed = plan_juliet(jobs=2, temporal="check")
         assert "temporal" not in default.params
@@ -407,14 +427,14 @@ class TestMergeDeterminism:
         assert sum(len(s.items) for s in armed.shards) \
             == spatial + temporal
 
-    def test_parallel_resil_matches_sequential(self):
+    def test_sharded_resil_matches_sequential(self):
         from repro.resil.matrix import SCHEMES, run_campaign
         kwargs = dict(workloads=("treeadd",), schemes=SCHEMES,
                       faults=("metadata_corrupt",), seed=4)
         sequential = run_campaign(log=lambda message: None, **kwargs)
         plan = plan_resil(jobs=2, **{k: list(v) if isinstance(v, tuple)
                                      else v for k, v in kwargs.items()})
-        merged, outcome = parallel_resil(plan, jobs=2)
+        merged, outcome = run_campaign_plan(plan, jobs=2)
         assert outcome.ok
         assert canonical_metrics(merged.to_dict()) \
             == canonical_metrics(sequential.to_dict())
@@ -453,12 +473,12 @@ class TestDiffDocuments:
 class TestPoolObservability:
     def test_events_stream_written_and_rendered(self, tmp_path):
         from repro.obs.__main__ import render_pool_events
-        from repro.par.engine import _execute
+        from repro.par.engine import execute_plan
         plan = _selftest_plan(6, 12, 4)
-        outcome = _execute(plan, jobs=2, checkpoint_dir=None,
-                           shard_timeout=None, shard_retries=2,
-                           backoff_base=0.01, log=None,
-                           events_out=str(tmp_path / "events.jsonl"))
+        outcome = execute_plan(plan, jobs=2, checkpoint_dir=None,
+                               shard_timeout=None, shard_retries=2,
+                               backoff_base=0.01, log=None,
+                               events_out=str(tmp_path / "events.jsonl"))
         assert outcome.ok
         records = [json.loads(line) for line in
                    (tmp_path / "events.jsonl").read_text().splitlines()]
@@ -558,7 +578,7 @@ class TestDrain:
         import threading
         import time
 
-        from repro.par import install_drain_handler
+        from repro.par.pool import install_drain_handler
 
         previous_term = signal.getsignal(signal.SIGTERM)
         previous_int = signal.getsignal(signal.SIGINT)
@@ -627,7 +647,7 @@ class TestCheckpointEdgeCases:
         assert again.executed == [0]
 
     def test_tampered_fingerprint_refuses_resume(self, tmp_path):
-        from repro.par import resume_checkpoint
+        from repro.par.engine import resume_checkpoint
         directory = self._completed_checkpoint(tmp_path)
         manifest_path = directory / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
@@ -649,7 +669,8 @@ class TestCheckpointEdgeCases:
         directory = tmp_path / "ck"
         script = (
             "import sys; sys.path.insert(0, {src!r})\n"
-            "from repro.par import Checkpoint, run_plan\n"
+            "from repro.par.checkpoint import Checkpoint\n"
+            "from repro.par.pool import run_plan\n"
             "from repro.par.plan import plan_indices\n"
             "plan = plan_indices('selftest', 3, list(range(8)),\n"
             "    params={{'fail_shards': [], 'sleep_seconds': 0.2}},\n"

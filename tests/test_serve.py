@@ -21,8 +21,9 @@ from repro.errors import (
     UnknownJob,
 )
 from repro.obs.metrics import metrics_document, validate_document
-from repro.par import canonical_metrics, run_plan
+from repro.par.merge import canonical_metrics
 from repro.par.plan import plan_indices
+from repro.par.pool import run_plan
 from repro.serve import (
     BackgroundServer, CampaignService, JobRecord, TenantQuota,
     WeightedFairScheduler, build_plan, dispatch, validate_spec,
@@ -130,6 +131,34 @@ class TestValidateSpec:
         second = build_plan(
             kind, json.loads(json.dumps(params)), workers)
         assert first.fingerprint() == second.fingerprint()
+
+
+#: full plan fingerprints of every kind's default spec at workers=2,
+#: pinned so stored job records and checkpoints keep verifying
+PINNED_FINGERPRINTS = [
+    ("fuzz", {}, "1b718af538fc9b045a8f4c2ce3e196d7"
+                 "ef147c80fd9a50dfc77f54590a70415e"),
+    ("fuzz", {"temporal": "check"}, "727151ddb39ec8a36b4cf0e26553a62b"
+                                    "fa597fd4a2c2aaeab926fb48d59251e6"),
+    ("resil", {}, "d384a6e2344ca3e15c90cdfc3c6c33dd"
+                  "eeaf83e526731534981e5e44e42432c0"),
+    ("juliet", {}, "0606d31bc92d4b7f8dafaf204e17bff0"
+                   "d0b79d53e1d3ca8e4c8b715bdd18ad61"),
+    ("juliet", {"temporal": "check"}, "e7fefd2cea020a0ccedf4a047e742281"
+                                      "fa73c56add697865632f717d17d3ff4a"),
+    ("bench", {}, "aae3af897093b4336e2b4778a197a7e7"
+                  "58bc5197f30c31c5cf1dcb87bc6d17e6"),
+    ("selftest", {}, "66036d62fefe457e245e40bd8744cd20"
+                     "4b4417dabcb73b45080ae52887a20b17"),
+]
+
+
+@pytest.mark.parametrize("kind,params,fingerprint", PINNED_FINGERPRINTS)
+def test_default_plan_fingerprints_are_pinned(kind, params, fingerprint):
+    _, kind, workers, resolved = validate_spec(
+        _spec(kind=kind, workers=2, **params))
+    assert build_plan(kind, resolved, workers).fingerprint() \
+        == fingerprint
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +389,33 @@ class TestServeFuzzEquivalence:
             for path in seq_dir.iterdir():
                 assert (srv_dir / path.name).read_bytes() \
                     == path.read_bytes(), path.name
+
+
+    def test_served_temporal_fuzz_matches_cli_document(self, tmp_path):
+        """A served ``temporal: check`` fuzz job's document equals the
+        batch CLI's, ``config.temporal`` included: both are built from
+        the plan by the campaign table."""
+        from repro.fuzz.__main__ import main as fuzz_main
+        from repro.par.merge import diff_documents
+
+        batch_path = tmp_path / "batch.json"
+        assert fuzz_main(["-n", "2", "--seed", "4", "--temporal", "check",
+                          "--quiet", "--corpus", str(tmp_path / "seq"),
+                          "--metrics-out", str(batch_path)]) == 0
+        batch = json.loads(batch_path.read_text())
+        assert batch["config"]["temporal"] == "check"
+
+        service = _service(tmp_path)
+        try:
+            record = service.submit(_spec(
+                kind="fuzz", iterations=2, seed=4, temporal="check",
+                corpus_dir=str(tmp_path / "srv")))
+            done = service.wait(record.job_id, timeout=120.0)
+            assert done.status == "done"
+            served = done.result["metrics_document"]
+        finally:
+            service.drain()
+        assert diff_documents(batch, served) == []
 
 
 # ---------------------------------------------------------------------------
