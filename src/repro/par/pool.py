@@ -6,10 +6,15 @@ Execution model
 The parent owns the schedule: it dispatches one shard at a time into
 each worker's private task queue, so shard ownership is a parent-side
 fact established at dispatch — never inferred from worker messages a
-dying process could fail to send.  The plan assigns each shard a
-*preferred* worker slot (round-robin, so a perfectly balanced plan
-maps onto static assignment), but any idle worker is handed the next
-pending shard; when that worker is not the preferred slot the pool
+dying process could fail to send.  Each worker answers on its own
+result pipe, which the parent waits on with
+:func:`multiprocessing.connection.wait`.  No lock or channel is shared
+between workers, so a worker killed mid-message (SIGKILL, OOM-kill)
+can damage only its own channels, and both are replaced with it.
+
+The plan assigns each shard a *preferred* worker slot (round-robin,
+so a perfectly balanced plan maps onto static assignment), but any
+idle worker is handed the next pending shard; when that worker is not the preferred slot the pool
 emits a :class:`~repro.obs.events.StealEvent`.  Fast workers therefore
 drain slow workers' backlogs automatically.
 
@@ -32,11 +37,12 @@ with the deterministic exponential backoff shared with
 seed — fully replayable, never simultaneous).  Backoff is *scheduled*,
 not slept: the parent keeps draining other shards while a requeued
 shard waits out its delay.  A shard that exhausts its budget is
-recorded as a typed :class:`ShardFailure` instead of sinking the
-campaign — or, under ``quarantine=True`` (the campaign service's
-setting), dead-lettered as a typed :class:`ShardQuarantined` record:
-the poison shard is excluded from the merge, the rest of the campaign
-completes, and ``PlanResult.ok`` stays true.
+recorded as a typed :class:`ShardFailure` in ``PlanResult.failures``
+instead of sinking the campaign — or, under ``quarantine=True`` (the
+campaign service's setting), dead-lettered into
+``PlanResult.quarantined``: the poison shard is excluded from the
+merge, the rest of the campaign completes, and ``PlanResult.ok`` stays
+true.
 
 Host-fault posture
 ==================
@@ -60,7 +66,6 @@ driver's per-iteration watchdog) — never at the shard level.
 from __future__ import annotations
 
 import importlib
-import queue as queue_mod
 import signal
 import time
 from dataclasses import dataclass, field
@@ -75,7 +80,7 @@ from repro.par.checkpoint import Checkpoint
 from repro.par.plan import ShardPlan, ShardSpec
 from repro.par.seeds import jittered_backoff
 
-#: how long the parent blocks on the result queue per scheduling turn
+#: how long the parent blocks on the result pipes per scheduling turn
 _POLL_SECONDS = 0.05
 
 
@@ -142,7 +147,13 @@ def resolve_runner(runner_ref: str) -> Callable[[Dict[str, Any], int],
 @dataclass
 class ShardFailure:
     """A shard that exhausted its retry budget — a typed campaign
-    result, not an exception: the rest of the campaign still merges."""
+    result, not an exception: the rest of the campaign still merges.
+
+    Which list of :class:`PlanResult` holds the record is the verdict:
+    ``failures`` sink the campaign; ``quarantined`` (poison shards
+    dead-lettered under ``quarantine=True``, persisted as
+    ``quarantine-<id>.json`` in the checkpoint and never re-run on
+    resume) do not."""
 
     shard_id: int
     reason: str          #: 'error' | 'timeout' | 'crash'
@@ -155,33 +166,6 @@ class ShardFailure:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ShardFailure":
-        return cls(shard_id=data["shard_id"], reason=data["reason"],
-                   attempts=data["attempts"],
-                   detail=data.get("detail", ""))
-
-
-@dataclass
-class ShardQuarantined:
-    """A poison shard dead-lettered after exhausting its retry budget.
-
-    Like :class:`ShardFailure` a typed campaign record, not an
-    exception — but unlike a failure it does not sink the campaign:
-    ``PlanResult.ok`` stays true, the merge simply excludes the shard,
-    and the quarantine record (persisted as ``quarantine-<id>.json``
-    in the checkpoint) survives resume so the poison shard is never
-    re-run."""
-
-    shard_id: int
-    reason: str          #: 'error' | 'timeout' | 'crash'
-    attempts: int
-    detail: str = ""
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"shard_id": self.shard_id, "reason": self.reason,
-                "attempts": self.attempts, "detail": self.detail}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ShardQuarantined":
         return cls(shard_id=data["shard_id"], reason=data["reason"],
                    attempts=data["attempts"],
                    detail=data.get("detail", ""))
@@ -206,7 +190,7 @@ class PlanResult:
     failures: List[ShardFailure] = field(default_factory=list)
     #: poison shards dead-lettered under ``quarantine=True`` — typed
     #: verdicts, excluded from the merge, not failures
-    quarantined: List[ShardQuarantined] = field(default_factory=list)
+    quarantined: List[ShardFailure] = field(default_factory=list)
     workers: List[WorkerStats] = field(default_factory=list)
     wall_seconds: float = 0.0
     executed: List[int] = field(default_factory=list)
@@ -291,7 +275,7 @@ class PlanResult:
 # ---------------------------------------------------------------------------
 
 def _worker_main(worker_id: int, runner_ref: str, task_queue,
-                 result_queue) -> None:
+                 result_pipe) -> None:
     """Worker loop: execute dispatched tasks until the ``None``
     sentinel.
 
@@ -310,13 +294,12 @@ def _worker_main(worker_id: int, runner_ref: str, task_queue,
         shard_dict, attempt = task
         shard_id = shard_dict["shard_id"]
         try:
-            result = runner(shard_dict, attempt)
+            message = ("done", shard_id, worker_id, attempt,
+                       runner(shard_dict, attempt))
         except BaseException as exc:  # noqa: BLE001 — reported, retried
-            result_queue.put(("error", shard_id, worker_id, attempt,
-                              f"{type(exc).__name__}: {exc}"))
-        else:
-            result_queue.put(("done", shard_id, worker_id, attempt,
-                              result))
+            message = ("error", shard_id, worker_id, attempt,
+                       f"{type(exc).__name__}: {exc}")
+        result_pipe.send(message)
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +429,9 @@ class _Pool:
     def _fail(self, shard: ShardSpec, attempt: int, worker: int,
               reason: str, detail: str, seconds: float) -> None:
         """Terminal failure: retries exhausted.  Under
-        ``quarantine=True`` the shard is dead-lettered instead — a
-        typed :class:`ShardQuarantined` record the campaign carries
-        without failing."""
+        ``quarantine=True`` the record is dead-lettered into
+        ``quarantined`` instead, which the campaign carries without
+        failing."""
         sid = shard.shard_id
         if worker >= 0:
             self.result.workers[worker].busy_seconds += seconds
@@ -457,10 +440,9 @@ class _Pool:
                                   t=self._now(), status=reason,
                                   seconds=seconds,
                                   ctx=self._ctx(shard)))
+        record = ShardFailure(shard_id=sid, reason=reason,
+                              attempts=attempt + 1, detail=detail)
         if self.quarantine:
-            record = ShardQuarantined(shard_id=sid, reason=reason,
-                                      attempts=attempt + 1,
-                                      detail=detail)
             self.result.quarantined.append(record)
             self._emit(QuarantineEvent(site=None, shard_id=sid,
                                        attempts=attempt + 1,
@@ -475,9 +457,7 @@ class _Pool:
             self.log(f"[repro.par] shard {sid} QUARANTINED ({reason}) "
                      f"after {attempt + 1} attempts: {detail}")
             return
-        failure = ShardFailure(shard_id=sid, reason=reason,
-                               attempts=attempt + 1, detail=detail)
-        self.result.failures.append(failure)
+        self.result.failures.append(record)
         if self.checkpoint is not None:
             self._persist(
                 lambda: self.checkpoint.record_failure(
@@ -582,25 +562,34 @@ class _Pool:
         when its preferred slot is busy.
         """
         import multiprocessing as mp
+        from multiprocessing.connection import wait
         method = "fork" if "fork" in mp.get_all_start_methods() \
             else "spawn"
         ctx = mp.get_context(method)
         self._t0 = time.monotonic()
 
-        result_queue = ctx.Queue()
         task_queues: List[Any] = [None] * self.jobs
+        #: the parent's read end of each worker's result pipe; None
+        #: once it reported end-of-file, until the worker is respawned
+        result_pipes: List[Any] = [None] * self.jobs
         workers: List[Any] = [None] * self.jobs
 
         def spawn(worker_id: int) -> None:
-            # A fresh task queue per (re)spawn: a terminated worker may
-            # have died holding the old queue's lock.
+            # A fresh task queue and result pipe per (re)spawn: a
+            # killed worker may have died holding the old queue's lock
+            # or part-way through a message on the old pipe.
             task_queues[worker_id] = ctx.Queue()
+            if result_pipes[worker_id] is not None:
+                result_pipes[worker_id].close()
+            reader, writer = ctx.Pipe(duplex=False)
             process = ctx.Process(
                 target=_worker_main,
                 args=(worker_id, self.runner_ref,
-                      task_queues[worker_id], result_queue),
+                      task_queues[worker_id], writer),
                 daemon=True)
             process.start()
+            writer.close()   # the worker holds the write end
+            result_pipes[worker_id] = reader
             workers[worker_id] = process
 
         todo = self._plan_order()
@@ -688,12 +677,18 @@ class _Pool:
                         pending.append((item[1], item[2]))
                     dispatch()
 
-                # drain one message
-                try:
-                    message = result_queue.get(timeout=_POLL_SECONDS)
-                except queue_mod.Empty:
-                    message = None
-                if message is not None:
+                # drain every worker's pending message
+                for reader in wait([r for r in result_pipes
+                                    if r is not None],
+                                   timeout=_POLL_SECONDS):
+                    try:
+                        message = reader.recv()
+                    except (EOFError, OSError):
+                        # the worker died; the liveness sweep below
+                        # respawns it with a fresh pipe
+                        result_pipes[result_pipes.index(reader)] = None
+                        reader.close()
+                        continue
                     tag, sid, worker, attempt, payload = message
                     run = running.get(worker)
                     live = (run is not None
@@ -762,7 +757,9 @@ class _Pool:
                     process.join(2.0)
             for task_queue in task_queues:
                 task_queue.close()
-            result_queue.close()
+            for reader in result_pipes:
+                if reader is not None:
+                    reader.close()
 
         self.result.wall_seconds = time.monotonic() - self._t0
         return self.result
@@ -803,9 +800,9 @@ def run_plan(plan: ShardPlan, runner_ref: str, *, jobs: int = 1,
     be killed and resumed at shard granularity.
 
     ``quarantine=True`` dead-letters poison shards (retry budget
-    exhausted) as :class:`ShardQuarantined` records instead of
-    :class:`ShardFailure`: ``PlanResult.ok`` stays true and the merge
-    excludes them.  ``chaos`` (a
+    exhausted) into ``PlanResult.quarantined`` instead of
+    ``failures``: ``PlanResult.ok`` stays true and the merge excludes
+    them.  ``chaos`` (a
     :class:`repro.resil.chaos.HostFaultInjector`) arms seeded host
     faults — worker kills at dispatch plus whatever the injector does
     to persistence writes.
@@ -836,7 +833,7 @@ def run_plan(plan: ShardPlan, runner_ref: str, *, jobs: int = 1,
             pool.result.restored.append(shard_id)
         for record in checkpoint.quarantined():
             pool.result.quarantined.append(
-                ShardQuarantined.from_dict(record))
+                ShardFailure.from_dict(record))
     settled = set(pool.result.results)
     settled.update(q.shard_id for q in pool.result.quarantined)
     if all(shard.shard_id in settled for shard in plan.shards):

@@ -15,8 +15,9 @@ Every chaos cell either
   run of the same plan;
 * **quarantines** — a shard the chaos schedule hounded past its retry
   budget is dead-lettered as a typed
-  :class:`~repro.par.pool.ShardQuarantined` record and every other
-  shard still matches the reference; or
+  :class:`~repro.par.pool.ShardFailure` record in
+  ``PlanResult.quarantined`` and every other shard still matches the
+  reference; or
 * **fails typed** — the run ends in a :class:`~repro.errors.ReproError`
   / :class:`OSError` the harness *reports* rather than absorbs.
 

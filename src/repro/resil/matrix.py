@@ -349,7 +349,6 @@ class CampaignRunner:
                  temporal: str = "off") -> Machine:
         _options, ifp = scheme_setup(scheme)
         config = MachineConfig(ifp=ifp, policy=self.policy,
-                               wall_clock_timeout=self.timeout_seconds,
                                engine=self.engine, temporal=temporal)
         return Machine(self._program(workload, scheme), config)
 
@@ -357,7 +356,7 @@ class CampaignRunner:
         key = (workload.name, scheme)
         if key not in self._references:
             machine = self._machine(workload, scheme)
-            result = machine.run()
+            result = machine.run(timeout_seconds=self.timeout_seconds)
             if result.trap is not None:
                 raise SimTrap(
                     f"reference run {workload.name}/{scheme} trapped: "
@@ -386,7 +385,7 @@ class CampaignRunner:
         cell = CellResult(workload=workload.name, scheme=scheme,
                           fault=fault, outcome="unaffected", seed=seed)
         try:
-            result = machine.run()
+            result = machine.run(timeout_seconds=self.timeout_seconds)
         except WorkloadTimeout as exc:
             cell.outcome = "timeout"
             cell.detail = f"{exc.seconds:g}s budget"

@@ -8,9 +8,10 @@ into specialized closures.  Straight-line runs of instructions are fused
 into a single Python function compiled at translate time — operands,
 immediates, resolved global addresses, and static cycle costs are inlined
 as literals — so a fused block executes with *no* per-instruction
-dispatch at all.  Instructions that transfer control to other functions
-(``call``/``callptr``) compile to single-instruction blocks.  The hot
-loop is just::
+dispatch at all.  Every handler is such a block of 1..n instructions,
+built by one compiler; instructions that transfer control to other
+functions (``call``/``callptr``) are blocks of their own.  The hot loop
+is just::
 
     while ip >= 0:
         ip = handlers[ip](st)
@@ -27,10 +28,14 @@ exactly, including at trap time:
   *segment* boundaries — a segment ends at each instruction that can
   raise — so any trap observes precisely the counts the reference's
   per-instruction accounting would have produced.
-* A fused block checks the instruction budget once on entry against its
-  static length; if the budget could trip inside the block, it falls
-  back to single-stepping so :class:`StepBudgetExceeded` fires at the
-  exact instruction, with the exact message, of the reference.
+* A block checks the instruction budget once on entry against its
+  static length.  If the budget could trip inside the block, it hands
+  the activation (registers, bounds, frame) to the reference
+  interpreter's loop at the block's leader, which raises
+  :class:`StepBudgetExceeded` within the block's instructions, before
+  any call.  The slot past a function's last instruction hands over
+  too, so both traps, their messages, pcs, counts, tracer records and
+  events come from the reference itself.
 * Trap-time cycle corner cases are compensated inline (a poison/bounds-
   trapped access counts its instruction but not its cycle; a division by
   zero charges one cycle less than a completed division).
@@ -57,7 +62,8 @@ carry an instruction tracer), and translations are keyed by
   registration.  When the observer carries a tracer at translate time,
   every instruction is also prefixed with a direct call to the tracer's
   bound ``record`` method, placed exactly where the reference calls it
-  (before the budget check, on pre-execution register values).
+  (on pre-execution register values; a block that hands over records
+  nothing itself, and the reference records from the leader on).
 
 Fault injectors need no translation support at all: they live in the
 shared IFP unit / metadata port, which both engines call through the
@@ -84,8 +90,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import (
-    BoundsTrap, LinkError, PoisonTrap, SimTrap, StepBudgetExceeded,
-    TemporalViolation,
+    BoundsTrap, LinkError, PoisonTrap, SimTrap, TemporalViolation,
 )
 from repro.compiler.ir import IRFunction, Op
 from repro.ifp.bounds import Bounds
@@ -185,19 +190,48 @@ class _Emitted:
         self.ret_expr = ret_expr  #: next-ip expression for _TERM
 
 
+_NO_COUNTS = (0, 0, 0, 0, 0, 0, 0)
+
+
+def _flush(stats, c: List[int]) -> None:
+    """Move the deferred counters ``c`` (see :class:`_Act`) into
+    ``stats`` and zero them."""
+    stats.base_instructions += c[0]
+    stats.promote_instructions += c[1]
+    stats.ifp_arith_instructions += c[2]
+    stats.bounds_ls_instructions += c[3]
+    stats.cycles += c[0] + c[2] + c[3] + c[4]
+    stats.loads += c[5]
+    stats.stores += c[6]
+    c[:] = _NO_COUNTS
+
+
+def _fallback(interp: "FastInterpreter", func: IRFunction):
+    """``_fb(st, ip)``: run the rest of ``func``'s activation from ``ip``
+    in the reference interpreter, then return as a ``ret`` block does.
+    The stats are made current first, as at a call, so the reference
+    loop continues from exactly the state it would have reached."""
+    resume = interp._resume
+    stats = interp.stats
+
+    def _fb(st, ip):
+        _flush(stats, st.c)
+        st.ret, st.retb = resume(func, ip, st.regs, st.bnds, st.frame_base)
+        return -1
+    return _fb
+
+
 class _FuncCompiler:
-    """Compiles one IRFunction into handler lists for a FastInterpreter.
-
-    Produces two views sharing the barrier handlers:
-
-    * ``fused`` — basic blocks collapsed into one compiled function each,
-      used by every dispatch loop, deadline-armed or not;
-    * ``singles`` — one handler per instruction, used only by the
-      near-budget fallback of fused blocks.
+    """Compiles one IRFunction into its handler table for a
+    FastInterpreter: one compiled block per leader (see
+    :meth:`compile_fused`), used by every dispatch loop, deadline-armed
+    or not.
 
     Generated source is compiled once per distinct text per process
     (:meth:`_load`): machines translating the same code share one code
-    object while each binds its own namespace.
+    object, and every block of one translation runs in the one namespace
+    ``ns``, where ``_fb`` is the function's hand-over to the reference
+    interpreter.
 
     ``armed`` compiles the machine's observer emits inline, plus its
     tracer's ``record`` calls when it carries one; unarmed produces the
@@ -215,8 +249,7 @@ class _FuncCompiler:
             "U64": U64, "ADDRESS_MASK": ADDRESS_MASK, "_signed": _signed,
             "Bounds": Bounds, "SimTrap": SimTrap, "PoisonTrap": PoisonTrap,
             "BoundsTrap": BoundsTrap, "LinkError": LinkError,
-            "StepBudgetExceeded": StepBudgetExceeded,
-            "I": interp, "stats": interp.stats,
+            "I": interp, "stats": interp.stats, "_flush": _flush,
             "access": interp.hierarchy.access_cycles,
             "mem_load": interp.memory.load_int,
             "mem_store": interp.memory.store_int,
@@ -227,6 +260,7 @@ class _FuncCompiler:
             "call_function": interp.call_function,
             "FBA": interp.functions_by_address,
             "FN": func.name, "LIMIT": interp._limit, "PCLR": _PCLR,
+            "_fb": _fallback(interp, func),
         }
         # Temporal lock-and-key (repro.temporal): check lines are only
         # *emitted* when the machine's registry exists, so a temporal=off
@@ -382,7 +416,8 @@ class _FuncCompiler:
                             [f"regs[{d}] = {address}",
                              f"bnds[{d}] = None"], _SIMPLE)
         if op == Op.CALL or op == Op.CALLPTR:
-            return _Emitted((0, 0, 0, 0, 0, 0, 0), [], _BARRIER)
+            return _Emitted((1, 0, 0, 0, _CALL_EXTRA, 0, 0),
+                            self._emit_call(ins), _BARRIER)
         if op == Op.RET:
             if a >= 0:
                 lines = [f"st.ret = regs[{a}]", f"st.retb = bnds[{a}]"]
@@ -627,16 +662,11 @@ class _FuncCompiler:
                         [f"regs[{d}] = {expr.format(a=aex, b=bex)}",
                          f"bnds[{d}] = None"], _SIMPLE)
 
-    # -- call/callptr (barrier) handlers ------------------------------------
-
-    def _emit_call(self, ins, ip: int) -> List[str]:
-        """Body lines for a call 1-block (flush + dispatch)."""
-        nip = ip + 1
+    def _emit_call(self, ins) -> List[str]:
+        """Lines for a call/callptr barrier: flush, then dispatch."""
         args = ", ".join(f"regs[{r}]" for r in ins.args)
         bounds = ", ".join(f"bnds[{r}]" for r in ins.args)
         lines = [
-            "c[0] += 1",
-            f"c[4] += {_CALL_EXTRA}",
             f"_as = [{args}]",
             f"_bs = [{bounds}]",
         ]
@@ -654,26 +684,18 @@ class _FuncCompiler:
         # Flush the deferred counters before recursing so nested runs
         # see consistent global stats (the reference does the same).
         lines += [
-            "stats.base_instructions += c[0]",
-            "stats.promote_instructions += c[1]",
-            "stats.ifp_arith_instructions += c[2]",
-            "stats.bounds_ls_instructions += c[3]",
-            "stats.cycles += c[0] + c[2] + c[3] + c[4]",
-            "stats.loads += c[5]",
-            "stats.stores += c[6]",
-            "c[0] = c[1] = c[2] = c[3] = c[4] = c[5] = c[6] = 0",
+            "_flush(stats, c)",
             f"_v, _rb = call_function({target}, _as, _bs)",
         ]
         if ins.dst >= 0:
             lines += [f"regs[{ins.dst}] = _v", f"bnds[{ins.dst}] = _rb"]
-        lines.append(f"return {nip}")
         return lines
 
     # -- block assembly ------------------------------------------------------
 
-    def _load(self, signature: str, lines: List[str], extra=None):
-        """Define ``def {signature}:`` with body ``lines`` in a fresh
-        copy of this machine's namespace and return the function.
+    def _load(self, lines: List[str]):
+        """Define ``def _b(st):`` with body ``lines`` in this function's
+        namespace and return it.
 
         The code object comes from the process-wide :data:`_CODE_CACHE`,
         keyed by the full source text, and is compiled only on a miss.
@@ -681,8 +703,7 @@ class _FuncCompiler:
         the namespace ``exec`` fills, never in the code object, so the
         same text always means the same code.
         """
-        src = f"def {signature}:\n" + "".join(
-            f"    {line}\n" for line in lines)
+        src = "def _b(st):\n" + "".join(f"    {line}\n" for line in lines)
         code = _CODE_CACHE.get(src)  # the hit path takes no lock
         if code is None:
             with _CODE_CACHE_LOCK:
@@ -692,61 +713,32 @@ class _FuncCompiler:
                     while len(_CODE_CACHE) >= _CODE_CACHE_CAP:
                         del _CODE_CACHE[next(iter(_CODE_CACHE))]
                     _CODE_CACHE[src] = code
-        ns = dict(self.ns)
-        if extra:
-            ns.update(extra)
-        exec(code, ns)  # noqa: S102 - templates above, literals only
-        return ns[signature.partition("(")[0]]
-
-    def _single_header(self, ip: int) -> List[str]:
-        """Accounting prologue for a 1-instruction block: exact budget
-        check with the reference's message and pc."""
-        return [
-            "e = I.executed + 1",
-            "if e > LIMIT:",
-            "    raise StepBudgetExceeded(",
-            "        f'instruction limit exceeded"
-            " ({e:,} > {LIMIT:,})',",
-            f"        executed=e, limit=LIMIT, pc=(FN, {ip}))",
-            "I.executed = e",
-            "regs = st.regs",
-            "bnds = st.bnds",
-            "c = st.c",
-        ]
+        exec(code, self.ns)  # noqa: S102 - templates above, literals only
+        return self.ns["_b"]
 
     @staticmethod
     def _counter_lines(counts) -> List[str]:
         return [f"c[{i}] += {n}" for i, n in enumerate(counts) if n]
 
-    def compile_single(self, ins, ip: int,
-                       em: Optional[_Emitted] = None) -> object:
-        """One-instruction handler; ``em`` is ``ins``'s fragment when
-        the caller has already emitted it."""
-        if ins.op == Op.CALL or ins.op == Op.CALLPTR:
-            body = self._emit_call(ins, ip)
-        else:
-            if em is None:
-                em = self.emit(ins, ip)
-            body = self._counter_lines(em.counts) + list(em.lines)
-            body.append(f"return {em.ret_expr if em.kind == _TERM else ip + 1}")
-        # the reference records the trace before the budget check, on
-        # pre-execution register values — so does the compiled prologue
-        pre = [f"T(FN, {ip}, INS[{ip}], st.regs)"] if self.trace else []
-        return self._load("_b(st)", pre + self._single_header(ip) + body)
-
-    def compile_block(self, emitted: List[Tuple[int, _Emitted]],
-                      fallback) -> object:
-        """Compile a fused run of >= 2 instructions into one function.
+    def compile_block(self, start: int,
+                      emitted: List[Tuple[int, _Emitted]]) -> object:
+        """Compile the block starting at ``start`` into one function.
 
         ``emitted`` is [(ip, _Emitted), ...] in order; the last entry may
-        be a terminator.  ``fallback`` single-steps from the block start
-        and is taken when the instruction budget could trip inside.
+        be a terminator, and a call barrier is a block of its own.  When
+        the instruction budget could trip inside the block, the function
+        hands the activation to the reference interpreter at ``start``,
+        which raises the budget trap at the exact instruction.  The empty
+        block (the slot past the function's last instruction) always
+        hands over, and the reference raises its fell-off-the-end trap.
         """
+        if not emitted:
+            return self._load([f"return _fb(st, {start})"])
         k = len(emitted)
         header = [
             "e0 = I.executed",
             f"if e0 + {k} > LIMIT:",
-            "    return _fb(st)",
+            f"    return _fb(st, {start})",
             "regs = st.regs",
             "bnds = st.bnds",
             "c = st.c",
@@ -777,22 +769,23 @@ class _FuncCompiler:
                 lines = [f"T(FN, {ip}, INS[{ip}], regs)"] + list(lines)
             for i, n in enumerate(em.counts):
                 seg_counts[i] += n
-            if em.kind == _RAISING:
-                # executed/counters (including this instruction's) must
-                # be current before any statement that can raise
-                close_segment(index + 1)
-                body.extend(lines)
-            elif em.kind == _TERM:
+            if em.kind == _TERM:
                 seg_lines.extend(lines)
                 close_segment(index + 1)
                 body.append(f"return {em.ret_expr}")
                 break
-            else:
+            if em.kind == _SIMPLE:
                 seg_lines.extend(lines)
+            else:
+                # executed/counters (including this instruction's) must
+                # be current before any statement that can raise, and
+                # a call's flush
+                close_segment(index + 1)
+                body.extend(lines)
         else:
             close_segment(k)
             body.append(f"return {emitted[-1][0] + 1}")
-        return self._load("_b(st)", header + body, {"_fb": fallback})
+        return self._load(header + body)
 
     # -- function-level translation ------------------------------------------
 
@@ -803,62 +796,31 @@ class _FuncCompiler:
                 targets.add(ins.target)
         return targets
 
-    def compile_singles(self) -> list:
-        handlers = [self.compile_single(ins, ip)
-                    for ip, ins in enumerate(self.func.instrs)]
-        handlers.append(_make_sentinel(self.func.name))
-        return handlers
-
     def compile_fused(self) -> list:
+        """One handler per block leader, plus the end-of-function slot."""
         instrs = self.func.instrs
         count = len(instrs)
         targets = self.branch_targets()
-        handlers: list = [None] * (count + 1)
-        handlers[count] = _make_sentinel(self.func.name)
-        interp = self.interp
-        func = self.func
+        emitted = [(ip, self.emit(ins, ip)) for ip, ins in enumerate(instrs)]
+        handlers: list = [None] * count
         ip = 0
-        em = None  # the barrier that ended the previous block, if any
         while ip < count:
-            if em is None:
-                em = self.emit(instrs[ip], ip)
-            if em.kind == _BARRIER:
-                handlers[ip] = self.compile_single(instrs[ip], ip)
-                ip += 1
-                em = None
-                continue
-            # grow a block: stop before a barrier or a branch target,
-            # stop after a terminator
-            block = [(ip, em)]
+            # grow a block: a barrier stands alone; otherwise stop before
+            # a barrier or a branch target, and after a terminator
             end = ip + 1
-            em = None
-            while end < count and end not in targets \
-                    and block[-1][1].kind != _TERM:
-                nxt = self.emit(instrs[end], end)
-                if nxt.kind == _BARRIER:
-                    em = nxt
-                    break
-                block.append((end, nxt))
-                end += 1
-            if len(block) == 1:
-                handlers[ip] = self.compile_single(instrs[ip], ip,
-                                                   block[0][1])
-            else:
-                handlers[ip] = self.compile_block(
-                    block, _make_fallback(interp, func, ip, self.armed))
+            if emitted[ip][1].kind != _BARRIER:
+                while (end < count and end not in targets
+                       and emitted[end - 1][1].kind != _TERM
+                       and emitted[end][1].kind != _BARRIER):
+                    end += 1
+            handlers[ip] = self.compile_block(ip, emitted[ip:end])
             # non-leader slots inside the block are never entered (blocks
-            # stop before branch targets); point them at the sentinel's
-            # defensive neighbour anyway for debuggability
-            for inner, _ in block[1:]:
-                handlers[inner] = _make_unreachable(func.name, inner)
+            # stop before branch targets); fill them for debuggability
+            for inner in range(ip + 1, end):
+                handlers[inner] = _make_unreachable(self.func.name, inner)
             ip = end
+        handlers.append(self.compile_block(count, []))
         return handlers
-
-
-def _make_sentinel(name: str):
-    def _h(st):
-        raise SimTrap(f"function {name} fell off the end")
-    return _h
 
 
 def _make_unreachable(name: str, ip: int):
@@ -866,22 +828,6 @@ def _make_unreachable(name: str, ip: int):
         raise AssertionError(
             f"fastpath entered mid-block at {name}+{ip}")
     return _h
-
-
-def _make_fallback(interp: "FastInterpreter", func: IRFunction, base: int,
-                   armed: bool):
-    """Single-step continuation for a block entered too close to the
-    instruction budget: runs the per-instruction handlers (which carry
-    the exact budget check) until the function returns or traps."""
-    def _fb(st):
-        singles = interp._singles.get((func.name, armed))
-        if singles is None:
-            singles = interp._translate_singles(func, armed)
-        ip = base
-        while ip >= 0:
-            ip = singles[ip](st)
-        return -1
-    return _fb
 
 
 class FastInterpreter(Interpreter):
@@ -896,8 +842,6 @@ class FastInterpreter(Interpreter):
         super().__init__(machine)
         #: (function name, armed) -> fused handler list
         self._fused: Dict[Tuple[str, bool], list] = {}
-        #: (function name, armed) -> per-instruction handler list
-        self._singles: Dict[Tuple[str, bool], list] = {}
         #: the (observer, tracer) the cached armed translations are bound
         #: to (compiled code holds the observer and the tracer's bound
         #: method directly)
@@ -915,9 +859,6 @@ class FastInterpreter(Interpreter):
             self._fused = {key: handlers
                            for key, handlers in self._fused.items()
                            if not key[1]}
-            self._singles = {key: handlers
-                             for key, handlers in self._singles.items()
-                             if not key[1]}
             self._armed = armed
 
     def _translate_fused(self, func: IRFunction, armed: bool = False) -> list:
@@ -926,15 +867,15 @@ class FastInterpreter(Interpreter):
         return handlers
 
     def _translate_singles(self, func: IRFunction,
-                           armed: bool = False) -> list:
-        handlers = _FuncCompiler(self, func, armed).compile_singles()
-        self._singles[(func.name, armed)] = handlers
-        return handlers
+                           armed: bool = False) -> None:
+        """Nothing calls this or :meth:`_translate_super`: the fused
+        table is the only compiled tier.  The names stay for per-kind
+        translation profilers that wrap every ``_translate_<kind>``
+        method (they count 0 here)."""
+        return None
 
     def _translate_super(self, func: IRFunction) -> None:
-        """Nothing calls this: the fused table is the only compiled
-        tier.  The name stays for per-kind translation profilers that
-        wrap every ``_translate_<kind>`` method (they count 0 here)."""
+        """See :meth:`_translate_singles`."""
         return None
 
     def _run(self, func: IRFunction, args: List[int],
@@ -981,11 +922,5 @@ class FastInterpreter(Interpreter):
                     ip = handlers[ip](st)
             return st.ret, st.retb
         finally:
-            stats.base_instructions += c[0]
-            stats.promote_instructions += c[1]
-            stats.ifp_arith_instructions += c[2]
-            stats.bounds_ls_instructions += c[3]
-            stats.cycles += c[0] + c[2] + c[3] + c[4]
-            stats.loads += c[5]
-            stats.stores += c[6]
+            _flush(stats, c)
             machine.pop_frame(func.frame_size)

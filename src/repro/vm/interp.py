@@ -124,9 +124,6 @@ class Interpreter:
              arg_bounds: List[Optional[Bounds]]
              ) -> Tuple[int, Optional[Bounds]]:
         machine = self.machine
-        memory = self.memory
-        hierarchy = self.hierarchy
-        stats = self.stats
         frame_base = machine.push_frame(func.frame_size)
         regs: List[int] = [0] * func.num_regs
         bnds: List[Optional[Bounds]] = [None] * func.num_regs
@@ -135,10 +132,26 @@ class Interpreter:
                 regs[preg] = args[index] & U64
                 bnds[preg] = arg_bounds[index] \
                     if index < len(arg_bounds) else None
+        try:
+            return self._resume(func, 0, regs, bnds, frame_base)
+        finally:
+            machine.pop_frame(func.frame_size)
 
+    def _resume(self, func: IRFunction, ip: int, regs: List[int],
+                bnds: List[Optional[Bounds]], frame_base: int
+                ) -> Tuple[int, Optional[Bounds]]:
+        """Execute ``func``'s activation from ``ip`` until it returns.
+
+        The caller owns the frame.  The compiled engine hands an
+        activation over mid-function when a block could exhaust the
+        instruction budget, so this loop is the one place the budget and
+        fell-off-the-end traps are raised."""
+        machine = self.machine
+        memory = self.memory
+        hierarchy = self.hierarchy
+        stats = self.stats
         instrs = func.instrs
         count = len(instrs)
-        ip = 0
         base_i = 0       # base-ISA instructions
         promote_i = 0
         arith_i = 0
@@ -595,7 +608,6 @@ class Interpreter:
             stats.cycles += cycles
             stats.loads += loads
             stats.stores += stores
-            machine.pop_frame(func.frame_size)
 
     # -- tagged pointer arithmetic helper ---------------------------------------
 

@@ -45,9 +45,6 @@ class MachineConfig:
     #: what happens when fixed-size metadata resources run out
     #: (see repro.resil.policy): degrade to untagged pointers or trap
     policy: DegradationPolicy = DEFAULT_POLICY
-    #: wall-clock watchdog for one run (seconds; None disables).  Checked
-    #: coarsely by the interpreter; raises WorkloadTimeout, not a trap.
-    wall_clock_timeout: Optional[float] = None
     #: temporal lock-and-key policy (repro.temporal): "off" reserves no
     #: tag bits and builds no registry (zero cost); "check" arms
     #: promote/deref/free lock==key checks while allocators reuse
@@ -205,14 +202,12 @@ class Machine:
             timeout_seconds: Optional[float] = None) -> RunResult:
         """Execute the program to completion, trap, or instruction limit.
 
-        ``timeout_seconds`` (or ``config.wall_clock_timeout``) arms the
-        wall-clock watchdog; on expiry a :class:`WorkloadTimeout`
-        propagates (it is *not* a guest trap, so it is never reported as
-        a detection) with finalized stats attached.
+        ``timeout_seconds`` arms the wall-clock watchdog; on expiry a
+        :class:`WorkloadTimeout` propagates (it is *not* a guest trap, so
+        it is never reported as a detection) with finalized stats
+        attached.
         """
         entry = entry or self.program.entry
-        timeout = (timeout_seconds if timeout_seconds is not None
-                   else self.config.wall_clock_timeout)
         interp = self.select_interp()
         self.engine_used = ("reference" if interp is self.interp
                             else "fastpath")
@@ -220,7 +215,7 @@ class Machine:
             # let observability consumers label everything they export
             # with the engine that actually produced it
             self.obs.engine = self.engine_used
-        interp.arm_deadline(timeout)
+        interp.arm_deadline(timeout_seconds)
         old_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(40_000)
         exit_code: Optional[int] = None

@@ -331,6 +331,43 @@ class TestChaosCell:
         assert outcome.injections["worker_kill"] == 2
         assert outcome.verdict in ("converged", "quarantined")
 
+    def test_two_worker_kills_never_hang_the_pool(self, tmp_path):
+        # Regression: a worker SIGKILLed while its queue feeder thread
+        # held the lock of a result queue shared by every worker left
+        # the survivors blocked and the parent polling an empty queue
+        # forever.  One subprocess per run, so a hang fails the test
+        # at its timeout instead of wedging the suite.
+        import signal
+        import subprocess
+        import sys
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        script = (
+            f"import sys; sys.path.insert(0, {src!r})\n"
+            "from repro.resil.chaos import (\n"
+            "    HOST_FAULT_CLASSES, ChaosSchedule, run_chaos_cell)\n"
+            "schedule = ChaosSchedule(seed=11, faults=HOST_FAULT_CLASSES,\n"
+            "                         period=2, max_injections=2)\n"
+            "outcome = run_chaos_cell('fuzz', 11, work_dir=sys.argv[1],\n"
+            "                         schedule=schedule, jobs=2)\n"
+            "print(outcome.verdict)\n")
+        for run in range(3):
+            work_dir = tmp_path / f"run{run}"
+            work_dir.mkdir()
+            # its own session, so a hung run's workers die with it
+            child = subprocess.Popen(
+                [sys.executable, "-c", script, str(work_dir)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                start_new_session=True)
+            try:
+                out, err = child.communicate(timeout=60)
+            except subprocess.TimeoutExpired:
+                os.killpg(child.pid, signal.SIGKILL)
+                child.communicate()
+                pytest.fail(f"chaos cell run {run} hung past 60 s")
+            assert child.returncode == 0, err
+            assert out.split()[-1] in ("converged", "quarantined")
+
     def test_cell_metrics_are_numbers_only(self, tmp_path):
         schedule = ChaosSchedule(seed=1, faults=(), max_injections=0)
         outcome = run_chaos_cell(

@@ -21,7 +21,7 @@ import sys
 import pytest
 
 from repro.compiler import CompilerOptions, compile_source
-from repro.compiler.ir import IRFunction
+from repro.compiler.ir import IRFunction, Op
 from repro.errors import (
     MemoryFault, ReproError, StepBudgetExceeded, WorkloadTimeout,
 )
@@ -223,6 +223,25 @@ int main(void) {
 """
 
 
+#: budget-sweep subject: call barriers to a guest function and to
+#: builtins (malloc, ``clock``, free), a promote (the pointer loaded
+#: from ``g``), checked stores, and lone-instruction blocks
+SWEEP = """
+int *g;
+int bump(int i) { int *p = g; p[i] = i; return p[i]; }
+int main(void) {
+    int *p = (int *)malloc(4 * sizeof(int));
+    int i;
+    int s = 0;
+    g = p;
+    for (i = 0; i < 4; i++) s = s + bump(i);
+    s = s + (clock() & 1);
+    free(p);
+    return s;
+}
+"""
+
+
 class TestTrapEquivalence:
     @pytest.mark.parametrize("config", ["wrapped", "subheap"])
     def test_heap_overflow_trap_identical(self, config):
@@ -248,12 +267,46 @@ class TestTrapEquivalence:
         _assert_engines_agree(RECURSE, "wrapped")
 
     def test_budget_trap_identical_inside_loop(self):
-        # The budget fires mid-iteration, inside a fused loop body
-        # (the single-step fallback path).
+        # The budget fires mid-iteration, inside a fused loop body, where
+        # the block hands its activation to the reference interpreter.
         run = _assert_engines_agree(LOOPY, "baseline",
                                     max_instructions=150)
         assert run["trap"][0] == "StepBudgetExceeded"
         assert run["trap"][2] == 151
+        # Every budget from 1 to the run's length, so the budget fires
+        # at every dynamic instruction: in each block, at each call
+        # barrier, the promote and the checked stores; disarmed and
+        # with the observer and its tracer armed.
+        from dataclasses import replace
+        program = compile_source(SWEEP, build_options("wrapped"))
+        config = build_machine_config("wrapped")
+        machine = Machine(program, config)
+        assert machine.run().trap is None
+        total = machine._fast.executed
+        table = machine._fast._fused[("bump", False)]
+        instrs = program.functions["bump"].instrs
+        assert any(table[ip].__name__ == table[ip + 1].__name__ == "_b"
+                   and instrs[ip].op not in (Op.CALL, Op.CALLPTR)
+                   for ip in range(len(instrs))), \
+            "no lone-instruction block"
+        for budget in range(1, total + 1):
+            limited = replace(config, max_instructions=budget)
+            reference = _observables(program, limited, "reference")
+            trap = reference["trap"]
+            if budget < total:
+                assert trap[0] == "StepBudgetExceeded"
+                assert trap[2] == budget + 1
+            else:
+                assert trap is None
+            assert _observables(program, limited, "auto") == reference, \
+                f"disarmed auto diverged at budget {budget}"
+            reference = _instrumented_observables(program, limited,
+                                                  "reference")
+            compiled = _instrumented_observables(program, limited, "auto")
+            assert compiled.pop("engine_used") == "fastpath"
+            assert reference.pop("engine_used") == "reference"
+            assert compiled == reference, \
+                f"armed auto diverged at budget {budget}"
 
     @pytest.mark.parametrize("temporal", ["check", "quarantine"])
     def test_temporal_modes_identical(self, temporal):
@@ -345,23 +398,20 @@ class TestDeadlineTier:
         longest = max(len(f.instrs) for f in program.functions.values())
         assert ref.executed <= exc.executed < ref.executed + longest
         assert exc.stats is not None
-        assert machine._fast._singles == {}
 
     def test_armed_run_builds_no_singles(self):
         program = compile_source(RECURSE, build_options("wrapped"))
         machine = Machine(program, build_machine_config("wrapped"))
         result = machine.run(timeout_seconds=ARMED_TIMEOUT)
         assert result.trap is None
-        assert machine._fast._singles == {}
         assert {key[0] for key in machine._fast._fused} >= {"main", "add"}
 
-    def test_budget_fallback_still_single_steps(self):
+    def test_budget_fallback_resumes_in_reference(self):
         program = compile_source(SPIN, CompilerOptions.baseline())
         machine = Machine(program, MachineConfig(max_instructions=10_000))
         result = machine.run(timeout_seconds=ARMED_TIMEOUT)
         assert isinstance(result.trap, StepBudgetExceeded)
         assert result.trap.executed == 10_001
-        assert machine._fast._singles
 
     def test_fault_injected_armed_runs_identical(self):
         # Campaign cells arm an injector and the watchdog together.

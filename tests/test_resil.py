@@ -166,10 +166,9 @@ class TestWatchdog:
     """
 
     def test_infinite_guest_times_out(self):
-        machine = _machine(self.INFINITE, CompilerOptions.baseline(),
-                           wall_clock_timeout=0.2)
+        machine = _machine(self.INFINITE, CompilerOptions.baseline())
         with pytest.raises(WorkloadTimeout) as info:
-            machine.run()
+            machine.run(timeout_seconds=0.2)
         exc = info.value
         assert exc.seconds == pytest.approx(0.2)
         assert exc.executed > 0
