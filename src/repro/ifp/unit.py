@@ -102,12 +102,11 @@ class MetadataPort:
         #: set by the promote engine so injected corruption can target
         #: metadata words vs. layout-table entries
         self.phase = None
-        # Trace-recording stack for the host-side promote/layout caches:
-        # each frame is ``[loads, extra]`` where ``loads`` is the ordered
-        # (address, size) fetch sequence and ``extra`` the deterministic
-        # add_cycles total.  Nested frames (a layout-walk recording inside
-        # a promote recording) merge into their parent on end_trace.
-        self._trace_stack = []
+        # Recording of the promote-cache miss in flight: ``[loads,
+        # extra]`` where ``loads`` is the ordered (address, size) fetch
+        # sequence and ``extra`` the deterministic add_cycles total; None
+        # when nothing records.
+        self._trace = None
 
     def load(self, address: int, size: int) -> int:
         self.loads += 1
@@ -121,8 +120,8 @@ class MetadataPort:
                 self.cycles += 1
             self._buffered_line = last_line
         value = self.memory.load_int(address, size)
-        if self._trace_stack:
-            self._trace_stack[-1][0].append((address, size))
+        if self._trace is not None:
+            self._trace[0].append((address, size))
         if self.faults is not None:
             value = self.faults.on_metadata_load(address, size, value,
                                                  self.phase)
@@ -130,31 +129,20 @@ class MetadataPort:
 
     def add_cycles(self, cycles: int) -> None:
         self.cycles += cycles
-        if self._trace_stack:
-            self._trace_stack[-1][1] += cycles
+        if self._trace is not None:
+            self._trace[1] += cycles
 
     # -- cache support: record / replay fetch sequences -----------------------
 
     def begin_trace(self) -> None:
-        """Start recording the fetch sequence (nestable)."""
-        self._trace_stack.append([[], 0])
+        """Start recording the fetch sequence."""
+        self._trace = [[], 0]
 
     def end_trace(self):
-        """Stop recording; returns ``(loads, extra)`` and folds the frame
-        into the enclosing recording, if any."""
-        loads, extra = self._trace_stack.pop()
-        if self._trace_stack:
-            outer = self._trace_stack[-1]
-            outer[0].extend(loads)
-            outer[1] += extra
+        """Stop recording; returns ``(loads, extra)``."""
+        loads, extra = self._trace
+        self._trace = None
         return loads, extra
-
-    def trace_mark(self):
-        """Snapshot ``(loads so far, extra so far)`` of the current
-        recording frame; the promote engine uses it to split a recorded
-        trace at the metadata/layout phase boundary."""
-        frame = self._trace_stack[-1]
-        return len(frame[0]), frame[1]
 
     def replay(self, trace, extra: int) -> None:
         """Re-apply a recorded fetch sequence without touching memory.
@@ -177,10 +165,6 @@ class MetadataPort:
                     self.cycles += 1
                 self._buffered_line = last_line
         self.cycles += extra
-        if self._trace_stack:
-            frame = self._trace_stack[-1]
-            frame[0].extend(trace)
-            frame[1] += extra
 
 
 @dataclass
@@ -208,11 +192,13 @@ class IFPUnitStats:
     # change nothing about simulated cycles/loads, only host work).
     mac_cache_hits: int = 0
     mac_cache_misses: int = 0
+    #: always 0; kept only because the frozen perfbench ledger reads it
     layout_cache_hits: int = 0
+    #: always 0; kept only because the frozen perfbench ledger reads it
     layout_cache_misses: int = 0
     promote_cache_hits: int = 0
     promote_cache_misses: int = 0
-    #: promotes served straight from the last-promote memo
+    #: always 0; kept only because the frozen perfbench ledger reads it
     promote_elisions: int = 0
     #: entries dropped by a clear-on-full (capacity pressure)
     promote_cache_evictions: int = 0
@@ -227,7 +213,7 @@ class IFPUnitStats:
 
 #: counters that track cache queries themselves — excluded from the
 #: promote-cache's replayed stat deltas (a replayed promote performs no
-#: MAC/layout-cache queries)
+#: MAC-memo queries) and from perfbench's golden digests
 _CACHE_COUNTER_FIELDS = frozenset((
     "mac_cache_hits", "mac_cache_misses",
     "layout_cache_hits", "layout_cache_misses",
@@ -240,11 +226,11 @@ _CACHE_COUNTER_FIELDS = frozenset((
 #: deltas: ``promote_cycles`` because a replay recomputes it from the
 #: live metadata-port cycle delta (line-buffer state differs per
 #: replay), and the cache counters because a replayed promote performs
-#: no MAC/layout-cache queries
+#: no MAC-memo queries
 _PROMOTE_DELTA_EXCLUDED = _CACHE_COUNTER_FIELDS | {"promote_cycles"}
 
 #: capacity bounding host memory under adversarial inputs; a full cache
-#: is cleared (as the MAC and layout-walk caches are)
+#: is cleared (as the MAC memo is)
 _PROMOTE_CACHE_CAPACITY = 1 << 16
 
 
@@ -274,24 +260,13 @@ class IFPUnit:
         #: attached by the Machine when ``MachineConfig.temporal`` is not
         #: "off"; None keeps promote free of any lock probing
         self.temporal = None
-        # Host-side result caches.  Both are active under *both* execution
-        # engines (reference and fastpath), which is what keeps RunStats /
-        # IFPUnitStats trivially identical across engines; they are
-        # bypassed whenever a fault injector is armed.  An armed observer
-        # no longer bypasses them: each entry carries a phase-split trace
-        # plus the static facts of its emissions, so a replay re-emits the
-        # exact event sequence a recomputed promote would.
+        # The one host-side promote cache.  It is active under *both*
+        # execution engines (reference and fastpath), which is what keeps
+        # RunStats / IFPUnitStats trivially identical across engines.  A
+        # fault injector or an observer bypasses it, so those runs see
+        # every promote (and every layout walk) computed live.
         self._promote_cache = {}      # version-vector key -> entry
         self._promote_deps = {}       # 64-byte line -> {keys}
-        self._layout_cache = {}       # (layout_ptr, subobject_index) -> walk
-        self._layout_env = (0, 0)     # [base, end) of compile-time tables
-        # Last-promote memo: valid while no entry has been dropped since
-        # it was set.  ``_inval_epoch`` bumps whenever any cached promote
-        # is discarded (store snoop, clear-on-full, unmap), which
-        # over-approximates "this memo's entry died" safely.
-        self._memo = None             # (key, entry) of the last promote
-        self._memo_epoch = -1
-        self._inval_epoch = 0
         # The unit must see every guest store (line-buffer staleness +
         # cache invalidation), so it claims the memory's snoop hooks.
         memory.watcher = self.snoop_store
@@ -299,23 +274,13 @@ class IFPUnit:
 
     # -- cache plumbing --------------------------------------------------------
 
-    def set_layout_envelope(self, base: int, end: int) -> None:
-        """Declare the loader's contiguous layout-table region.
-
-        Only walks whose ``layout_ptr`` falls inside the envelope are
-        cached, so store-snooping the region with two compares is a sound
-        invalidation rule (pointers outside it — e.g. forged by a fuzzed
-        guest — always walk live).
-        """
-        self._layout_env = (base, end)
-
     def snoop_store(self, address: int, size: int) -> None:
         """Guest-store snoop (installed as ``Memory.watcher``).
 
         Keeps the metadata line buffer honest (a store to the buffered
         line must force the next promote to re-fetch it — cycle-model
-        fidelity) and invalidates host-side cache entries whose recorded
-        fetches overlap the stored lines.
+        fidelity) and drops promote-cache entries whose recorded fetches
+        overlap the stored lines.
         """
         first = address >> 6
         last = (address + size - 1) >> 6
@@ -323,10 +288,6 @@ class IFPUnit:
         buffered = port._buffered_line
         if buffered >= 0 and first <= buffered <= last:
             port._buffered_line = -1
-        if self._layout_cache:
-            lo, hi = self._layout_env
-            if address < hi and address + size > lo:
-                self._layout_cache.clear()
         deps = self._promote_deps
         if not deps:
             return
@@ -340,32 +301,28 @@ class IFPUnit:
                         dropped += 1
         if dropped:
             self.stats.promote_cache_invalidations += dropped
-            self._inval_epoch += 1
 
     def on_unmap(self, base: int, size: int) -> None:
         """Unmap snoop (installed as ``Memory.unmap_watcher``): flush the
-        promote and layout-walk caches — unmapped metadata must fault
-        again on promote."""
+        promote cache — unmapped metadata must fault again on promote."""
         self._promote_cache.clear()
         self._promote_deps.clear()
-        self._inval_epoch += 1
-        self._layout_cache.clear()
 
     # -- the promote instruction ----------------------------------------------
 
     def promote(self, pointer: int) -> PromoteResult:
         """Execute one promote; returns the resulting IFPR.
 
-        Unless a fault injector is armed, results are served from /
-        recorded into the promote cache keyed by the version vector
-        ``(pointer, control.version[, registry.version])``; a
-        replay re-applies the recorded stat deltas and fetch trace through
-        the live metadata port, so every simulated observable (cycles,
-        loads, L1 state, counters) matches a recomputed promote exactly.
-        With an observer armed the replay additionally re-emits the
-        recorded event script with live-recomputed cycle payloads.
+        Unless a fault injector or an observer is armed, results are
+        served from / recorded into the promote cache keyed by the
+        version vector ``(pointer, control.version[, registry.version])``;
+        a replay re-applies the recorded stat deltas and fetch trace
+        through the live metadata port, so every simulated observable
+        (cycles, loads, L1 state, counters) matches a recomputed promote
+        exactly.  Armed runs take :meth:`_promote_execute`, the oracle.
         """
-        if self.faults is None and self.port.faults is None:
+        if self.faults is None and self.port.faults is None \
+                and self.obs is None:
             stats = self.stats
             registry = self.temporal
             # the registry version joins the key so a free/realloc (or an
@@ -373,98 +330,51 @@ class IFPUnit:
             # register whose temporal fact is stale
             key = ((pointer, self.control.version) if registry is None
                    else (pointer, self.control.version, registry.version))
-            memo = self._memo
-            if memo is not None and self._memo_epoch == self._inval_epoch \
-                    and memo[0] == key:
-                stats.promote_elisions += 1
-                return self._replay_promote(memo[1])
             cached = self._promote_cache.get(key)
             if cached is not None:
                 stats.promote_cache_hits += 1
-                self._memo = (key, cached)
-                self._memo_epoch = self._inval_epoch
                 return self._replay_promote(cached)
             stats.promote_cache_misses += 1
             before = stats.__dict__.copy()
             port = self.port
             port.begin_trace()
-            rec: list = []
             try:
-                result = self._promote_execute(pointer, rec)
+                result = self._promote_execute(pointer)
             finally:
                 trace, extra = port.end_trace()
             after = stats.__dict__
             excluded = _PROMOTE_DELTA_EXCLUDED
-            deltas = [(name, after[name] - value)
-                      for name, value in before.items()
-                      if after[name] != value and name not in excluded]
-            self._remember_promote(key, result, trace, extra, deltas, rec)
+            deltas = tuple((name, after[name] - value)
+                           for name, value in before.items()
+                           if after[name] != value and name not in excluded)
+            self._insert_promote(key, (
+                result.pointer, result.bounds, result.outcome,
+                result.narrowed, result.narrow_attempted,
+                trace, extra, deltas))
             return result
         return self._promote_execute(pointer)
 
     def _replay_promote(self, entry) -> PromoteResult:
         (pointer, bounds, outcome, narrowed, narrow_attempted,
-         trace, extra, deltas, script) = entry
+         trace, extra, deltas) = entry
         stats = self.stats
         for name, delta in deltas:
             setattr(stats, name, getattr(stats, name) + delta)
         port = self.port
         start = port.cycles
-        obs = self.obs
-        if obs is None or script is None:
-            port.replay(trace, extra)
-        else:
-            # Re-emit the recorded event script at the reference sites:
-            # metadata_fetch after the metadata-phase fetches (cycle
-            # payload recomputed from the live line-buffer state, exactly
-            # as an uncached promote would observe it), then mac_verify,
-            # then the layout-phase fetches, then the narrow verdict.
-            (meta_trace, meta_extra, post_trace, post_extra,
-             scheme, metadata_ok, mac_checked, narrow) = script
-            port.replay(meta_trace, meta_extra)
-            obs.metadata_fetch(scheme, len(meta_trace),
-                               port.cycles - start, metadata_ok)
-            if mac_checked:
-                obs.mac_verify(scheme, metadata_ok)
-            if post_trace or post_extra:
-                port.replay(post_trace, post_extra)
-            if narrow is not None:
-                obs.narrow(narrow)
+        port.replay(trace, extra)
         cycles = self.config.promote_base_cycles + (port.cycles - start)
         stats.promote_cycles += cycles
         return PromoteResult(pointer, bounds, outcome, narrowed=narrowed,
                              narrow_attempted=narrow_attempted, cycles=cycles)
 
-    def _remember_promote(self, key, result: PromoteResult, trace,
-                          extra: int, deltas, rec) -> None:
-        if rec:
-            # split the trace at the metadata/layout phase boundary and
-            # keep the static emission facts, so the entry can replay
-            # under an armed observer as well as a disarmed one
-            meta_len, meta_extra, scheme, metadata_ok, mac_checked, \
-                narrow = rec
-            script = (tuple(trace[:meta_len]), meta_extra,
-                      tuple(trace[meta_len:]), extra - meta_extra,
-                      scheme, metadata_ok, mac_checked, narrow)
-        else:
-            script = None  # bypass outcome: no fetches, no emissions
-        entry = (result.pointer, result.bounds, result.outcome,
-                 result.narrowed, result.narrow_attempted,
-                 trace, extra, tuple(deltas), script)
-        self._insert_promote(key, entry)
-        self._memo = (key, entry)
-        self._memo_epoch = self._inval_epoch
-
     def _insert_promote(self, key, entry) -> None:
         cache = self._promote_cache
         deps = self._promote_deps
         if len(cache) >= _PROMOTE_CACHE_CAPACITY:
-            # clear-on-full; the memo may reference a dropped entry, so
-            # the invalidation epoch must advance
             self.stats.promote_cache_evictions += len(cache)
             cache.clear()
             deps.clear()
-            self._inval_epoch += 1
         cache[key] = entry
         lines = set()
         for address, size in entry[5]:
@@ -480,12 +390,9 @@ class IFPUnit:
             else:
                 bucket.add(key)
 
-    def _promote_execute(self, pointer: int, rec=None) -> PromoteResult:
-        """The uncached promote path (paper Figure 5, exactly as before).
-
-        ``rec``, when a list, collects the cache-entry script: the
-        metadata-phase trace mark plus the static facts of every observer
-        emission, in emission order."""
+    def _promote_execute(self, pointer: int) -> PromoteResult:
+        """The uncached promote path (paper Figure 5): the oracle every
+        promote-cache replay must reproduce."""
         stats = self.stats
         config = self.config
         stats.promotes_total += 1
@@ -534,11 +441,6 @@ class IFPUnit:
                 address, tag, self.port, self.control)
         self.port.phase = None
 
-        if rec is not None:
-            mark = self.port.trace_mark()
-            rec += (mark[0], mark[1], tag.scheme.name,
-                    metadata is not None, mac_checked)
-
         obs = self.obs
         if obs is not None:
             obs.metadata_fetch(tag.scheme.name,
@@ -552,8 +454,6 @@ class IFPUnit:
             stats.promotes_metadata_invalid += 1
             if mac_checked:
                 stats.mac_failures += 1
-            if rec is not None:
-                rec.append(None)  # no narrow emission on this path
             cycles = (config.promote_base_cycles
                       + (self.port.cycles - start_cycles))
             stats.promote_cycles += cycles
@@ -588,28 +488,20 @@ class IFPUnit:
                             "promote", pointer, tbase, tkey, t_entry)
 
         # 4. Subobject narrowing.
-        narrow_event = None
         subobject_index = tag.subobject_index(config)
         if subobject_index != 0:
             narrow_attempted = True
             stats.narrow_attempts += 1
             if not config.narrowing_enabled or metadata.layout_ptr == 0:
                 stats.narrow_no_layout_table += 1
-                narrow_event = ("disabled" if not config.narrowing_enabled
-                                else "no_layout_table")
                 if obs is not None:
-                    obs.narrow(narrow_event)
+                    obs.narrow("disabled" if not config.narrowing_enabled
+                               else "no_layout_table")
             else:
-                walk_cache = None
-                if self.faults is None and self.port.faults is None:
-                    env_lo, env_hi = self._layout_env
-                    if env_lo <= metadata.layout_ptr < env_hi:
-                        walk_cache = self._layout_cache
                 self.port.phase = "layout"
                 result = narrow_bounds(self.port, config,
                                        metadata.layout_ptr, bounds,
-                                       address, subobject_index,
-                                       walk_cache, stats)
+                                       address, subobject_index)
                 self.port.phase = None
                 if result.exact:
                     stats.narrow_success += 1
@@ -617,12 +509,8 @@ class IFPUnit:
                 else:
                     stats.narrow_walk_failures += 1
                 bounds = result.bounds
-                narrow_event = "ok" if result.exact else "walk_failure"
                 if obs is not None:
-                    obs.narrow(narrow_event)
-
-        if rec is not None:
-            rec.append(narrow_event)
+                    obs.narrow("ok" if result.exact else "walk_failure")
 
         # 5. Re-attach the temporal fact to whatever bounds narrowing
         # produced, so implicit deref checks keep comparing lock == key.

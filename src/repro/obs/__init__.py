@@ -37,7 +37,7 @@ from repro.obs.events import (
 )
 from repro.obs.forensics import ForensicsReport, capture_forensics
 from repro.obs.metrics import (
-    SCHEMA, SCHEMA_V2, load_metrics, metrics_document, stats_to_dict,
+    SCHEMA_V2, load_metrics, metrics_document, stats_to_dict,
     to_prometheus, validate_document, write_bench, write_metrics,
 )
 from repro.obs.observer import Observer, attach_observer
@@ -48,7 +48,7 @@ __all__ = [
     "Event", "EventBus", "FaultEvent",
     "ForensicsReport", "HotSiteProfiler", "MacVerifyEvent",
     "MetadataFetchEvent", "NarrowEvent", "Observer", "PromoteEvent",
-    "SCHEMA", "SCHEMA_V2", "SchemeAssignEvent", "SiteStats",
+    "SCHEMA_V2", "SchemeAssignEvent", "SiteStats",
     "TraceContext", "TrapEvent",
     "attach_observer", "capture_forensics", "load_metrics",
     "metrics_document", "stats_to_dict", "to_prometheus",

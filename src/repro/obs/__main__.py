@@ -9,7 +9,7 @@ Examples::
     python -m repro.obs report --workload ft --metrics-out ft.json \\
         --prometheus
 
-    # rank workload cells by IFP-unit cache hit/miss/elision counters
+    # rank workload cells by IFP-unit cache hit/miss counters
     python -m repro.obs report --workload treeadd,coremark --hotpath
 
     # trap forensics demo: a forced intra-object overflow
@@ -173,9 +173,8 @@ def render_hotpath(cells: "dict[str, object]") -> str:
     ``cells`` maps ``"<workload>/<config>"`` to that run's
     :class:`~repro.ifp.unit.IFPUnitStats`.  Cells are ranked by
     promote-cache misses — the promotes that still walk metadata on the
-    host after the promote-result cache and the promote memo have
-    taken their share — so the top row is where IFP-unit host time
-    concentrates.
+    host after the promote-result cache has taken its share — so the
+    top row is where IFP-unit host time concentrates.
     """
     def rate(hits: int, misses: int) -> str:
         total = hits + misses
@@ -184,25 +183,19 @@ def render_hotpath(cells: "dict[str, object]") -> str:
     ranked = sorted(cells.items(),
                     key=lambda item: item[1].promote_cache_misses,
                     reverse=True)
-    header = (f"{'cell':24s} {'promotes':>9s} {'elided':>7s} "
-              f"{'cache':>6s} {'mac':>6s} {'walk':>6s} "
+    header = (f"{'cell':24s} {'promotes':>9s} {'cache':>6s} {'mac':>6s} "
               f"{'miss':>8s} {'inval':>6s}")
     lines = [header, "-" * len(header)]
     for key, ifp in ranked:
-        valid = ifp.promotes_valid or 0
-        elided = (f"{100.0 * ifp.promote_elisions / valid:5.1f}%"
-                  if valid else "    —")
         lines.append(
-            f"{key:24s} {valid:9d} {elided:>7s} "
+            f"{key:24s} {ifp.promotes_valid:9d} "
             f"{rate(ifp.promote_cache_hits, ifp.promote_cache_misses):>6s} "
             f"{rate(ifp.mac_cache_hits, ifp.mac_cache_misses):>6s} "
-            f"{rate(ifp.layout_cache_hits, ifp.layout_cache_misses):>6s} "
             f"{ifp.promote_cache_misses:8d} "
             f"{ifp.promote_cache_invalidations:6d}")
     lines.append(
-        "elided = promotes served by the promote memo; cache/mac/"
-        "walk = hit rates of the promote-result, MAC, and layout-walk "
-        "caches; miss = promotes still walking metadata on the host; "
+        "cache/mac = hit rates of the promote-result cache and the MAC "
+        "memo; miss = promotes still walking metadata on the host; "
         "inval = store-snoop invalidations")
     return "\n".join(lines)
 
@@ -354,7 +347,7 @@ def main(argv=None) -> int:
                              "--workload (comma list allowed) under "
                              "these configs (default baseline,subheap) "
                              "and rank the cells by IFP-unit promote-"
-                             "path cache hit/miss/elision counters")
+                             "path cache hit/miss counters")
     report.set_defaults(func=_cmd_report)
 
     forensics = sub.add_parser(

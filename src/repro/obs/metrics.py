@@ -24,11 +24,6 @@ a run ("fastpath"/"reference") and the
 :class:`~repro.obs.events.TraceContext` correlation ids (tenant, job,
 shard, seed).  ``to_prometheus`` merges them into every exposition
 line's label set.
-
-Only v2 is written.  Schema v1 (``repro.obs.metrics/v1``) is the same
-shape without ``labels``; :func:`validate_document` and
-:func:`load_metrics` still accept it, so committed v1 artifacts (bench
-baselines) keep loading.
 """
 
 from __future__ import annotations
@@ -39,9 +34,7 @@ import time
 from dataclasses import fields
 from typing import Any, Dict, List, Optional, Union
 
-#: the legacy schema, still read (never written)
-SCHEMA = "repro.obs.metrics/v1"
-#: the schema every document is written in
+#: the schema every document is written and read in
 SCHEMA_V2 = "repro.obs.metrics/v2"
 
 
@@ -110,9 +103,8 @@ def validate_document(doc: Any) -> List[str]:
     if not isinstance(doc, dict):
         return [f"document: expected object, got {type(doc).__name__}"]
     schema = doc.get("schema")
-    if schema not in (SCHEMA, SCHEMA_V2):
-        errors.append(f"schema: expected {SCHEMA!r} or {SCHEMA_V2!r}, "
-                      f"got {schema!r}")
+    if schema != SCHEMA_V2:
+        errors.append(f"schema: expected {SCHEMA_V2!r}, got {schema!r}")
     if not isinstance(doc.get("name"), str) or not doc.get("name"):
         errors.append("name: expected non-empty string")
     timestamp = doc.get("timestamp")
@@ -127,15 +119,13 @@ def validate_document(doc: Any) -> List[str]:
         errors.append("metrics: expected object")
     else:
         _check_metrics(metrics, "metrics", errors)
-    allowed = {"schema", "name", "timestamp", "config", "metrics"}
-    if schema == SCHEMA_V2:
-        allowed.add("labels")
-        labels = doc.get("labels", {})
-        if not isinstance(labels, dict) or any(
-                not isinstance(key, str) or not isinstance(value, str)
-                for key, value in labels.items()):
-            errors.append("labels: expected flat string-to-string "
-                          "mapping")
+    labels = doc.get("labels", {})
+    if not isinstance(labels, dict) or any(
+            not isinstance(key, str) or not isinstance(value, str)
+            for key, value in labels.items()):
+        errors.append("labels: expected flat string-to-string mapping")
+    allowed = {"schema", "name", "timestamp", "config", "metrics",
+               "labels"}
     for key in doc:
         if key not in allowed:
             errors.append(f"{key}: unknown top-level field")
@@ -187,7 +177,7 @@ def _sanitize(label: str) -> str:
 def to_prometheus(doc: Dict[str, Any]) -> str:
     """Render one document in Prometheus exposition text format.
 
-    v2 documents' ``labels`` (engine/correlation) join the per-line
+    The document's ``labels`` (engine/correlation) join the per-line
     label set after ``name`` and ``config``.
     """
     config = doc["config"]

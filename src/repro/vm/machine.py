@@ -114,10 +114,6 @@ class Machine:
         self.stats = RunStats()
         self.image: LoadedImage = load_program(program, self.memory,
                                                self.layout)
-        # Tell the IFP unit where the loader placed the compile-time
-        # layout tables, enabling its store-snooped walk cache.
-        self.ifp.set_layout_envelope(self.image.layout_tables_base,
-                                     self.image.layout_tables_end)
         self.output_parts: List[str] = []
         self.rand_state = 0x2545F491
         self.clock_cycles_base = 0

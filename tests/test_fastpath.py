@@ -75,6 +75,14 @@ def _assert_engines_agree(source: str, config_name: str,
     return reference
 
 
+def _simulated(observables):
+    """``observables`` minus the host-side cache counters, which are the
+    only fields the promote cache may move."""
+    for name in ifp_unit._CACHE_COUNTER_FIELDS:
+        del observables["stats"]["ifp"][name]
+    return observables
+
+
 # ---------------------------------------------------------------------------
 # engine selection
 # ---------------------------------------------------------------------------
@@ -323,15 +331,6 @@ class TestTrapEquivalence:
                 assert _observables(program, config, "auto",
                                     timeout) == reference, \
                     f"auto diverged ({temporal}, {timeout})"
-
-    def test_elision_counters_engine_identical(self):
-        # promote_elisions counts hits of the IFP unit's last-promote
-        # memo; both engines call the same unit.promote at the same
-        # dynamic sites, so the memo must fire equally often.
-        run = _assert_engines_agree(WORKLOADS["treeadd"].source(1),
-                                    "subheap",
-                                    max_instructions=200_000_000)
-        assert run["stats"]["ifp"]["promote_elisions"] > 0
 
     def test_fastpath_wall_clock_watchdog_fires(self):
         program = compile_source(SPIN, CompilerOptions.baseline())
@@ -698,8 +697,8 @@ class TestWorkloadDifferential:
                                     max_instructions=200_000_000)
         assert run["trap"] is None
         # The IFP cache counters travel inside stats.ifp: their equality
-        # above proves the promote/walk/MAC caches behave structurally
-        # identically under both engines.
+        # above proves the promote cache and the MAC memo behave
+        # structurally identically under both engines.
         assert "promote_cache_hits" in run["stats"]["ifp"]
 
 
@@ -855,6 +854,12 @@ class TestInstrumentedDifferential:
         assert observed.exit_code == plain.exit_code
         assert observed.output == plain.output
         assert obs.bus.emitted > 0
+        # an armed observer bypasses the promote cache: it sees every
+        # promote computed live
+        assert plain.stats.ifp.promote_cache_hits > 0
+        assert observed.stats.ifp.promotes_total > 0
+        assert observed.stats.ifp.promote_cache_hits == \
+            observed.stats.ifp.promote_cache_misses == 0
         armed = {key[1] for key in machine2._fast._fused}
         assert armed <= {False, True} and True in armed
 
@@ -963,14 +968,7 @@ class TestCacheCoherence:
         program = compile_source(WORKLOADS["treeadd"].source(1),
                                  build_options("subheap"))
         config = build_machine_config("subheap", 200_000_000)
-
-        def simulated(observables):
-            ifp = observables["stats"]["ifp"]
-            for name in ifp_unit._CACHE_COUNTER_FIELDS:
-                del ifp[name]
-            return observables
-
-        uncapped = simulated(_observables(program, config, "reference"))
+        uncapped = _simulated(_observables(program, config, "reference"))
         cap = 8
         monkeypatch.setattr(ifp_unit, "_PROMOTE_CACHE_CAPACITY", cap)
         largest = [0]
@@ -988,7 +986,7 @@ class TestCacheCoherence:
         assert runs["reference"]["stats"]["ifp"][
             "promote_cache_evictions"] > 0
         assert 0 < largest[0] <= cap
-        assert simulated(runs["reference"]) == uncapped
+        assert _simulated(runs["reference"]) == uncapped
 
     def test_unmap_flushes_cached_promote(self):
         # Unmapping a pointer's metadata page must make the next promote
@@ -1018,15 +1016,126 @@ class TestCacheCoherence:
         ifp = machine.ifp
         ifp.promote(pointer)
         ifp.promote(pointer)
-        assert ifp.stats.promote_elisions == 1
+        assert ifp.stats.promote_cache_hits == 1
         machine.memory.unmap_range(obj, 0x1000)
         assert not ifp._promote_cache
         before = simulated_stats(ifp)
         with pytest.raises(MemoryFault) as fault:
             ifp.promote(pointer)
         assert str(fault.value) == str(cold_fault.value)
-        assert ifp.stats.promote_elisions == 1
+        assert ifp.stats.promote_cache_hits == 1
         assert ifp.stats.promote_cache_misses == 2
         after = simulated_stats(ifp)
         assert {name: after[name] - before[name]
                 for name in after} == simulated_stats(cold.ifp)
+
+
+# ---------------------------------------------------------------------------
+# the promote cache against its oracle, the uncached promote
+# ---------------------------------------------------------------------------
+
+#: a use-after-free through a global: the freed pointer's second promote
+#: must see the dead lock (or the poisoned metadata) live, not a replay
+GLOBAL_UAF = """
+struct cell { int v; };
+struct cell *g;
+int main(void) {
+    g = (struct cell *)malloc(sizeof(struct cell));
+    g->v = 5;
+    int x = g->v;
+    free(g);
+    return x + g->v;
+}
+"""
+
+ORACLE_WORKLOADS = [
+    ("treeadd", "subheap"), ("em3d", "subheap"), ("health", "subheap"),
+    ("mst", "wrapped"), ("perimeter", "wrapped"),
+]
+
+#: the differential seeds plus seeds whose sites carry the lifetime
+#: attacks (uaf, double_free, realloc_stale)
+ORACLE_FUZZ_SEEDS = FUZZ_SEEDS + [5, 38, 46, 56]
+
+
+class TestPromoteOracle:
+    """Every input runs twice: once as is, and once with
+    ``IFPUnit.promote`` replaced by the uncached ``_promote_execute``.
+    Bar the cache counters, the two runs must be identical — traps,
+    output, simulated cycles and every IFP counter."""
+
+    @staticmethod
+    def _assert_matches_oracle(monkeypatch, observe):
+        cached = _simulated(observe())
+        with monkeypatch.context() as patch:
+            patch.setattr(ifp_unit.IFPUnit, "promote",
+                          ifp_unit.IFPUnit._promote_execute)
+            oracle = observe()
+        assert oracle["stats"]["ifp"]["promote_cache_misses"] == 0
+        assert cached == _simulated(oracle)
+        return cached
+
+    def _assert_program_matches_oracle(self, monkeypatch, source,
+                                       config_name, temporal="off"):
+        program = compile_source(source, build_options(config_name))
+        config = build_machine_config(config_name, temporal=temporal)
+        return self._assert_matches_oracle(
+            monkeypatch, lambda: _observables(program, config, "auto"))
+
+    @pytest.mark.parametrize("temporal", ["off", "check", "quarantine"])
+    @pytest.mark.parametrize("config", ["wrapped", "subheap"])
+    def test_global_use_after_free(self, monkeypatch, config, temporal):
+        run = self._assert_program_matches_oracle(
+            monkeypatch, GLOBAL_UAF, config, temporal)
+        if config == "wrapped" or temporal != "off":
+            assert run["trap"] is not None
+
+    @pytest.mark.parametrize("source", [SELF_MODIFY_METADATA, DOUBLE_FREE],
+                             ids=["self_modify_metadata", "double_free"])
+    @pytest.mark.parametrize("temporal", ["off", "check"])
+    def test_metadata_rewrites(self, monkeypatch, source, temporal):
+        for config in ("wrapped", "subheap"):
+            self._assert_program_matches_oracle(
+                monkeypatch, source, config, temporal)
+
+    @pytest.mark.parametrize("name,config", ORACLE_WORKLOADS,
+                             ids=[f"{w}-{c}" for w, c in ORACLE_WORKLOADS])
+    def test_workload(self, monkeypatch, name, config):
+        run = self._assert_program_matches_oracle(
+            monkeypatch, WORKLOADS[name].source(1), config)
+        assert run["trap"] is None
+
+    @pytest.mark.parametrize("seed", ORACLE_FUZZ_SEEDS)
+    def test_attacked_fuzz_programs(self, monkeypatch, seed):
+        program = generate_program(seed)
+        for site in program.sites:
+            for attack in attacks_for(site, include_temporal=True):
+                source = render(program.spec, (attack.sid, attack.index))
+                for config in ("wrapped", "subheap"):
+                    self._assert_program_matches_oracle(
+                        monkeypatch, source, config, "check")
+
+    def test_unmapped_metadata(self, monkeypatch):
+        # Promote a pointer twice, unmap its metadata page, promote it
+        # again: the last promote must fault as the oracle's does.
+        program = compile_source(SMALL, build_options("wrapped"))
+        obj = 0x5000_0000
+
+        def observe():
+            machine = Machine(program, build_machine_config("wrapped"))
+            machine.memory.map_range(obj, 0x1000)
+            ifp = machine.ifp
+            ifp.local_offset.write_metadata(machine.memory, obj, 24, 0,
+                                            ifp.mac_key)
+            pointer = ifp.local_offset.make_pointer(obj, obj, 24)
+            results = [repr(ifp.promote(pointer)) for _ in range(2)]
+            machine.memory.unmap_range(obj, 0x1000)
+            try:
+                results.append(repr(ifp.promote(pointer)))
+            except MemoryFault as fault:
+                results.append(f"fault: {fault}")
+            return {"results": results,
+                    "stats": {"ifp": dataclasses.asdict(ifp.stats)}}
+
+        run = self._assert_matches_oracle(monkeypatch, observe)
+        assert run["results"][-1].startswith("fault: ")

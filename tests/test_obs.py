@@ -322,6 +322,26 @@ class TestCLI:
         assert doc["name"] == "fuzz"
         assert doc["metrics"]["programs"] == 2
 
+    def test_render_hotpath_ranks_by_cache_misses(self):
+        from repro.ifp.unit import IFPUnitStats
+        from repro.obs.__main__ import render_hotpath
+        cells = {
+            "treeadd/baseline": IFPUnitStats(),
+            "treeadd/subheap": IFPUnitStats(
+                promotes_valid=40, promote_cache_hits=30,
+                promote_cache_misses=10, mac_cache_hits=1,
+                mac_cache_misses=3, promote_cache_invalidations=2),
+        }
+        lines = render_hotpath(cells).splitlines()
+        assert lines[0].split() == ["cell", "promotes", "cache", "mac",
+                                    "miss", "inval"]
+        assert set(lines[1]) == {"-"}
+        assert lines[2].split() == ["treeadd/subheap", "40", "75.0%",
+                                    "25.0%", "10", "2"]
+        assert lines[3].split() == ["treeadd/baseline", "0", "—", "—",
+                                    "0", "0"]
+        assert lines[4].startswith("cache/mac = ")
+
 
 # ---------------------------------------------------------------------------
 # trace correlation: TraceContext on events, buses, and forensics
@@ -481,20 +501,12 @@ class TestMetricsV2:
         path = write_metrics(str(tmp_path / "v2.json"), doc)
         assert load_metrics(path)["labels"]["engine"] == "fastpath"
 
-    def test_no_labels_writes_v2_and_v1_still_validates(self, tmp_path):
+    def test_no_labels_writes_v2(self):
         from repro.obs import SCHEMA_V2
-        from repro.obs.metrics import SCHEMA
         doc = metrics_document("run", "wrapped", {"cycles": 7})
         assert doc["schema"] == SCHEMA_V2
         assert doc["labels"] == {}
         assert validate_document(doc) == []
-        legacy = {key: value for key, value in doc.items()
-                  if key != "labels"}
-        legacy["schema"] = SCHEMA
-        assert validate_document(legacy) == []
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps(legacy))
-        assert load_metrics(str(path)) == legacy
 
     def test_v2_rejects_non_string_labels(self):
         doc = metrics_document("run", "wrapped", {"cycles": 7},
@@ -504,11 +516,16 @@ class TestMetricsV2:
         bad = {**doc, "labels": "fastpath"}
         assert validate_document(bad) != []
 
-    def test_v1_rejects_labels(self):
-        from repro.obs.metrics import SCHEMA
-        doc = metrics_document("run", "wrapped", {"cycles": 7},
-                               labels={"engine": "fastpath"})
-        assert validate_document({**doc, "schema": SCHEMA}) != []
+    def test_v1_document_rejected(self, tmp_path):
+        doc = metrics_document("run", "wrapped", {"cycles": 7})
+        legacy = {key: value for key, value in doc.items()
+                  if key != "labels"}
+        legacy["schema"] = "repro.obs.metrics/v1"
+        assert validate_document(legacy) != []
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(legacy))
+        with pytest.raises(ValueError, match="schema"):
+            load_metrics(str(path))
 
     def test_prometheus_merges_labels(self):
         doc = metrics_document("run", "wrapped", {"cycles": 7},
