@@ -90,6 +90,15 @@ class MetadataPort:
     def __init__(self, memory, hierarchy=None):
         self.memory = memory
         self.hierarchy = hierarchy
+        # The L1's MRU-hit test, inlined into every fetch: a fetch that
+        # stays inside its set's most-recently-used line is counted here,
+        # as ``Cache.access`` counts it; any other goes to
+        # ``access_cycles``.
+        self._l1 = None
+        if hierarchy is not None:
+            l1d = hierarchy.l1d
+            self._l1 = (l1d._sets, l1d._set_mask, l1d._line_shift,
+                        l1d.stats, hierarchy._hit_cycles)
         self.cycles = 0
         self.loads = 0
         # The IFP unit holds the last-fetched line in a line buffer, so
@@ -113,11 +122,20 @@ class MetadataPort:
         line = address >> 6
         last_line = (address + size - 1) >> 6
         if line != self._buffered_line or last_line != line:
-            if self.hierarchy is not None:
-                self.cycles += self.hierarchy.access_cycles(
-                    address, size, False)
-            else:
+            l1 = self._l1
+            if l1 is None:
                 self.cycles += 1
+            else:
+                sets, mask, shift, l1_stats, hit = l1
+                first = address >> shift
+                lines = sets[first & mask]
+                if lines and lines[-1] == first \
+                        and (address + size - 1) >> shift == first:
+                    l1_stats.read_hits += 1
+                    self.cycles += hit
+                else:
+                    self.cycles += self.hierarchy.access_cycles(
+                        address, size, False)
             self._buffered_line = last_line
         value = self.memory.load_int(address, size)
         if self._trace is not None:
@@ -152,17 +170,26 @@ class MetadataPort:
         byte-identical to a recomputed promote), then charges the
         deterministic ``extra`` cycles in one step.
         """
-        hierarchy = self.hierarchy
+        l1 = self._l1
+        if l1 is not None:
+            sets, mask, shift, l1_stats, hit = l1
+            access_cycles = self.hierarchy.access_cycles
         for address, size in trace:
             self.loads += 1
             line = address >> 6
             last_line = (address + size - 1) >> 6
             if line != self._buffered_line or last_line != line:
-                if hierarchy is not None:
-                    self.cycles += hierarchy.access_cycles(
-                        address, size, False)
-                else:
+                if l1 is None:
                     self.cycles += 1
+                else:
+                    first = address >> shift
+                    lines = sets[first & mask]
+                    if lines and lines[-1] == first \
+                            and (address + size - 1) >> shift == first:
+                        l1_stats.read_hits += 1
+                        self.cycles += hit
+                    else:
+                        self.cycles += access_cycles(address, size, False)
                 self._buffered_line = last_line
         self.cycles += extra
 

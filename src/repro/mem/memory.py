@@ -148,6 +148,18 @@ class Memory:
     def store_int(self, address: int, value: int, size: int) -> None:
         """Store a little-endian integer, truncating to ``size`` bytes."""
         value &= (1 << (size * 8)) - 1
+        address &= ADDRESS_MASK
+        offset = address % self.page_size
+        if size > 0 and offset + size <= self.page_size:
+            # fast path mirroring write_bytes, minus one call
+            if self.watcher is not None:
+                self.watcher(address, size)
+            page = self._pages.get(address // self.page_size)
+            if page is None:
+                raise MemoryFault(
+                    f"page fault at 0x{address:012x} (unmapped)", address)
+            page[offset:offset + size] = value.to_bytes(size, "little")
+            return
         self.write_bytes(address, value.to_bytes(size, "little"))
 
     def load_u64(self, address: int) -> int:

@@ -8,6 +8,9 @@ Examples::
     # the Juliet suite across 4 workers, resumable
     python -m repro.par juliet --jobs 4 --checkpoint ckpt-juliet
 
+    # the suite plus its CWE-415/416 lifetime cases, temporal policy armed
+    python -m repro.par juliet --temporal check --out juliet-temporal.json
+
     # ad-hoc sharded bench sweep, merged into one metrics document
     python -m repro.par bench --workloads treeadd,anagram \\
         --configs baseline,wrapped,subheap --jobs 2 --out sweep.json
@@ -86,7 +89,8 @@ def _run(plan, args) -> int:
 
 def _cmd_juliet(args) -> int:
     return _run(plan_juliet(seed=args.seed, allocator=args.allocator,
-                            jobs=args.jobs, shard_size=args.shard_size),
+                            jobs=args.jobs, shard_size=args.shard_size,
+                            temporal=args.temporal),
                 args)
 
 
@@ -179,6 +183,11 @@ def main(argv=None) -> int:
         "juliet", help="run the Juliet-style suite across workers")
     juliet.add_argument("--allocator", choices=("wrapped", "subheap"),
                         default="wrapped")
+    juliet.add_argument("--temporal", choices=("off", "check", "quarantine"),
+                        default="off",
+                        help="lock-and-key temporal policy; armed, the "
+                             "suite adds the CWE-415/416 cases "
+                             "(default off)")
     juliet.add_argument("--out", metavar="JSON",
                         help="write schema-v2 metrics JSON here")
     _add_pool_args(juliet)

@@ -113,7 +113,7 @@ _BARRIER = 3   #: call/callptr; always compiled as its own block
 
 #: Process-wide code cache: generated translation source -> code object,
 #: first-in-first-out past the cap.  Entries hold 3-6 KiB each, so a
-#: long-lived serve or fuzz process keeps at most ~11 MiB here.
+#: long-lived serve or fuzz process keeps at most ~12 MiB here.
 _CODE_CACHE: Dict[str, object] = {}
 _CODE_CACHE_CAP = 2048
 #: serializes misses; ``repro.serve`` translates on a thread pool
@@ -262,6 +262,23 @@ class _FuncCompiler:
             "FN": func.name, "LIMIT": interp._limit, "PCLR": _PCLR,
             "_fb": _fallback(interp, func),
         }
+        # Inlined memory hierarchy: LOAD/STORE test the L1's MRU line and
+        # slice the page themselves, calling ``access``/``mem_load``/
+        # ``mem_store`` only off that path.  The emitted text hard-codes
+        # 64-byte lines, the granularity of ``IFPUnit.snoop_store`` (a
+        # line never straddles a page), so a machine with another L1
+        # line size, or whose stores are snooped by anything else, keeps
+        # the out-of-line calls.
+        memory, l1d, ifp = interp.memory, interp.hierarchy.l1d, interp.ifp
+        self.inline = (l1d.line_bytes == 64
+                       and memory.watcher == ifp.snoop_store)
+        if self.inline:
+            self.ns.update(
+                L1S=l1d._sets, L1ST=l1d.stats, SMASK=l1d._set_mask,
+                HIT=interp.hierarchy._hit_cycles, PAGES=memory._pages,
+                PSH=memory.page_size.bit_length() - 1,
+                PMASK=memory.page_size - 1, PORT=ifp.port,
+                DEPS=ifp._promote_deps)
         # Temporal lock-and-key (repro.temporal): check lines are only
         # *emitted* when the machine's registry exists, so a temporal=off
         # machine compiles exactly the code it always did — zero cost.
@@ -357,18 +374,40 @@ class _FuncCompiler:
                     f"            raise tviol('{kind}', _p, _bd.tbase,"
                     f" _tk, _te, pc=(FN, {ip}))",
                 ]
+            size = ins.size
             if op == Op.LOAD:
-                lines += [
-                    f"c[4] += access(_ea, {ins.size}, False)",
-                    f"regs[{d}] = mem_load(_ea, {ins.size},"
+                calls = [
+                    f"c[4] += access(_ea, {size}, False)",
+                    f"regs[{d}] = mem_load(_ea, {size},"
                     f" {bool(ins.signed)}) & U64",
-                    f"bnds[{d}] = None",
                 ]
+                if self.inline:
+                    if size == 1 and not ins.signed:
+                        value = "_pg[_o]"
+                    else:
+                        value = (f"int.from_bytes(_pg[_o:_o + {size}],"
+                                 " 'little'" + (", signed=True) & U64"
+                                                if ins.signed else ")"))
+                    calls = self._inline_access(
+                        size, "", "read_hits", f"regs[{d}] = {value}", calls)
+                lines += calls + [f"bnds[{d}] = None"]
                 return _Emitted((1, 0, 0, 0, 0, 1, 0), lines, _RAISING)
-            lines += [
-                f"c[4] += access(_ea, {ins.size}, True)",
-                f"mem_store(_ea, regs[{b}], {ins.size})",
+            calls = [
+                f"c[4] += access(_ea, {size}, True)",
+                f"mem_store(_ea, regs[{b}], {size})",
             ]
+            if self.inline:
+                # the snoop is a no-op exactly when the stored 64-byte
+                # line is neither the buffered metadata line nor a
+                # promote-cache dependency: only then may it be skipped
+                effect = (f"_pg[_o] = regs[{b}] & 255" if size == 1 else
+                          f"_pg[_o:_o + {size}] = (regs[{b}]"
+                          f" & {(1 << size * 8) - 1}).to_bytes({size},"
+                          " 'little')")
+                calls = self._inline_access(
+                    size, " and PORT._buffered_line != _ln"
+                    " and _ln not in DEPS", "write_hits", effect, calls)
+            lines += calls
             return _Emitted((1, 0, 0, 0, 0, 0, 1), lines, _RAISING)
         if op == Op.MV:
             return _Emitted((1, 0, 0, 0, 0, 0, 0),
@@ -613,6 +652,28 @@ class _FuncCompiler:
         msg = f"unimplemented opcode {op}"
         return _Emitted((0, 0, 0, 0, 0, 0, 0),
                         [f"raise SimTrap({msg!r})"], _RAISING)
+
+    @staticmethod
+    def _inline_access(size: int, guard: str, counter: str, effect: str,
+                       calls: List[str]) -> List[str]:
+        """Lines for an access to ``_ea`` with the L1 MRU hit and the
+        page access inline: when the 64-byte line ``_ln`` is its set's
+        MRU line, the access stays inside it, ``guard`` holds and the
+        page is mapped, count the hit and run ``effect`` on page ``_pg``
+        at offset ``_o``; otherwise run ``calls``, the out-of-line
+        path."""
+        within = f" and _ea & 63 <= {64 - size}" if size > 1 else ""
+        return [
+            "_ln = _ea >> 6",
+            "_cs = L1S[_ln & SMASK]",
+            f"if _cs and _cs[-1] == _ln{within}{guard}"
+            " and (_pg := PAGES.get(_ea >> PSH)) is not None:",
+            f"    L1ST.{counter} += 1",
+            "    c[4] += HIT",
+            "    _o = _ea & PMASK",
+            f"    {effect}",
+            "else:",
+        ] + [f"    {line}" for line in calls]
 
     def _emit_bin(self, ins) -> _Emitted:
         d, a = ins.dst, ins.a

@@ -1139,3 +1139,267 @@ class TestPromoteOracle:
 
         run = self._assert_matches_oracle(monkeypatch, observe)
         assert run["results"][-1].startswith("fault: ")
+
+
+# ---------------------------------------------------------------------------
+# the inlined L1 hit and page access against the out-of-line calls
+# ---------------------------------------------------------------------------
+
+#: the same long hit again and again: load and store MRU hits
+MRU_HIT = """
+long g;
+int main(void) {
+    int i;
+    long s = 0;
+    for (i = 0; i < 50; i++) {
+        g = g + i;
+        s = s + g;
+    }
+    print_int(s);
+    return 0;
+}
+"""
+
+#: two lines of one set (64 sets of 64 bytes: a 4096-byte stride),
+#: accessed in turn, so every access hits the set's non-MRU line
+NON_MRU_HIT = """
+char buf[40960];
+int main(void) {
+    int i;
+    long s = 0;
+    for (i = 0; i < 20; i++) {
+        s = s + buf[0] + buf[4096];
+        buf[0] = i;
+        buf[4096] = i + 1;
+    }
+    print_int(s);
+    return 0;
+}
+"""
+
+#: nine lines of one 8-way set, round robin: true LRU evicts the line
+#: each access wants next
+EVICTION = """
+char buf[40960];
+int main(void) {
+    int r;
+    int k;
+    long s = 0;
+    for (r = 0; r < 3; r++) {
+        for (k = 0; k < 9; k++) {
+            buf[k * 4096] = buf[k * 4096] + k;
+            s = s + buf[k * 4096];
+        }
+    }
+    print_int(s);
+    return 0;
+}
+"""
+
+#: loads and stores that straddle a 64-byte line, then a page
+CROSSING = """
+char buf[40960];
+int main(void) {
+    long base = ((long)buf + 4095) & ~4095;
+    long *line = (long *)(base + 60);
+    long *page = (long *)(base + 4092);
+    int *half = (int *)(base + 8190);
+    *line = 0x1122334455667788;
+    *page = -3;
+    *half = 0x7eadbeef;
+    print_int(*line); putchar(32);
+    print_int(*page); putchar(32);
+    print_int(*half); putchar(32);
+    print_int(*(short *)(base + 63)); putchar(32);
+    print_int(*(unsigned short *)(base + 4095));
+    return 0;
+}
+"""
+
+UNMAPPED_LOAD = """
+int main(void) {
+    long *p = (long *)0x123456789000;
+    print_int(7);
+    return *p;
+}
+"""
+
+UNMAPPED_STORE = """
+int main(void) {
+    long *p = (long *)0x123456789000;
+    print_int(7);
+    *p = 5;
+    return 0;
+}
+"""
+
+#: loads of every size, signed and unsigned, of one byte pattern, then
+#: stores that must keep only their low bytes
+WIDTHS = """
+long g[4];
+int main(void) {
+    long v = 0x80fe7f01;
+    g[0] = -2;
+    g[1] = v;
+    print_int(*(signed char *)&g[0]); putchar(32);
+    print_int(*(unsigned char *)&g[0]); putchar(32);
+    print_int(*(short *)&g[0]); putchar(32);
+    print_int(*(unsigned short *)&g[0]); putchar(32);
+    print_int(*(int *)&g[0]); putchar(32);
+    print_int(*(unsigned int *)&g[0]); putchar(32);
+    print_int(*(unsigned long *)&g[0]); putchar(32);
+    print_int(*(signed char *)&g[1]); putchar(32);
+    print_int(*(short *)((char *)&g[1] + 2)); putchar(32);
+    print_int(*(int *)&g[1]); putchar(32);
+    g[2] = -1;
+    *(char *)&g[2] = v;
+    *(short *)((char *)&g[2] + 2) = v;
+    *(int *)((char *)&g[2] + 4) = v * 4096;
+    g[3] = v * v * v;
+    print_int(g[2]); putchar(32);
+    print_int(g[3]);
+    return 0;
+}
+"""
+
+#: two heap objects promoted through globals, so stores land on the
+#: buffered metadata line (and, uncached, on lines of other promotes'
+#: fetches) between promotes that fetch through those lines again
+METADATA_LINES = """
+struct pair { long a; long b; };
+struct pair *g;
+struct pair *h;
+int main(void) {
+    g = (struct pair *)malloc(sizeof(struct pair));
+    h = (struct pair *)malloc(200);
+    g->a = 1;
+    h->a = 2;
+    g->b = 3;
+    h->b = g->a;
+    return g->a + h->a + g->b + h->b;
+}
+"""
+
+
+def _hierarchy_state(program, config: MachineConfig, engine: str,
+                     observe: bool) -> dict:
+    """Run ``program`` under ``engine``; returns the run's observables
+    plus the L1's LRU order and counters and every mapped page."""
+    from repro.obs import attach_observer
+    machine = Machine(program, dataclasses.replace(config, engine=engine))
+    if observe:
+        # an observer bypasses the promote cache, so no store ever lands
+        # on a promote-dependency line: only the line buffer guards it
+        attach_observer(machine)
+    result = machine.run()
+    assert machine.engine_used == (
+        "reference" if engine == "reference" else "fastpath")
+    trap = result.trap
+    l1d = machine.hierarchy.l1d
+    return {
+        "exit_code": result.exit_code,
+        "output": result.output,
+        "trap": (type(trap).__name__, str(trap), trap.pc)
+        if trap else None,
+        "executed": machine.select_interp().executed,
+        "stats": dataclasses.asdict(result.stats),
+        "l1d_sets": [list(lines) for lines in l1d._sets],
+        "l1d_stats": dataclasses.asdict(l1d.stats),
+        "pages": {number: bytes(page)
+                  for number, page in machine.memory._pages.items()},
+    }
+
+
+class TestInlineMemoryHierarchy:
+    """Translated loads and stores test the L1's MRU line and slice the
+    page inline, and call ``access``/``mem_load``/``mem_store`` only off
+    that path.  Each program drives one path under both engines; the
+    L1's sets and counters, every mapped page and every ``RunStats``
+    field must match the reference interpreter's."""
+
+    @staticmethod
+    def _agree(source: str, config_name: str = "baseline",
+               observe: bool = False, hierarchy=None) -> dict:
+        program = compile_source(source, build_options(config_name))
+        config = build_machine_config(config_name)
+        if hierarchy is not None:
+            config = dataclasses.replace(config, hierarchy=hierarchy)
+        reference = _hierarchy_state(program, config, "reference", observe)
+        compiled = _hierarchy_state(program, config, "auto", observe)
+        for key in reference:
+            assert compiled[key] == reference[key], key
+        return reference
+
+    def test_mru_hit(self):
+        run = self._agree(MRU_HIT)
+        assert run["output"] == str(sum(sum(range(i + 1))
+                                         for i in range(50)))
+        assert run["l1d_stats"]["write_hits"] >= 50
+
+    def test_non_mru_hit(self):
+        run = self._agree(NON_MRU_HIT)
+        assert run["l1d_stats"]["read_hits"] >= 38
+
+    def test_miss_with_eviction(self):
+        run = self._agree(EVICTION)
+        assert run["l1d_stats"]["read_misses"] >= 27
+
+    def test_line_and_page_crossing(self):
+        run = self._agree(CROSSING)
+        assert run["output"].split() == [str(n) for n in (
+            0x1122334455667788, -3, 0x7EADBEEF, 0x4455, 0xFFFF)]
+
+    @pytest.mark.parametrize("source", [UNMAPPED_LOAD, UNMAPPED_STORE],
+                             ids=["load", "store"])
+    def test_unmapped_fault(self, source):
+        run = self._agree(source)
+        assert run["trap"][0] == "MemoryFault"
+        assert run["output"] == "7"
+
+    def test_widths_and_truncation(self):
+        run = self._agree(WIDTHS)
+        v = 0x80FE7F01
+        assert run["output"].split() == [str(n) for n in (
+            -2, 0xFE, -2, 0xFFFE, -2, 0xFFFFFFFE, -2,
+            1, _signed16(0x80FE), _signed32(v),
+            _signed64(((v * 4096) & 0xFFFFFFFF) << 32 | (v & 0xFFFF) << 16
+                      | 0xFF00 | (v & 0xFF)),
+            _signed64((v * v * v) & ((1 << 64) - 1)))]
+
+    @pytest.mark.parametrize("config", ["wrapped", "subheap"])
+    def test_store_to_buffered_metadata_line(self, config):
+        run = self._agree(METADATA_LINES, config, observe=True)
+        assert run["exit_code"] == 1 + 2 + 3 + 1
+
+    @pytest.mark.parametrize("config", ["wrapped", "subheap"])
+    def test_store_to_promote_dependency_line(self, config):
+        run = self._agree(METADATA_LINES, config)
+        assert run["exit_code"] == 1 + 2 + 3 + 1
+        assert run["stats"]["ifp"]["promote_cache_invalidations"] > 0
+
+    def test_other_line_size_keeps_the_calls(self):
+        # the inline text assumes 64-byte lines; a 32-byte L1 translates
+        # the out-of-line calls and must still agree
+        from repro.cache.hierarchy import HierarchyConfig
+        hierarchy = HierarchyConfig(l1d_line=32)
+        self._agree(CROSSING, hierarchy=hierarchy)
+        self._agree(METADATA_LINES, "wrapped", hierarchy=hierarchy)
+        program = compile_source(CROSSING, build_options("baseline"))
+        for line, inline in ((32, False), (64, True)):
+            machine = Machine(program, MachineConfig(
+                hierarchy=HierarchyConfig(l1d_line=line)))
+            machine.run()
+            block = _blocks(machine, "main")[0]
+            assert ("L1S" in block.__globals__) is inline
+
+
+def _signed16(value: int) -> int:
+    return value - (1 << 16) if value & (1 << 15) else value
+
+
+def _signed32(value: int) -> int:
+    return value - (1 << 32) if value & (1 << 31) else value
+
+
+def _signed64(value: int) -> int:
+    return value - (1 << 64) if value & (1 << 63) else value

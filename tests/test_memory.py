@@ -118,6 +118,45 @@ class TestIntegers:
         assert memory.load_int(offset, size) == value & ((1 << (8 * size)) - 1)
 
 
+class TestStoreInt:
+    """``store_int``'s single-page fast path against ``write_bytes``."""
+
+    @staticmethod
+    def _watched(calls):
+        memory = Memory()
+        memory.watcher = lambda address, size: calls.append((address, size))
+        return memory
+
+    def test_page_crossing_store(self):
+        calls = []
+        memory = self._watched(calls)
+        memory.map_range(0, 2 * PAGE_SIZE)
+        memory.store_int(PAGE_SIZE - 3, 0x0102030405060708, 8)
+        assert memory.read_bytes(PAGE_SIZE - 3, 8) == bytes(
+            [8, 7, 6, 5, 4, 3, 2, 1])
+        assert calls == [(PAGE_SIZE - 3, 8)]
+
+    def test_unmapped_store_faults_after_watcher(self):
+        calls = []
+        memory = self._watched(calls)
+        with pytest.raises(MemoryFault) as fault:
+            memory.store_int(0x3008, 7, 4)
+        assert fault.value.address == 0x3008
+        assert calls == [(0x3008, 4)]
+        memory.map_range(0x3000, PAGE_SIZE)  # the crossing path agrees
+        with pytest.raises(MemoryFault):
+            memory.store_int(0x3000 + PAGE_SIZE - 2, 7, 4)
+        assert calls[1:] == [(0x3000 + PAGE_SIZE - 2, 4)]
+
+    def test_watcher_sees_one_masked_call(self):
+        calls = []
+        memory = self._watched(calls)
+        memory.map_range(0x1000, PAGE_SIZE)
+        memory.store_int((0xBEEF << 48) | 0x1010, -1, 2)
+        assert calls == [(0x1010, 2)]
+        assert memory.read_bytes(0x100F, 4) == b"\x00\xff\xff\x00"
+
+
 class TestUtilities:
     def test_fill(self):
         memory = Memory()

@@ -427,6 +427,26 @@ class TestMergeDeterminism:
         assert sum(len(s.items) for s in armed.shards) \
             == spatial + temporal
 
+    def test_juliet_cli_temporal_flag(self, tmp_path, monkeypatch, capsys):
+        import repro.par.__main__ as cli
+        from repro.par.kinds import plan_juliet
+        plans = []
+
+        def spy(**kwargs):
+            plans.append(plan_juliet(**kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(cli, "plan_juliet", spy)
+        for temporal in ("off", "check"):
+            out = tmp_path / f"juliet-{temporal}.json"
+            assert cli.main(["juliet", "--quiet", "--temporal", temporal,
+                             "--out", str(out)]) == 0
+            config = json.loads(out.read_text())["config"]
+            assert config.get("temporal", "off") == temporal
+            assert plans[-1].params.get("temporal", "off") == temporal
+        assert "temporal" not in plans[0].params
+        capsys.readouterr()
+
     def test_sharded_resil_matches_sequential(self):
         from repro.resil.matrix import SCHEMES, run_campaign
         kwargs = dict(workloads=("treeadd",), schemes=SCHEMES,
