@@ -118,15 +118,19 @@ class Memory:
                     f"page fault at 0x{address:012x} (unmapped)", address)
             page[offset:offset + size] = data
             return
-        cursor = address
-        view = memoryview(data)
-        while view:
-            page = self._page_for(cursor)
+        # resolve every page before writing any byte, so a fault on a
+        # later page leaves the earlier ones untouched (a precise trap)
+        spans = []
+        done = 0
+        while done < size:
+            cursor = address + done
             offset = cursor % self.page_size
-            chunk = min(len(view), self.page_size - offset)
-            page[offset:offset + chunk] = view[:chunk]
-            cursor += chunk
-            view = view[chunk:]
+            chunk = min(size - done, self.page_size - offset)
+            spans.append((self._page_for(cursor), offset, done, chunk))
+            done += chunk
+        view = memoryview(data)
+        for page, offset, start, chunk in spans:
+            page[offset:offset + chunk] = view[start:start + chunk]
 
     # -- integer access ---------------------------------------------------
 

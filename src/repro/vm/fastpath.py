@@ -84,9 +84,13 @@ simulated counter differs.
 
 from __future__ import annotations
 
+import builtins
 import os
 import threading
 import time
+from functools import reduce
+from operator import attrgetter, or_
+from types import CodeType, FunctionType
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import (
@@ -105,29 +109,60 @@ from repro.vm.interp import (
 #: clears both poison bits of a tagged pointer
 _PCLR = ~(3 << 62)
 
-# instruction classification for block formation
+# instruction classification for accounting segments
 _SIMPLE = 0    #: cannot raise; fusable anywhere in a block
-_RAISING = 1   #: may raise; fusable, but ends an accounting segment
-_TERM = 2      #: branch/ret; fusable only as the last instruction
-_BARRIER = 3   #: call/callptr; always compiled as its own block
+_RAISING = 1   #: may raise or call; ends an accounting segment
+_TERM = 2      #: branch/ret; the last instruction of its block
 
-#: Process-wide code cache: generated translation source -> code object,
-#: first-in-first-out past the cap.  Entries hold 3-6 KiB each, so a
-#: long-lived serve or fuzz process keeps at most ~12 MiB here.
-_CODE_CACHE: Dict[str, object] = {}
-_CODE_CACHE_CAP = 2048
+#: block formation reads only the ops: a block ends after a branch or
+#: ``ret`` (the ``_TERM`` ops), and a call/callptr barrier is always a
+#: block of its own
+_TERM_OPS = frozenset((Op.BZ, Op.BNZ, Op.JMP, Op.RET))
+_BARRIER_OPS = frozenset((Op.CALL, Op.CALLPTR))
+
+#: the :class:`~repro.compiler.ir.Instr` fields the emitted text reads
+#: (a call's ``args`` apart: a list, keyed as a tuple)
+_INSTR_FIELDS = attrgetter("op", "dst", "a", "b", "imm", "size", "signed",
+                           "name", "target", "code")
+
+#: for each switch :meth:`_FuncCompiler.switches` returns, in order, the
+#: ops whose emitted text reads it; a block keys a switch only when it
+#: holds one of them, so blocks that never read it are shared across
+#: its values
+_SWITCH_READERS = (
+    frozenset((Op.LOAD, Op.STORE, Op.PROMOTE, Op.IFPCHK, Op.IFPMD,
+               Op.LDBND, Op.STBND)),         # armed
+    frozenset(Op),                           # tracer attached
+    frozenset((Op.LOAD, Op.STORE, Op.PROMOTE)),  # temporal
+    frozenset((Op.LOAD, Op.STORE)),          # inline hierarchy
+    frozenset((Op.PROMOTE,)),                # promote as a move
+    frozenset((Op.IFPIDX,)),                 # local subobject bits
+    frozenset((Op.IFPIDX,)),                 # subheap subobject bits
+    frozenset((Op.IFPMAC,)),                 # MAC latency
+)
+#: the same table by op: bit ``i`` is set when the op reads switch ``i``
+_OP_READS = {op: sum(1 << i for i, readers in enumerate(_SWITCH_READERS)
+                     if op in readers)
+             for op in Op}
+
+#: Process-wide code cache, one entry per distinct block: the key
+#: :meth:`_FuncCompiler.blocks` gives it -> ``(code, site ips)``,
+#: first-in-first-out past the cap.  Entries hold 3-5 KiB each, so a
+#: long-lived serve or fuzz process keeps at most ~10 MiB here.
+_BLOCK_CACHE: Dict[tuple, tuple] = {}
+_BLOCK_CACHE_CAP = 2048
 #: serializes misses; ``repro.serve`` translates on a thread pool
-_CODE_CACHE_LOCK = threading.Lock()
+_BLOCK_CACHE_LOCK = threading.Lock()
 
 
-def _reset_code_cache_lock() -> None:
+def _reset_block_cache_lock() -> None:
     # a forked repro.par worker must not inherit a lock held at fork
-    global _CODE_CACHE_LOCK
-    _CODE_CACHE_LOCK = threading.Lock()
+    global _BLOCK_CACHE_LOCK
+    _BLOCK_CACHE_LOCK = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_code_cache_lock)
+    os.register_at_fork(after_in_child=_reset_block_cache_lock)
 
 
 class _Act:
@@ -227,11 +262,11 @@ class _FuncCompiler:
     :meth:`compile_fused`), used by every dispatch loop, deadline-armed
     or not.
 
-    Generated source is compiled once per distinct text per process
-    (:meth:`_load`): machines translating the same code share one code
-    object, and every block of one translation runs in the one namespace
-    ``ns``, where ``_fb`` is the function's hand-over to the reference
-    interpreter.
+    A block is emitted and compiled once per distinct key (see
+    :meth:`blocks`) per process (:meth:`compile_fused`): machines and
+    functions with the same block share its code object, and every
+    block of one translation runs in the one namespace ``ns``, where
+    ``_fb`` is the function's hand-over to the reference interpreter.
 
     ``armed`` compiles the machine's observer emits inline, plus its
     tracer's ``record`` calls when it carries one; unarmed produces the
@@ -245,7 +280,11 @@ class _FuncCompiler:
         self.armed = armed
         obs = interp.machine.obs if armed else None
         self.trace = obs is not None and obs.tracer is not None
+        #: ips whose ``S{ip}`` site tuple the block being emitted names
+        self.sites: List[int] = []
         self.ns = {
+            # FunctionType, unlike exec, does not add the builtins
+            "__builtins__": builtins,
             "U64": U64, "ADDRESS_MASK": ADDRESS_MASK, "_signed": _signed,
             "Bounds": Bounds, "SimTrap": SimTrap, "PoisonTrap": PoisonTrap,
             "BoundsTrap": BoundsTrap, "LinkError": LinkError,
@@ -282,8 +321,9 @@ class _FuncCompiler:
         # Temporal lock-and-key (repro.temporal): check lines are only
         # *emitted* when the machine's registry exists, so a temporal=off
         # machine compiles exactly the code it always did — zero cost.
-        # Translations are cached per machine instance and the policy is
-        # fixed at construction, so the specialization cannot go stale.
+        # The switch is part of the process-wide cache key
+        # (:meth:`switches`), so machines with and without a registry
+        # never share code.
         self.temporal = interp._temporal is not None
         if self.temporal:
             self.ns["tprobe"] = interp._temporal.probe
@@ -307,11 +347,11 @@ class _FuncCompiler:
     def _site(self, ip: int) -> str:
         """Intern the ``(function, ip)`` site tuple as a translate-time
         constant; emit sites reference it by name instead of building a
-        fresh tuple per event."""
-        name = f"S{ip}"
-        if name not in self.ns:
-            self.ns[name] = (self.func.name, ip)
-        return name
+        fresh tuple per event (:meth:`compile_fused` defines the
+        name)."""
+        if ip not in self.sites:
+            self.sites.append(ip)
+        return f"S{ip}"
 
     # -- per-instruction source ---------------------------------------------
 
@@ -456,7 +496,7 @@ class _FuncCompiler:
                              f"bnds[{d}] = None"], _SIMPLE)
         if op == Op.CALL or op == Op.CALLPTR:
             return _Emitted((1, 0, 0, 0, _CALL_EXTRA, 0, 0),
-                            self._emit_call(ins), _BARRIER)
+                            self._emit_call(ins), _RAISING)
         if op == Op.RET:
             if a >= 0:
                 lines = [f"st.ret = regs[{a}]", f"st.retb = bnds[{a}]"]
@@ -754,36 +794,21 @@ class _FuncCompiler:
 
     # -- block assembly ------------------------------------------------------
 
-    def _load(self, lines: List[str]):
-        """Define ``def _b(st):`` with body ``lines`` in this function's
-        namespace and return it.
-
-        The code object comes from the process-wide :data:`_CODE_CACHE`,
-        keyed by the full source text, and is compiled only on a miss.
-        Sound by construction: every machine-specific binding lives in
-        the namespace ``exec`` fills, never in the code object, so the
-        same text always means the same code.
-        """
+    @staticmethod
+    def _compile(lines: List[str]) -> CodeType:
+        """The code object of ``def _b(st):`` with body ``lines``."""
         src = "def _b(st):\n" + "".join(f"    {line}\n" for line in lines)
-        code = _CODE_CACHE.get(src)  # the hit path takes no lock
-        if code is None:
-            with _CODE_CACHE_LOCK:
-                code = _CODE_CACHE.get(src)
-                if code is None:
-                    code = compile(src, "<string>", "exec")
-                    while len(_CODE_CACHE) >= _CODE_CACHE_CAP:
-                        del _CODE_CACHE[next(iter(_CODE_CACHE))]
-                    _CODE_CACHE[src] = code
-        exec(code, self.ns)  # noqa: S102 - templates above, literals only
-        return self.ns["_b"]
+        module = compile(src, "<string>", "exec")
+        return next(const for const in module.co_consts
+                    if isinstance(const, CodeType))
 
     @staticmethod
     def _counter_lines(counts) -> List[str]:
         return [f"c[{i}] += {n}" for i, n in enumerate(counts) if n]
 
     def compile_block(self, start: int,
-                      emitted: List[Tuple[int, _Emitted]]) -> object:
-        """Compile the block starting at ``start`` into one function.
+                      emitted: List[Tuple[int, _Emitted]]) -> CodeType:
+        """Compile the block starting at ``start`` into one code object.
 
         ``emitted`` is [(ip, _Emitted), ...] in order; the last entry may
         be a terminator, and a call barrier is a block of its own.  When
@@ -794,7 +819,7 @@ class _FuncCompiler:
         hands over, and the reference raises its fell-off-the-end trap.
         """
         if not emitted:
-            return self._load([f"return _fb(st, {start})"])
+            return self._compile([f"return _fb(st, {start})"])
         k = len(emitted)
         header = [
             "e0 = I.executed",
@@ -846,48 +871,110 @@ class _FuncCompiler:
         else:
             close_segment(k)
             body.append(f"return {emitted[-1][0] + 1}")
-        return self._load(header + body)
+        return self._compile(header + body)
 
     # -- function-level translation ------------------------------------------
 
-    def branch_targets(self) -> set:
-        targets = set()
-        for ins in self.func.instrs:
-            if ins.op in (Op.JMP, Op.BZ, Op.BNZ):
-                targets.add(ins.target)
-        return targets
+    def switches(self) -> tuple:
+        """The translate-time switches :meth:`__init__` derives from the
+        machine, each of which changes the text of the ops
+        :data:`_SWITCH_READERS` names."""
+        interp = self.interp
+        return (self.armed, self.trace, self.temporal, self.inline,
+                interp._no_promote, interp._local_sub_bits,
+                interp._subheap_sub_bits,
+                interp.machine.config.ifp.mac_cycles)
 
-    def compile_fused(self) -> list:
-        """One handler per block leader, plus the end-of-function slot."""
+    def blocks(self):
+        """Yield ``(leader, end, key)`` for every block, then for the
+        end-of-function slot ``(count, count + 1)``, which holds no
+        instruction.  A barrier stands alone; any other block stops
+        before a barrier or a branch target, and after a terminator.
+
+        The key names every input the block's text depends on: the
+        switches its ops read (the others are keyed as ``None``), the
+        leader ip (the text names its ips) and the instruction
+        contents, with each call's argument registers and the address
+        each ``GLOB`` inlines.  The function name is left out: the
+        text refers to it as ``FN``."""
+        symbols = self.interp.symbols
         instrs = self.func.instrs
         count = len(instrs)
-        targets = self.branch_targets()
-        emitted = [(ip, self.emit(ins, ip)) for ip, ins in enumerate(instrs)]
-        handlers: list = [None] * count
-        ip = 0
-        while ip < count:
-            # grow a block: a barrier stands alone; otherwise stop before
-            # a barrier or a branch target, and after a terminator
-            end = ip + 1
-            if emitted[ip][1].kind != _BARRIER:
-                while (end < count and end not in targets
-                       and emitted[end - 1][1].kind != _TERM
-                       and emitted[end][1].kind != _BARRIER):
-                    end += 1
-            handlers[ip] = self.compile_block(ip, emitted[ip:end])
-            # non-leader slots inside the block are never entered (blocks
-            # stop before branch targets); fill them for debuggability
-            for inner in range(ip + 1, end):
-                handlers[inner] = _make_unreachable(self.func.name, inner)
-            ip = end
-        handlers.append(self.compile_block(count, []))
+        fields = list(map(_INSTR_FIELDS, instrs))
+        reads = []
+        cuts = {0, count}
+        for ip, ins in enumerate(instrs):
+            op = ins.op
+            reads.append(_OP_READS[op])
+            if op in _TERM_OPS:
+                cuts.add(ip + 1)
+                if op != Op.RET:
+                    cuts.add(ins.target)
+            elif op in _BARRIER_OPS:
+                cuts.update((ip, ip + 1))
+                fields[ip] += (tuple(ins.args),)
+            elif op == Op.GLOB:
+                fields[ip] += (symbols.get(ins.name),)
+        cuts = sorted(cuts)
+        cuts.append(count + 1)
+        switches = self.switches()
+        keyed = {}  # read mask -> the switches keyed under it
+        for start, end in zip(cuts, cuts[1:]):
+            mask = reduce(or_, reads[start:end], 0)
+            read = keyed.get(mask)
+            if read is None:
+                read = keyed[mask] = tuple([
+                    value if mask >> i & 1 else None
+                    for i, value in enumerate(switches)])
+            yield start, end, (read, start, tuple(fields[start:end]))
+
+    def compile_fused(self) -> list:
+        """One handler per block leader, plus the end-of-function slot.
+
+        Each block's code comes from the process-wide
+        :data:`_BLOCK_CACHE` and is emitted and compiled only on a miss,
+        so identical blocks of different functions share one code
+        object.  Sound because every machine-specific binding lives in
+        ``ns``, never in the code, and the key names everything else
+        the text depends on."""
+        instrs = self.func.instrs
+        ns = self.ns
+        name = self.func.name
+        # non-leader slots inside a block are never entered (blocks stop
+        # before branch targets); fill them for debuggability
+        unreachable = _make_unreachable(name)
+        handlers: list = []
+        for start, end, key in self.blocks():
+            entry = _BLOCK_CACHE.get(key)  # the hit path takes no lock
+            if entry is None:
+                with _BLOCK_CACHE_LOCK:
+                    entry = _BLOCK_CACHE.get(key)
+                    if entry is None:
+                        entry = self._compile_entry(start,
+                                                    instrs[start:end])
+                        while len(_BLOCK_CACHE) >= _BLOCK_CACHE_CAP:
+                            del _BLOCK_CACHE[next(iter(_BLOCK_CACHE))]
+                        _BLOCK_CACHE[key] = entry
+            code, sites = entry
+            for ip in sites:
+                ns[f"S{ip}"] = (name, ip)
+            handlers.append(FunctionType(code, ns))
+            handlers += [unreachable] * (end - start - 1)
         return handlers
 
+    def _compile_entry(self, start: int, block: list) -> tuple:
+        """Emit and compile the instructions ``block`` starting at
+        ``start``: ``(code, the ips whose site tuple it names)``."""
+        self.sites = []
+        code = self.compile_block(
+            start, [(ip, self.emit(ins, ip))
+                    for ip, ins in enumerate(block, start)])
+        return code, tuple(self.sites)
 
-def _make_unreachable(name: str, ip: int):
+
+def _make_unreachable(name: str):
     def _h(st):  # pragma: no cover - blocks never start mid-run
-        raise AssertionError(
-            f"fastpath entered mid-block at {name}+{ip}")
+        raise AssertionError(f"fastpath entered mid-block in {name}")
     return _h
 
 

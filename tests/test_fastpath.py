@@ -448,6 +448,15 @@ def _blocks(machine, name: str, armed: bool = False) -> list:
             if getattr(h, "__name__", "") == "_b"]
 
 
+#: two functions with one body: every block of one is a block of the
+#: other, at the same ips
+TWINS = """
+int f(int n) { int s = 0; while (n > 0) { s = s + n; n = n - 1; } return s; }
+int g(int n) { int s = 0; while (n > 0) { s = s + n; n = n - 1; } return s; }
+int main(void) { return (f(5) + g(6)) & 255; }
+"""
+
+
 def _run_recurse_into(queue) -> None:
     program = compile_source(RECURSE, CompilerOptions.baseline())
     queue.put(Machine(program, MachineConfig(engine="auto")).run().exit_code)
@@ -455,7 +464,7 @@ def _run_recurse_into(queue) -> None:
 
 class TestCodeCache:
     """Translations share code objects through the process-wide,
-    source-keyed cache while each machine binds its own namespace;
+    block-keyed cache while each machine binds its own namespace;
     the IR stays plain data."""
 
     def test_fresh_compiles_share_code_objects(self):
@@ -473,6 +482,22 @@ class TestCodeCache:
         for old, new in zip(first, second):
             assert old is not new
             assert old.__code__ is new.__code__
+
+    def test_identical_blocks_of_two_functions_share_code(self):
+        program = compile_source(TWINS, CompilerOptions.baseline())
+        config = MachineConfig(engine="auto")
+        assert (_observables(program, config, "auto")
+                == _observables(program, config, "reference"))
+        machine = Machine(program, config)
+        machine.run()
+        first, second = _blocks(machine, "f"), _blocks(machine, "g")
+        assert first and len(first) == len(second)
+        for f_block, g_block in zip(first, second):
+            assert f_block is not g_block
+            assert f_block.__code__ is g_block.__code__
+            # each binds its own function's namespace
+            assert f_block.__globals__["FN"] == "f"
+            assert g_block.__globals__["FN"] == "g"
 
     def test_inlined_global_address_keys_its_own_code(self):
         config = MachineConfig(engine="auto")
@@ -512,8 +537,8 @@ class TestCodeCache:
             compiled.append(args[0])
             return real_compile(*args, **kwargs)
 
-        monkeypatch.setattr(fastpath, "_CODE_CACHE", Watched())
-        monkeypatch.setattr(fastpath, "_CODE_CACHE_CAP", cap)
+        monkeypatch.setattr(fastpath, "_BLOCK_CACHE", Watched())
+        monkeypatch.setattr(fastpath, "_BLOCK_CACHE_CAP", cap)
         monkeypatch.setattr(fastpath, "compile", counting_compile,
                             raising=False)
         program = compile_source(WORKLOADS["treeadd"].source(1),
@@ -530,14 +555,14 @@ class TestCodeCache:
         assert _observables(program, config, "auto") == reference
         assert set(compiled) & set(first[:-cap])
         assert max(peak) <= cap
-        assert len(fastpath._CODE_CACHE) <= cap
+        assert len(fastpath._BLOCK_CACHE) <= cap
 
     def test_concurrent_translation_matches_reference(self, monkeypatch):
         import threading
 
         from repro.vm import fastpath
 
-        monkeypatch.setattr(fastpath, "_CODE_CACHE", {})
+        monkeypatch.setattr(fastpath, "_BLOCK_CACHE", {})
         sources = [RECURSE, LOOPY, OVERFLOW, DOUBLE_FREE]
         config = build_machine_config("wrapped", 5_000_000)
         programs = [compile_source(src, build_options("wrapped"))
@@ -583,10 +608,10 @@ class TestCodeCache:
 
         from repro.vm import fastpath
 
-        monkeypatch.setattr(fastpath, "_CODE_CACHE", {})
+        monkeypatch.setattr(fastpath, "_BLOCK_CACHE", {})
         ctx = multiprocessing.get_context("fork")
         queue = ctx.Queue()
-        with fastpath._CODE_CACHE_LOCK:
+        with fastpath._BLOCK_CACHE_LOCK:
             child = ctx.Process(target=_run_recurse_into, args=(queue,))
             child.start()
             try:
@@ -708,10 +733,12 @@ class TestWorkloadDifferential:
 
 
 def _instrumented_observables(program, config: MachineConfig,
-                              engine: str, fault_plan=None, timeout=None):
+                              engine: str, fault_plan=None, timeout=None,
+                              tracer_capacity: int = 256):
     """Run one program with the full observer stack armed (profiler,
-    forensics, event tail, auto-tracer) plus an event-capturing sink;
-    returns every instrumented observable as plain data."""
+    forensics, event tail, auto-tracer unless ``tracer_capacity`` is 0)
+    plus an event-capturing sink; returns every instrumented observable
+    as plain data."""
     from dataclasses import replace
 
     from repro.obs import attach_observer
@@ -721,10 +748,12 @@ def _instrumented_observables(program, config: MachineConfig,
         from repro.resil.faults import FaultInjector
         FaultInjector(fault_plan).arm(machine)
     events = []
-    obs = attach_observer(machine, profile=True, forensics=True)
+    obs = attach_observer(machine, profile=True, forensics=True,
+                          tracer_capacity=tracer_capacity)
     obs.bus.subscribe(lambda event: events.append(event.to_dict()))
     result = machine.run(timeout_seconds=timeout)
     trap = result.trap
+    tracer = obs.tracer
     return {
         "engine_used": machine.engine_used,
         "exit_code": result.exit_code,
@@ -733,8 +762,8 @@ def _instrumented_observables(program, config: MachineConfig,
                  getattr(trap, "pc", None)) if trap else None,
         "stats": dataclasses.asdict(result.stats),
         "events": events,
-        "trace": obs.tracer.snapshot(),
-        "trace_recorded": obs.tracer.recorded,
+        "trace": tracer.snapshot() if tracer is not None else None,
+        "trace_recorded": tracer.recorded if tracer is not None else 0,
         "forensics": [report.to_dict() for report in obs.reports],
         "profile": obs.profiler.to_dict(),
     }
@@ -1139,6 +1168,277 @@ class TestPromoteOracle:
 
         run = self._assert_matches_oracle(monkeypatch, observe)
         assert run["results"][-1].startswith("fault: ")
+
+
+# ---------------------------------------------------------------------------
+# the block-keyed code cache against its uncached miss path
+# ---------------------------------------------------------------------------
+
+class _CountedCache(dict):
+    """The block cache, counting the lookups that hit."""
+
+    hits = 0
+
+    def get(self, key, default=None):
+        entry = super().get(key, default)
+        if entry is not None:
+            self.hits += 1
+        return entry
+
+
+class _AlwaysMiss(dict):
+    """A block cache that never hits: every translation emits and
+    compiles its blocks afresh."""
+
+    def get(self, key, default=None):
+        return default
+
+    def __setitem__(self, key, value):
+        pass
+
+
+#: subobject indices past 32 and 128 (``ifpidx`` on a local-offset and
+#: on a subheap pointer wraps them in narrower fields), a local object
+#: (``ifpmac``) and a promote of a pointer loaded back from a global;
+#: the exit code folds in both pointers' tags
+SUBOBJECT_TAGS = """
+struct big {
+%s};
+struct big *g;
+int main(void) {
+    struct big s;
+    struct big *h = (struct big *)malloc(sizeof(struct big));
+    struct big *sp = &s;
+    int *p = &sp->f40;
+    int *q = &h->f135;
+    g = h;
+    struct big *r = g;
+    r->f1 = 3;
+    return (int)((((long)p >> 48) + ((long)q >> 48) + r->f1) & 255);
+}
+""" % "".join(f"    int f{i};\n" for i in range(140))
+
+
+ARG_ORDER = """
+int sub(int a, int b) { return a - b; }
+int f(int a, int b) { return sub(%s); }
+int main(void) { return f(9, 2) & 255; }
+"""
+
+
+class TestBlockCache:
+    """Every input sequence runs under a fresh process-wide block
+    cache, then with the cache replaced by its uncached path (every
+    lookup misses), twice each: the second round compiles every program
+    afresh, so it translates new IR for the same functions.  Every
+    observable must agree, and the cached rounds must have hit."""
+
+    @staticmethod
+    def _assert_matches_uncached(monkeypatch, observe):
+        from repro.vm import fastpath
+
+        runs = {}
+        for name, cache in (("cached", _CountedCache()),
+                            ("uncached", _AlwaysMiss())):
+            with monkeypatch.context() as patch:
+                patch.setattr(fastpath, "_BLOCK_CACHE", cache)
+                runs[name] = [observe() for _ in range(2)]
+            if name == "cached":
+                assert cache.hits > 0 and len(cache) > 0
+        assert runs["cached"] == runs["uncached"]
+        return runs["cached"][0]
+
+    @pytest.mark.parametrize("temporal_family", [False, True],
+                             ids=["spatial", "cwe415_416"])
+    def test_juliet(self, monkeypatch, temporal_family):
+        from repro.juliet.cases import generate_cases, generate_temporal_cases
+
+        if temporal_family:
+            cases = [case for case in generate_temporal_cases()
+                     if case.flow in ("01", "03")]
+        else:
+            cases = [case for case in generate_cases() if case.flow == "02"]
+
+        def observe():
+            out = []
+            for config_name in ("wrapped", "subheap"):
+                programs = [compile_source(case.source,
+                                           build_options(config_name))
+                            for case in cases]
+                for temporal in ("off", "check", "quarantine"):
+                    config = build_machine_config(config_name, 2_000_000,
+                                                  temporal=temporal)
+                    out += [(temporal, case.is_bad,
+                             _observables(program, config, "auto"))
+                            for case, program in zip(cases, programs)]
+            return out
+
+        runs = self._assert_matches_uncached(monkeypatch, observe)
+        # under check and quarantine every bad case traps, no good one
+        for temporal, is_bad, run in runs:
+            if temporal != "off":
+                assert (run["trap"] is not None) == is_bad
+
+    def test_observer_with_and_without_tracer(self, monkeypatch):
+        def observe():
+            out = []
+            for config_name in ("wrapped", "subheap"):
+                program = compile_source(OVERFLOW,
+                                         build_options(config_name))
+                config = build_machine_config(config_name, 5_000_000)
+                out += [
+                    _observables(program, config, "auto"),
+                    _instrumented_observables(program, config, "auto"),
+                    _instrumented_observables(program, config, "auto",
+                                              tracer_capacity=0),
+                    _observables(program, config, "auto"),
+                ]
+            return out
+
+        runs = self._assert_matches_uncached(monkeypatch, observe)
+        assert runs[1]["trace"] and runs[1]["events"]
+        assert runs[2]["trace"] is None and runs[2]["events"]
+
+    def test_resil_fault_cell(self, monkeypatch):
+        from repro.resil.matrix import CampaignRunner
+
+        def observe():
+            return [CampaignRunner(timeout_seconds=ARMED_TIMEOUT)
+                    .run_cell(WORKLOADS["ks"], scheme, fault, 7).to_dict()
+                    for scheme, fault in (("local_offset", "tag_bit_flip"),
+                                          ("subheap", "metadata_corrupt"))]
+
+        self._assert_matches_uncached(monkeypatch, observe)
+
+    def test_global_addresses(self, monkeypatch):
+        def observe():
+            config = MachineConfig(engine="auto")
+            return [_observables(
+                compile_source(GLOBAL_AT % (n, n, n, n),
+                               CompilerOptions.baseline()), config, "auto")
+                for n in (4, 8, 4)]
+
+        runs = self._assert_matches_uncached(monkeypatch, observe)
+        assert [run["exit_code"] for run in runs] == [7, 15, 7]
+
+    def test_call_argument_registers(self, monkeypatch):
+        # twin ``f``s whose IR differs only in the call's argument list
+        def observe():
+            config = MachineConfig(engine="auto")
+            return [_observables(
+                compile_source(ARG_ORDER % args, CompilerOptions.baseline()),
+                config, "auto")
+                for args in ("a, b", "b, a", "a, b")]
+
+        runs = self._assert_matches_uncached(monkeypatch, observe)
+        assert [run["exit_code"] for run in runs] == [7, 249, 7]
+
+    def test_machine_switches(self, monkeypatch):
+        # one program under every machine setting the emitted text
+        # specializes on: promote as a move, subobject field widths,
+        # MAC latency and the L1 line size (inline hierarchy or not)
+        from dataclasses import replace
+
+        from repro.cache.hierarchy import HierarchyConfig
+        from repro.ifp.config import DEFAULT_CONFIG
+
+        base = build_machine_config("wrapped", 2_000_000)
+        configs = [
+            base,
+            replace(base, no_promote=True),
+            replace(base, ifp=replace(DEFAULT_CONFIG, local_offset_bits=7,
+                                      local_subobj_bits=5)),
+            replace(base, ifp=replace(DEFAULT_CONFIG, subheap_reg_bits=5,
+                                      subheap_subobj_bits=7)),
+            replace(base, ifp=replace(DEFAULT_CONFIG, mac_cycles=5)),
+            replace(base, hierarchy=HierarchyConfig(l1d_line=32)),
+        ]
+
+        def observe():
+            out = []
+            for config_name in ("wrapped", "subheap"):
+                program = compile_source(SUBOBJECT_TAGS,
+                                         build_options(config_name))
+                out += [_observables(program, config, "auto")
+                        for config in configs]
+            return out
+
+        runs = self._assert_matches_uncached(monkeypatch, observe)
+        # under subheap, each narrower subobject field wraps an index
+        subheap = [run["exit_code"] for run in runs[len(configs):]]
+        assert subheap[2] != subheap[0] and subheap[3] != subheap[0]
+
+    def test_switch_readers_name_every_op_whose_text_reads_a_switch(
+            self, monkeypatch):
+        # A block keys a switch only when it holds an op the switch's
+        # ``_SWITCH_READERS`` entry names.  Emit every op, in field
+        # variants, as a one-instruction block under pairs of machines
+        # whose switches differ in one place: wherever the text
+        # differs, the op must be a reader of that switch.
+        import itertools
+        from dataclasses import replace
+
+        from repro.cache.hierarchy import HierarchyConfig
+        from repro.compiler.ir import Instr
+        from repro.ifp.config import DEFAULT_CONFIG
+        from repro.obs import attach_observer
+        from repro.vm import fastpath
+
+        monkeypatch.setattr(fastpath._FuncCompiler, "_compile",
+                            staticmethod(tuple))
+        program = compile_source("long g;\nint main(void) { return g; }",
+                                 build_options("wrapped"))
+        base = build_machine_config("wrapped", 1_000, temporal="check")
+
+        def compiler(config=base, armed=False, tracer_capacity=0):
+            machine = Machine(program, config)
+            if armed:
+                attach_observer(machine, tracer_capacity=tracer_capacity)
+            return fastpath._FuncCompiler(machine.select_interp(),
+                                          program.functions["main"], armed)
+
+        plain = compiler()
+        variants = [
+            compiler(armed=True, tracer_capacity=256),
+            compiler(armed=True),
+            compiler(replace(base, temporal="off")),
+            compiler(replace(base, hierarchy=HierarchyConfig(l1d_line=32))),
+            compiler(replace(base, no_promote=True)),
+            compiler(replace(base, ifp=replace(DEFAULT_CONFIG,
+                                               local_offset_bits=7,
+                                               local_subobj_bits=5))),
+            compiler(replace(base, ifp=replace(DEFAULT_CONFIG,
+                                               subheap_reg_bits=5,
+                                               subheap_subobj_bits=7))),
+            compiler(replace(base, ifp=replace(DEFAULT_CONFIG,
+                                               mac_cycles=5))),
+        ]
+        instrs = []
+        for op, name, code, b, signed in itertools.product(
+                Op, ("", "local+lt", "g", "nowhere"), (0, 3),
+                (3, -1), (False, True)):
+            ins = Instr(op, dst=1, a=2, b=b, imm=4, size=4, signed=signed,
+                        name=name, args=[2, 3], target=9)
+            ins.code = code
+            instrs.append(ins)
+
+        def text(comp, ins):
+            return comp.compile_block(0, [(0, comp.emit(ins, 0))])
+
+        pairs = [(variants[0], variants[1]), (variants[1], plain)]
+        pairs += [(plain, variant) for variant in variants[2:]]
+        flipped = set()
+        for one, other in pairs:
+            differ = [i for i, (x, y) in enumerate(zip(one.switches(),
+                                                       other.switches()))
+                      if x != y]
+            assert len(differ) == 1
+            readers = fastpath._SWITCH_READERS[differ[0]]
+            for ins in instrs:
+                if text(one, ins) != text(other, ins):
+                    assert ins.op in readers, (differ, ins.op)
+            flipped.add(differ[0])
+        assert flipped == set(range(len(fastpath._SWITCH_READERS)))
 
 
 # ---------------------------------------------------------------------------

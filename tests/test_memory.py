@@ -148,6 +148,24 @@ class TestStoreInt:
             memory.store_int(0x3000 + PAGE_SIZE - 2, 7, 4)
         assert calls[1:] == [(0x3000 + PAGE_SIZE - 2, 4)]
 
+    def test_page_crossing_fault_writes_nothing(self):
+        memory = Memory()
+        memory.map_range(0x3000, PAGE_SIZE)
+        with pytest.raises(MemoryFault) as fault:
+            memory.store_int(0x3000 + PAGE_SIZE - 2, 0xAABBCCDD, 4)
+        assert fault.value.address == 0x3000 + PAGE_SIZE
+        assert str(fault.value) == (
+            f"page fault at 0x{0x3000 + PAGE_SIZE:012x} (unmapped)")
+        assert memory.read_bytes(0x3000, PAGE_SIZE) == bytes(PAGE_SIZE)
+
+    def test_page_crossing_fill_fault_writes_nothing(self):
+        memory = Memory()
+        memory.map_range(0x3000, PAGE_SIZE)
+        with pytest.raises(MemoryFault) as fault:
+            memory.fill(0x3000 + PAGE_SIZE - 16, 0xAB, 32)
+        assert fault.value.address == 0x3000 + PAGE_SIZE
+        assert memory.read_bytes(0x3000, PAGE_SIZE) == bytes(PAGE_SIZE)
+
     def test_watcher_sees_one_masked_call(self):
         calls = []
         memory = self._watched(calls)
