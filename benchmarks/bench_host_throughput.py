@@ -50,6 +50,7 @@ from repro.eval.configs import CONFIG_NAMES, build_machine_config, \
     build_options
 from repro.obs.metrics import write_bench
 from repro.vm import Machine
+from repro.vm.machine import TEMPORAL_POLICIES
 from repro.workloads import WORKLOADS
 
 DEFAULT_WORKLOADS = "treeadd,em3d,mst,coremark"
@@ -177,7 +178,7 @@ def main(argv=None) -> int:
                         help="run the byte-identity differential gate "
                              "only; skip timing")
     parser.add_argument("--temporal", default="off",
-                        choices=("off", "check", "quarantine"),
+                        choices=TEMPORAL_POLICIES,
                         help="temporal lock-and-key policy armed on "
                              "every cell's machine (default off)")
     parser.add_argument("--out-dir", default=None,

@@ -8,7 +8,8 @@ asserted:
 * **determinism** — every worker count produces the same merged
   counters (the byte-identical guarantee, minus timing);
 * **scaling** — on a machine with at least 4 CPUs, 4 workers must
-  deliver at least 2x the sequential throughput.  On smaller hosts
+  deliver at least 2x the throughput of 1.  Every worker count runs
+  through the same pool and starts from cold workers.  On smaller hosts
   (CI containers here expose a single core, where any speedup is
   physically impossible) the numbers are recorded but not gated.
 """

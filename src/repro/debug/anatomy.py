@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import MemoryFault
+from repro.errors import MemoryFault, TemporalViolation
 from repro.ifp.bounds import Bounds
 from repro.ifp.tag import Scheme, address_of, unpack_tag
 
@@ -55,7 +55,8 @@ class PointerAnatomy:
 def explain_pointer(machine, pointer: int) -> PointerAnatomy:
     """Decode a pointer and dry-run its promote on ``machine``.
 
-    The dry run uses the real IFP unit but rolls back its statistics, so
+    The dry run (:meth:`repro.ifp.unit.IFPUnit.dry_run`) reads the
+    machine's metadata but changes nothing the machine can observe, so
     explaining pointers does not perturb an experiment.
     """
     tag = unpack_tag(pointer)
@@ -76,18 +77,13 @@ def explain_pointer(machine, pointer: int) -> PointerAnatomy:
     elif tag.scheme is Scheme.GLOBAL_TABLE:
         anatomy.table_index = tag.global_table_index(config)
 
-    import copy
-    saved_stats = copy.deepcopy(machine.ifp.stats)
-    saved_obs = machine.ifp.obs
-    machine.ifp.obs = None  # the dry run must not emit telemetry
     try:
-        result = machine.ifp.promote(pointer)
+        result = machine.ifp.dry_run(pointer)
         anatomy.promote_outcome = result.outcome.value
         anatomy.bounds = result.bounds
         anatomy.narrowed = result.narrowed
     except MemoryFault:
         anatomy.promote_outcome = "metadata access faulted"
-    finally:
-        machine.ifp.stats = saved_stats
-        machine.ifp.obs = saved_obs
+    except TemporalViolation:
+        anatomy.promote_outcome = "temporal violation"
     return anatomy

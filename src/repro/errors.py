@@ -467,7 +467,7 @@ class InjectedIOFault(InjectedFault, OSError):
 
 
 class InjectedCrash(InjectedFault):
-    """A simulated process death (torn write, worker kill).
+    """A simulated process death (a torn checkpoint write).
 
     Deliberately *not* an :class:`OSError`: a crash must blow past the
     graceful IO-fault guards and abort the run, so the chaos campaign

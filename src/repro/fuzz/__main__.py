@@ -28,7 +28,7 @@ import sys
 from repro.eval.configs import CONFIG_NAMES
 from repro.fuzz.corpus import DEFAULT_CORPUS_DIR, load_entry
 from repro.fuzz.driver import DEFAULT_CONFIGS, replay_entry, run_fuzz
-from repro.vm.machine import ENGINE_CHOICES
+from repro.vm.machine import ENGINE_CHOICES, TEMPORAL_POLICIES
 
 
 def main(argv=None) -> int:
@@ -84,7 +84,8 @@ def main(argv=None) -> int:
     parser.add_argument("--shard-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="wall-clock budget per shard attempt "
-                             "(sharded path only)")
+                             "(implies the sharded path even at "
+                             "--jobs 1)")
     parser.add_argument("--shard-retries", type=int, default=2,
                         help="requeues per failed shard (default 2)")
     parser.add_argument("--engine", type=str, default="auto",
@@ -93,7 +94,7 @@ def main(argv=None) -> int:
                              "are byte-identical in every simulated "
                              "observable (default auto)")
     parser.add_argument("--temporal", type=str, default="off",
-                        choices=("off", "check", "quarantine"),
+                        choices=TEMPORAL_POLICIES,
                         help="lock-and-key temporal policy for oracle "
                              "machines; also enables use-after-free / "
                              "double-free / stale-realloc attack kinds "
@@ -133,7 +134,8 @@ def main(argv=None) -> int:
         temporal=args.temporal)
     ok = True
     drained = False
-    if args.jobs > 1 or args.checkpoint:
+    if args.jobs > 1 or args.checkpoint \
+            or args.shard_timeout is not None:
         import threading
 
         from repro.par.engine import run_campaign_plan

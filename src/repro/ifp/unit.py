@@ -14,6 +14,7 @@ adds to CVA6's execute stage.  It owns:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -380,6 +381,22 @@ class IFPUnit:
                 trace, extra, deltas))
             return result
         return self._promote_execute(pointer)
+
+    def dry_run(self, pointer: int) -> PromoteResult:
+        """Execute one promote that nothing in the machine can observe:
+        the uncached promote runs on a shallow copy of this unit (a new
+        one would claim the memory's snoop hooks) with fresh stats and
+        MAC memo, a metadata port outside the cache hierarchy, and no
+        observer or fault injector.  Memory, control registers and the
+        temporal registry are only read; a ``MemoryFault`` or
+        ``TemporalViolation`` propagates."""
+        probe = copy.copy(self)
+        probe.stats = IFPUnitStats()
+        probe.mac = MacCache(self.mac_key, probe.stats)
+        probe.port = MetadataPort(self.port.memory)
+        probe.obs = None
+        probe.faults = None
+        return probe._promote_execute(pointer)
 
     def _replay_promote(self, entry) -> PromoteResult:
         (pointer, bounds, outcome, narrowed, narrow_attempted,

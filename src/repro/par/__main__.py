@@ -34,7 +34,7 @@ from repro.par.engine import resume_checkpoint, run_campaign_plan
 from repro.par.kinds import campaign_kind, plan_bench, plan_juliet
 from repro.par.merge import diff_documents
 from repro.par.pool import install_drain_handler
-from repro.vm.machine import ENGINE_CHOICES
+from repro.vm.machine import ENGINE_CHOICES, TEMPORAL_POLICIES
 
 #: exit code for a campaign drained by SIGTERM/SIGINT: the checkpoint
 #: is resumable, but the run did not complete
@@ -183,7 +183,7 @@ def main(argv=None) -> int:
         "juliet", help="run the Juliet-style suite across workers")
     juliet.add_argument("--allocator", choices=("wrapped", "subheap"),
                         default="wrapped")
-    juliet.add_argument("--temporal", choices=("off", "check", "quarantine"),
+    juliet.add_argument("--temporal", choices=TEMPORAL_POLICIES,
                         default="off",
                         help="lock-and-key temporal policy; armed, the "
                              "suite adds the CWE-415/416 cases "

@@ -3,6 +3,12 @@
 Execution model
 ===============
 
+There is one: every plan, at every ``jobs`` >= 1, runs in ``jobs``
+worker processes, so a one-worker run gets the same wall-clock budgets
+and crash recovery as a wide one.  The parent resolves the runner
+reference before the first spawn, so a bad one is a typed
+:class:`ShardRunnerError`.
+
 The parent owns the schedule: it dispatches one shard at a time into
 each worker's private task queue, so shard ownership is a parent-side
 fact established at dispatch — never inferred from worker messages a
@@ -66,12 +72,13 @@ driver's per-iteration watchdog) — never at the shard level.
 from __future__ import annotations
 
 import importlib
+import os
+import queue
 import signal
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.errors import InjectedCrash
 from repro.obs.events import (
     ChaosEvent, EventBus, QuarantineEvent, ShardDoneEvent,
     ShardRetryEvent, ShardStartEvent, StealEvent, TraceContext,
@@ -82,6 +89,8 @@ from repro.par.seeds import jittered_backoff
 
 #: how long the parent blocks on the result pipes per scheduling turn
 _POLL_SECONDS = 0.05
+#: how often an idle worker checks that its parent is still alive
+_ORPHAN_POLL_SECONDS = 1.0
 
 
 class ShardRunnerError(RuntimeError):
@@ -129,7 +138,7 @@ def resolve_runner(runner_ref: str) -> Callable[[Dict[str, Any], int],
     """Resolve a ``"module:function"`` reference to the callable.
 
     Runners are passed by reference, not by value, so worker processes
-    (including ``spawn``-start ones) import them fresh — the only
+    (including ``spawn``-start ones) can import them — the only
     pickling a task needs is its JSON-scalar shard dict.
     """
     module_name, _, func_name = runner_ref.partition(":")
@@ -275,7 +284,7 @@ class PlanResult:
 # ---------------------------------------------------------------------------
 
 def _worker_main(worker_id: int, runner_ref: str, task_queue,
-                 result_pipe) -> None:
+                 result_pipe, parent: int) -> None:
     """Worker loop: execute dispatched tasks until the ``None``
     sentinel.
 
@@ -284,11 +293,18 @@ def _worker_main(worker_id: int, runner_ref: str, task_queue,
     is known at dispatch — a worker that dies can never take a claimed
     shard's identity with it (there is no claim message to lose).  A
     runner that raises is reported as an ``error`` message and the
-    worker lives on to take the next task.
+    worker lives on to take the next task.  A worker whose parent (pid
+    ``parent``) was killed (SIGKILL, OOM-kill) exits instead of waiting
+    forever.
     """
     runner = resolve_runner(runner_ref)
     while True:
-        task = task_queue.get()
+        try:
+            task = task_queue.get(timeout=_ORPHAN_POLL_SECONDS)
+        except queue.Empty:
+            if os.getppid() != parent:
+                return
+            continue
         if task is None:
             return
         shard_dict, attempt = task
@@ -340,9 +356,6 @@ class _Pool:
         self.preferred: Dict[int, int] = {}
         self.result = PlanResult(
             workers=[WorkerStats(worker=i) for i in range(self.jobs)])
-
-    def _stopping(self) -> bool:
-        return self.stop is not None and self.stop.is_set()
 
     # -- events -------------------------------------------------------------
 
@@ -405,7 +418,7 @@ class _Pool:
                               ctx=self._ctx(shard)))
         return True
 
-    # -- shared outcome handling -------------------------------------------
+    # -- outcome handling ---------------------------------------------------
 
     def _complete(self, shard: ShardSpec, attempt: int, worker: int,
                   seconds: float, payload: Dict[str, Any]) -> None:
@@ -433,8 +446,7 @@ class _Pool:
         ``quarantined`` instead, which the campaign carries without
         failing."""
         sid = shard.shard_id
-        if worker >= 0:
-            self.result.workers[worker].busy_seconds += seconds
+        self.result.workers[worker].busy_seconds += seconds
         self._emit(ShardDoneEvent(site=None, shard_id=sid,
                                   worker=worker, attempt=attempt,
                                   t=self._now(), status=reason,
@@ -484,73 +496,9 @@ class _Pool:
                 lambda: self.checkpoint.mark_running(sid, attempt),
                 f"mark_running shard {sid}")
 
-    # -- inline execution (jobs == 1, no extra processes) -------------------
+    # -- execution -----------------------------------------------------------
 
-    def run_inline(self) -> PlanResult:
-        """Sequential execution in this process.
-
-        The retry loop and event stream behave exactly like the
-        multiprocess path; what an inline run *cannot* provide is
-        preemption, so wall-clock budgets rely on the runner's own
-        cooperative timeout (e.g. the fuzz driver's watchdog).
-        """
-        self._t0 = time.monotonic()
-        runner = resolve_runner(self.runner_ref)
-        todo = self._plan_order()
-        for shard in todo:
-            if self._stopping():
-                self.result.drained = True
-                break
-            attempt = 0
-            while True:
-                self._started(shard, attempt, worker=0)
-                if self._chaos_kill(shard, worker=0):
-                    # Inline pools have no process to kill: the
-                    # injected crash aborts the run the way a SIGKILL
-                    # would (the shard stays 'running' in the
-                    # checkpoint), exercising checkpoint-resume.
-                    raise InjectedCrash(
-                        f"chaos: worker killed dispatching shard "
-                        f"{shard.shard_id}", fault="worker_kill",
-                        op="dispatch")
-                started = time.monotonic()
-                try:
-                    payload = runner(self._task_dict(shard), attempt)
-                except KeyboardInterrupt:
-                    raise
-                except BaseException as exc:  # noqa: BLE001
-                    seconds = time.monotonic() - started
-                    detail = f"{type(exc).__name__}: {exc}"
-                    if attempt >= self.retries:
-                        self._fail(shard, attempt, 0, "error", detail,
-                                   seconds)
-                        break
-                    delay = jittered_backoff(self.backoff_base,
-                                             attempt, shard.seed)
-                    self.result.retries += 1
-                    self._emit(ShardRetryEvent(
-                        site=None, shard_id=shard.shard_id, worker=0,
-                        attempt=attempt, t=self._now(), reason="error",
-                        delay=delay, ctx=self._ctx(shard)))
-                    self.result.workers[0].busy_seconds += seconds
-                    if self._stopping():
-                        # drain beats backoff: leave the shard pending
-                        # for a resume instead of burning retries
-                        self.result.drained = True
-                        break
-                    if delay > 0:
-                        time.sleep(delay)
-                    attempt += 1
-                else:
-                    self._complete(shard, attempt, 0,
-                                   time.monotonic() - started, payload)
-                    break
-        self.result.wall_seconds = time.monotonic() - self._t0
-        return self.result
-
-    # -- multiprocess execution --------------------------------------------
-
-    def run_processes(self) -> PlanResult:
+    def run(self) -> PlanResult:
         """Parent-side scheduling: each worker has a private task queue
         the parent dispatches into one shard at a time.
 
@@ -563,6 +511,12 @@ class _Pool:
         """
         import multiprocessing as mp
         from multiprocessing.connection import wait
+        todo = self._plan_order()
+        if not todo:        # every shard was settled by the checkpoint
+            return self.result
+        # A bad reference fails here, typed, instead of as one crash per
+        # worker; forked workers also inherit the runner's imports.
+        resolve_runner(self.runner_ref)
         method = "fork" if "fork" in mp.get_all_start_methods() \
             else "spawn"
         ctx = mp.get_context(method)
@@ -585,14 +539,13 @@ class _Pool:
             process = ctx.Process(
                 target=_worker_main,
                 args=(worker_id, self.runner_ref,
-                      task_queues[worker_id], writer),
+                      task_queues[worker_id], writer, os.getpid()),
                 daemon=True)
             process.start()
             writer.close()   # the worker holds the write end
             result_pipes[worker_id] = reader
             workers[worker_id] = process
 
-        todo = self._plan_order()
         total = len(todo)
         pending: List[Tuple[ShardSpec, int]] = [(s, 0) for s in todo]
         #: shards waiting out a backoff delay: (ready_time, shard, attempt)
@@ -641,8 +594,7 @@ class _Pool:
             # *now* (not at re-dispatch time): a "done" racing with a
             # terminate must not double-complete the shard.
             current_attempt[shard.shard_id] = attempt + 1
-            if worker >= 0:
-                self.result.workers[worker].busy_seconds += seconds
+            self.result.workers[worker].busy_seconds += seconds
             self._emit(ShardRetryEvent(
                 site=None, shard_id=shard.shard_id, worker=worker,
                 attempt=attempt, t=self._now(), reason=reason,
@@ -664,7 +616,7 @@ class _Pool:
                 # a drain request stops dispatch; in-flight shards run
                 # to completion (and checkpoint), then the loop exits
                 # with the remainder left pending for a resume
-                stopping = self._stopping()
+                stopping = self.stop is not None and self.stop.is_set()
                 if stopping and not running:
                     self.result.drained = True
                     break
@@ -791,8 +743,9 @@ def run_plan(plan: ShardPlan, runner_ref: str, *, jobs: int = 1,
              stop=None,
              context: Optional[TraceContext] = None,
              quarantine: bool = False, chaos=None) -> PlanResult:
-    """Execute ``plan`` with ``jobs`` workers; returns a
-    :class:`PlanResult`.
+    """Execute ``plan`` in ``max(1, jobs)`` worker processes (see the
+    module docstring); returns a :class:`PlanResult`.  An unresolvable
+    ``runner_ref`` raises :class:`ShardRunnerError`.
 
     ``checkpoint`` (when given) is opened against the plan: shards it
     already holds results for are *restored* instead of re-run, and
@@ -834,11 +787,4 @@ def run_plan(plan: ShardPlan, runner_ref: str, *, jobs: int = 1,
         for record in checkpoint.quarantined():
             pool.result.quarantined.append(
                 ShardFailure.from_dict(record))
-    settled = set(pool.result.results)
-    settled.update(q.shard_id for q in pool.result.quarantined)
-    if all(shard.shard_id in settled for shard in plan.shards):
-        pool.result.wall_seconds = 0.0
-        return pool.result
-    if jobs <= 1:
-        return pool.run_inline()
-    return pool.run_processes()
+    return pool.run()

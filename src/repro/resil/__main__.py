@@ -86,7 +86,8 @@ def main(argv=None) -> int:
     parser.add_argument("--shard-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="wall-clock budget per shard attempt "
-                             "(sharded path only)")
+                             "(implies the sharded path even at "
+                             "--jobs 1)")
     parser.add_argument("--shard-retries", type=int, default=2,
                         help="requeues per failed shard (default 2)")
     parser.add_argument("--engine", type=str, default="auto",
@@ -126,7 +127,8 @@ def main(argv=None) -> int:
         timeout_seconds=timeout, strict=args.strict, jobs=args.jobs,
         shard_size=args.shard_size, engine=args.engine)
     pool_ok = True
-    if args.jobs > 1 or args.checkpoint:
+    if args.jobs > 1 or args.checkpoint \
+            or args.shard_timeout is not None:
         from repro.par.engine import run_campaign_plan
         campaign, outcome = run_campaign_plan(
             plan, jobs=args.jobs, checkpoint_dir=args.checkpoint,

@@ -320,8 +320,8 @@ def run_chaos_cell(kind: str, seed: int, *, work_dir: str,
     under ``schedule`` with bounded crash/resume rounds, then classify.
 
     The resume loop is the self-healing claim made executable: a round
-    that dies of an injected crash (torn write, inline worker kill, an
-    unguarded injected IO error during checkpoint open) simply resumes
+    that dies of an injected crash (a torn write, an unguarded injected
+    IO error during checkpoint open) simply resumes
     against the same checkpoint; because the injector's budget spans
     rounds, the schedule eventually runs dry and a round completes.
     """

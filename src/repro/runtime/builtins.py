@@ -19,7 +19,6 @@ from repro.ifp.schemes.local_offset import (
 from repro.ifp.tag import (
     Scheme, address_of, temporal_key_of, unpack_tag, with_temporal_key,
 )
-from repro.resil.policy import STRICT
 from repro.temporal import check_free
 from repro.runtime.buddy import BuddyAllocator
 from repro.runtime.freelist import FreeListAllocator
@@ -200,10 +199,7 @@ def install(machine) -> Dict[str, callable]:
 
     def ifp_register_gt(mach, args, bounds):
         address, size, lt = args[0] & ((1 << 48) - 1), args[1], args[2]
-        if mach.config.policy.global_table_exhaustion == STRICT:
-            registered = global_table.register(address, size, lt)
-        else:
-            registered = global_table.try_register(address, size, lt)
+        registered = global_table.try_register(address, size, lt)
         mach.stats.local_objects += 1
         if lt:
             mach.stats.local_objects_lt += 1
@@ -252,13 +248,8 @@ def install(machine) -> Dict[str, callable]:
                                                        size)
                     instrs = 20
                 else:
-                    if (mach.config.policy.global_table_exhaustion
-                            == STRICT):
-                        registered = global_table.register(
-                            address, size, lt_addr)
-                    else:
-                        registered = global_table.try_register(
-                            address, size, lt_addr)
+                    registered = global_table.try_register(
+                        address, size, lt_addr)
                     if registered is None:
                         mach.stats.degraded_allocs += 1
                         if mach.obs is not None:

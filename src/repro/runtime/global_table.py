@@ -15,6 +15,7 @@ from repro.errors import ResourceExhausted
 from repro.ifp.poison import Poison
 from repro.ifp.schemes.global_table import GlobalTableScheme, ROW_BYTES
 from repro.ifp.tag import address_of, unpack_tag
+from repro.resil.policy import STRICT
 
 
 class GlobalTableManager:
@@ -29,8 +30,7 @@ class GlobalTableManager:
         self._free_rows: List[int] = list(range(self.rows - 1, -1, -1))
         self.live_rows = 0
         self.peak_live_rows = 0
-        #: registrations refused because the table was full (the callers
-        #: decide — per DegradationPolicy — whether that traps or degrades)
+        #: registrations refused because the table was full
         self.exhaustion_events = 0
 
     @property
@@ -43,10 +43,12 @@ class GlobalTableManager:
 
     def try_register(self, address: int, size: int,
                      layout_ptr: int) -> Optional[Tuple[int, int, int]]:
-        """Claim a row if one is free; returns None when the table is
-        full (the degradation-policy path — callers fall back to an
-        untagged legacy pointer instead of trapping)."""
-        if not self._free_rows:
+        """Claim a row under the machine's ``global_table_exhaustion``
+        policy: a full table raises :class:`ResourceExhausted` under
+        strict, and returns None under degrade (callers fall back to an
+        untagged legacy pointer)."""
+        policy = self.machine.config.policy
+        if not self._free_rows and policy.global_table_exhaustion != STRICT:
             self.exhaustion_events += 1
             return None
         return self.register(address, size, layout_ptr)
@@ -55,9 +57,8 @@ class GlobalTableManager:
                  layout_ptr: int) -> Tuple[int, int, int]:
         """Claim a row; returns (tagged pointer, cycles, instrs).
 
-        Raises :class:`ResourceExhausted` when the table is full — the
-        strict-policy path.  Policy-aware callers use
-        :meth:`try_register` instead.
+        Raises :class:`ResourceExhausted` when the table is full,
+        whatever the policy; allocators use :meth:`try_register`.
         """
         if not self._free_rows:
             self.exhaustion_events += 1

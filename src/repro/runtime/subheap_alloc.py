@@ -242,12 +242,8 @@ class SubheapAllocator:
         address, cycles, instrs = machine.heap_freelist_malloc(size)
         if address == 0:
             return 0, None, cycles, instrs
-        if machine.config.policy.global_table_exhaustion == STRICT:
-            registered = self.global_table.register(
-                address, size, layout_ptr)
-        else:
-            registered = self.global_table.try_register(
-                address, size, layout_ptr)
+        registered = self.global_table.try_register(
+            address, size, layout_ptr)
         if registered is None:
             # Global table also full: last rung of the degradation
             # ladder — an untagged legacy pointer with no metadata.

@@ -19,7 +19,6 @@ from repro.ifp.schemes.local_offset import (
     LocalOffsetScheme, METADATA_BYTES, align_up,
 )
 from repro.ifp.tag import Scheme, address_of, unpack_tag
-from repro.resil.policy import STRICT
 
 #: modelled extra instructions for metadata setup / teardown
 _REGISTER_COST = 12
@@ -65,12 +64,8 @@ class WrappedAllocator:
             address, cycles, instrs = self.freelist.malloc(size)
             if address == 0:
                 return 0, None, cycles, instrs
-            if machine.config.policy.global_table_exhaustion == STRICT:
-                registered = self.global_table.register(
-                    address, size, layout_ptr)
-            else:
-                registered = self.global_table.try_register(
-                    address, size, layout_ptr)
+            registered = self.global_table.try_register(
+                address, size, layout_ptr)
             if registered is None:
                 # Table full under the degrade policy: the object keeps
                 # its memory but loses its metadata — hand out an

@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.errors import InvalidJobSpec
 from repro.par.kinds import CAMPAIGN_KINDS
 from repro.par.plan import ShardPlan
-from repro.vm.machine import ENGINE_CHOICES
+from repro.vm.machine import ENGINE_CHOICES, TEMPORAL_POLICIES
 
 #: job lifecycle states (terminal: done / failed / cancelled)
 JOB_STATUSES: Tuple[str, ...] = (
@@ -149,7 +149,7 @@ def _fuzz_params(params: Dict[str, Any]) -> Dict[str, Any]:
             ENGINE_CHOICES),
         "temporal": _require_str(
             "params.temporal", params.get("temporal", "off"),
-            ("off", "check", "quarantine")),
+            TEMPORAL_POLICIES),
         "shard_size": _require_int("params.shard_size",
                                    params.get("shard_size", 0), 0),
     }
@@ -191,7 +191,7 @@ def _juliet_params(params: Dict[str, Any]) -> Dict[str, Any]:
             ("wrapped", "subheap")),
         "temporal": _require_str(
             "params.temporal", params.get("temporal", "off"),
-            ("off", "check", "quarantine")),
+            TEMPORAL_POLICIES),
         "shard_size": _require_int("params.shard_size",
                                    params.get("shard_size", 0), 0),
     }

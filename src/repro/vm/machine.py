@@ -26,6 +26,8 @@ ENGINES = ("auto", "reference")
 ENGINE_ALIASES = {"fastpath": "auto", "superblock": "auto"}
 #: every spelling a CLI or job spec accepts
 ENGINE_CHOICES = ENGINES + tuple(ENGINE_ALIASES)
+#: the values of ``MachineConfig.temporal``
+TEMPORAL_POLICIES = ("off", "check", "quarantine")
 
 
 @dataclass(frozen=True)
@@ -92,10 +94,10 @@ class Machine:
         self.layout = config.layout
         self.memory = Memory()
         self.hierarchy = config.hierarchy.build()
-        if config.temporal not in ("off", "check", "quarantine"):
+        if config.temporal not in TEMPORAL_POLICIES:
             raise ReproError(
                 f"unknown temporal policy {config.temporal!r} "
-                "(expected off|check|quarantine)")
+                f"(expected {'|'.join(TEMPORAL_POLICIES)})")
         ifp_config = config.ifp
         if config.temporal != "off":
             from repro.temporal import TemporalRegistry

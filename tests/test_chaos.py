@@ -318,16 +318,16 @@ class TestChaosCell:
         assert sum(outcome.injections.values()) > 0
         assert outcome.rounds >= 1
 
-    def test_worker_kill_crashes_then_resumes(self, tmp_path):
+    def test_one_worker_pool_absorbs_worker_kills(self, tmp_path):
         schedule = ChaosSchedule(seed=0, faults=("worker_kill",),
                                  period=1, max_injections=2)
         outcome = run_chaos_cell(
             "selftest", 4, work_dir=str(tmp_path), schedule=schedule,
             jobs=1)
-        # inline worker kills abort the run typed; the resume loop
-        # drains the budget and a clean round completes
-        assert outcome.crashes == 2
-        assert outcome.rounds == 3
+        # a killed worker is respawned and its shard requeued inside
+        # the round, as at any --jobs: nothing aborts the run
+        assert outcome.crashes == 0
+        assert outcome.rounds == 1
         assert outcome.injections["worker_kill"] == 2
         assert outcome.verdict in ("converged", "quarantined")
 

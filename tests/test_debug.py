@@ -1,11 +1,13 @@
 """Tests for the tracing and pointer-anatomy debugging aids."""
 
+import dataclasses
+
 import pytest
 
 from repro.compiler import CompilerOptions, Op, compile_source
 from repro.debug import Tracer, attach_tracer, explain_pointer
 from repro.debug.trace import IFP_OPS
-from repro.vm import Machine
+from repro.vm import Machine, MachineConfig
 
 SOURCE = """
 int g;
@@ -175,3 +177,59 @@ class TestAnatomy:
                                   with_poison(0x9000, Poison.INVALID))
         assert anatomy.poison == "INVALID"
         assert anatomy.promote_outcome == "bypass_poisoned"
+
+    def test_dry_run_changes_nothing_the_machine_observes(self):
+        machine = self._machine()
+        warm, _b, _c, _i = machine.wrapped_allocator.malloc(48, 0, 0)
+        machine.ifp.promote(warm)   # a promote-cache entry, L1 lines
+        tagged, _b, _c, _i = machine.wrapped_allocator.malloc(96, 0, 0)
+        calls = []
+
+        class Injector:
+            def on_promote(self, pointer):
+                calls.append("on_promote")
+                return pointer
+
+            def on_metadata_load(self, address, size, value, phase):
+                calls.append("on_metadata_load")
+                return value
+
+        ifp = machine.ifp
+        ifp.faults = ifp.port.faults = Injector()
+        l1d = machine.hierarchy.l1d
+        port = ifp.port
+
+        def state():
+            return (dataclasses.asdict(ifp.stats),
+                    [list(lines) for lines in l1d._sets],
+                    dataclasses.asdict(l1d.stats),
+                    port.cycles, port.loads, port._buffered_line,
+                    dict(ifp._promote_cache),
+                    {line: set(keys)
+                     for line, keys in ifp._promote_deps.items()})
+
+        before = state()
+        stats = ifp.stats
+        anatomy = explain_pointer(machine, tagged)
+        assert anatomy.promote_outcome == "valid"
+        assert anatomy.bounds.size == 96
+        assert state() == before
+        assert ifp.stats is stats and ifp.mac.stats is ifp.stats
+        assert calls == []
+
+    def test_dry_run_reports_a_temporal_violation(self):
+        from repro.ifp.tag import address_of
+        program = compile_source("int main(void) { return 0; }",
+                                 CompilerOptions.wrapped())
+        machine = Machine(program, MachineConfig(temporal="check"))
+        tagged, _b, _c, _i = machine.builtins["__ifp_malloc"](
+            machine, [48, 0, 0], None)
+        machine.builtins["__ifp_free"](machine, [tagged], None)
+        # the address comes back under a fresh key: ``tagged`` is stale
+        fresh, _b, _c, _i = machine.builtins["__ifp_malloc"](
+            machine, [48, 0, 0], None)
+        assert address_of(fresh) == address_of(tagged) and fresh != tagged
+        before = dataclasses.asdict(machine.ifp.stats)
+        anatomy = explain_pointer(machine, tagged)
+        assert anatomy.promote_outcome == "temporal violation"
+        assert dataclasses.asdict(machine.ifp.stats) == before

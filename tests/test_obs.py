@@ -205,6 +205,37 @@ class TestForensics:
             assert record.entry.extra["forensics"] \
                 == record.entry.name + ".forensics.txt"
 
+    @pytest.mark.parametrize("options", [CompilerOptions.wrapped(),
+                                         CompilerOptions.subheap()],
+                             ids=["wrapped", "subheap"])
+    def test_forensics_leave_the_run_stats_alone(self, options):
+        import dataclasses
+        # a subobject overflow: the trapping pointer's dry-run promote
+        # narrows, so a leaking dry run shows in every promote counter
+        source = """
+        struct G { int tag; char buf[8]; int after; };
+        struct G *g;
+        int main(void) {
+            g = (struct G*)malloc(sizeof(struct G));
+            char *q = g->buf;
+            q[9] = 1;
+            return 0;
+        }
+        """
+        runs = []
+        for forensics in (False, True):
+            machine = _machine(source, options)
+            attach_observer(machine, profile=False, forensics=forensics)
+            result = machine.run()
+            assert type(result.trap).__name__ == "PoisonTrap"
+            runs.append((machine, result))
+        (_, plain), (machine, observed) = runs
+        assert machine.obs.last_report.promote_outcome == "valid"
+        assert dataclasses.asdict(observed.stats) \
+            == dataclasses.asdict(plain.stats)
+        assert observed.stats.ifp.promotes_total == 1
+        assert machine.ifp.mac.stats is machine.ifp.stats
+
 
 class TestMetricsSchema:
     def _document(self):

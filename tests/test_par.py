@@ -3,6 +3,7 @@ the crash-recovering worker pool, checkpoint resume, and the merge
 layer's sequential-identical guarantee."""
 
 import json
+import os
 import pickle
 
 import pytest
@@ -20,7 +21,9 @@ from repro.par.merge import canonical_metrics, diff_documents
 from repro.par.plan import (
     ShardPlan, ShardSpec, plan_indices, plan_range, split_evenly,
 )
-from repro.par.pool import PlanResult, ShardFailure, run_plan
+from repro.par.pool import (
+    PlanResult, ShardFailure, ShardRunnerError, run_plan,
+)
 from repro.par.seeds import (
     GOLDEN_GAMMA, backoff_delay, derive_seed, jittered_backoff,
     shard_seed, splitmix64,
@@ -265,21 +268,31 @@ class TestPool:
         assert outcome.retries == 1
         assert sorted(outcome.results) == [0, 2, 3]
 
-    def test_worker_crash_is_recovered_and_respawned(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_worker_crash_is_recovered_and_respawned(self, jobs):
         plan = _selftest_plan(2, 8, 4, mode="crash", fail_shards=[0])
-        outcome = run_plan(plan, SELFTEST, jobs=2, retries=1,
+        outcome = run_plan(plan, SELFTEST, jobs=jobs, retries=1,
                            backoff_base=0.01)
         assert [f.reason for f in outcome.failures] == ["crash"]
         assert sorted(outcome.results) == [1, 2, 3]
         assert sum(w.respawns for w in outcome.workers) >= 2
 
-    def test_wall_clock_budget_terminates_hung_shard(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_wall_clock_budget_terminates_hung_shard(self, jobs):
         plan = _selftest_plan(2, 8, 4, mode="hang", fail_shards=[2],
                               hang_seconds=60.0)
-        outcome = run_plan(plan, SELFTEST, jobs=2, retries=1,
+        outcome = run_plan(plan, SELFTEST, jobs=jobs, retries=1,
                            backoff_base=0.01, shard_timeout=0.5)
         assert [f.reason for f in outcome.failures] == ["timeout"]
         assert sorted(outcome.results) == [0, 1, 3]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unresolvable_runner_raises_typed(self, jobs):
+        plan = _selftest_plan(2, 8, 4)
+        for ref in ("repro.par.campaigns:no_such_runner",
+                    "no_such_module:run", "not-a-reference"):
+            with pytest.raises(ShardRunnerError):
+                run_plan(plan, ref, jobs=jobs)
 
     def test_flaky_shard_recovers_within_retry_budget(self):
         plan = _selftest_plan(2, 8, 4, mode="flaky", fail_shards=[3],
@@ -445,6 +458,30 @@ class TestMergeDeterminism:
             assert config.get("temporal", "off") == temporal
             assert plans[-1].params.get("temporal", "off") == temporal
         assert "temporal" not in plans[0].params
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("cli", ["fuzz", "resil"])
+    def test_shard_timeout_selects_the_pool_at_one_job(
+            self, cli, tmp_path, monkeypatch, capsys):
+        import importlib
+
+        import repro.par.engine as engine
+        seen = []
+        real = engine.run_campaign_plan
+
+        def spy(plan, **options):
+            seen.append(options)
+            return real(plan, **options)
+
+        monkeypatch.setattr(engine, "run_campaign_plan", spy)
+        main = importlib.import_module(f"repro.{cli}.__main__").main
+        args = (["-n", "2", "--no-inject", "--corpus", str(tmp_path)]
+                if cli == "fuzz" else
+                ["--workloads", "treeadd", "--schemes", "local_offset",
+                 "--faults", "metadata_corrupt"])
+        assert main(args + ["--quiet", "--shard-timeout", "30"]) == 0
+        assert [(o["jobs"], o["shard_timeout"]) for o in seen] \
+            == [(1, 30.0)]
         capsys.readouterr()
 
     def test_sharded_resil_matches_sequential(self):
@@ -702,9 +739,12 @@ class TestCheckpointEdgeCases:
         child = subprocess.Popen([sys.executable, "-c", script])
         deadline = time.monotonic() + 30.0
         try:
-            # wait until at least one shard result landed, then KILL
+            # Kill only once a manifest row says "done": the shard result
+            # file is written before its row flips, so a kill between the
+            # two would leave nothing restorable.
             while time.monotonic() < deadline:
-                if any(directory.glob("shard-*.json")):
+                if (directory / "manifest.json").exists() and "done" in \
+                        Checkpoint(str(directory)).statuses().values():
                     break
                 time.sleep(0.02)
             else:
@@ -725,6 +765,68 @@ class TestCheckpointEdgeCases:
             params={"fail_shards": [], "sleep_seconds": 0.2}, shards=8)
         clean = run_plan(clean_plan, SELFTEST, jobs=1)
         assert _values(resumed, plan) == _values(clean, clean_plan)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_workers_exit_when_their_parent_is_killed(self, tmp_path,
+                                                      jobs):
+        """A SIGKILLed pool leaves no orphaned worker behind."""
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        def live_members(pgid):
+            members = []
+            for entry in os.listdir("/proc"):
+                if not entry.isdigit():
+                    continue
+                try:
+                    with open(f"/proc/{entry}/stat") as handle:
+                        state, _ppid, group = \
+                            handle.read().rsplit(")", 1)[1].split()[:3]
+                except OSError:
+                    continue
+                if state != "Z" and int(group) == pgid:
+                    members.append(int(entry))
+            return members
+
+        directory = tmp_path / "ck"
+        script = (
+            "import sys; sys.path.insert(0, {src!r})\n"
+            "from repro.par.checkpoint import Checkpoint\n"
+            "from repro.par.pool import run_plan\n"
+            "from repro.par.plan import plan_indices\n"
+            "plan = plan_indices('selftest', 3, list(range(8)),\n"
+            "    params={{'fail_shards': [], 'sleep_seconds': 0.2}},\n"
+            "    shards=8)\n"
+            "run_plan(plan, 'repro.par.campaigns:run_selftest_shard',\n"
+            "    jobs={jobs}, checkpoint=Checkpoint({ck!r}))\n"
+        ).format(src=os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src"), ck=str(directory),
+            jobs=jobs)
+        # its own process group, so its workers can be found and, if the
+        # check fails, killed
+        child = subprocess.Popen([sys.executable, "-c", script],
+                                 start_new_session=True)
+        try:
+            deadline = time.monotonic() + 30.0
+            while not any(directory.glob("shard-*.json")):
+                assert time.monotonic() < deadline, "no shard completed"
+                time.sleep(0.02)
+            assert len(live_members(child.pid)) > 1   # workers up
+            child.kill()
+            child.wait(timeout=30)
+            deadline = time.monotonic() + 10.0
+            while live_members(child.pid) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert live_members(child.pid) == []
+        finally:
+            try:
+                os.killpg(child.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 # ---------------------------------------------------------------------------
