@@ -54,7 +54,7 @@ def test_fuzz_end_to_end_rate(benchmark, tmp_path):
 
     def fuzz():
         return run_fuzz(10, seed=0, corpus_dir=str(tmp_path),
-                        log=lambda message: None, progress_every=0)
+                        log=lambda message: None)
 
     stats = benchmark.pedantic(fuzz, rounds=1, iterations=1)
     assert stats.ok, stats.summary()

@@ -18,7 +18,6 @@ from repro.errors import (
 from repro.eval.configs import (
     CONFIG_NAMES, build_machine_config, build_options,
 )
-from repro.resil.retry import call_with_retry
 from repro.vm import Machine, RunStats
 from repro.workloads import Workload, all_workloads
 
@@ -141,40 +140,19 @@ def verify_runs_agree(runs: Iterable[WorkloadRun]) -> None:
 
 
 class Sweep:
-    """Memoising runner over (workload, config) pairs.
-
-    ``timeout_seconds`` arms the per-run wall-clock watchdog; timed-out
-    runs are retried up to ``retries`` extra times with exponential
-    backoff (wall-clock timeouts are host-load-dependent, so a retry on
-    a quieter machine can legitimately succeed) before the final
-    :class:`~repro.errors.WorkloadTimeout` propagates.
-    """
+    """Memoising runner over (workload, config) pairs."""
 
     def __init__(self, scale: int = 1,
-                 workloads: Optional[List[Workload]] = None,
-                 timeout_seconds: Optional[float] = None,
-                 retries: int = 2, backoff_base: float = 0.1):
+                 workloads: Optional[List[Workload]] = None):
         self.scale = scale
         self.workloads = workloads if workloads is not None \
             else all_workloads()
-        self.timeout_seconds = timeout_seconds
-        self.retries = retries
-        self.backoff_base = backoff_base
         self._cache: Dict[Tuple[str, str], WorkloadRun] = {}
 
     def run(self, workload: Workload, config: str) -> WorkloadRun:
         key = (workload.name, config)
         if key not in self._cache:
-            if self.timeout_seconds is None:
-                self._cache[key] = run_workload(workload, config,
-                                                self.scale)
-            else:
-                self._cache[key] = call_with_retry(
-                    lambda _attempt: run_workload(
-                        workload, config, self.scale,
-                        timeout_seconds=self.timeout_seconds),
-                    attempts=1 + self.retries,
-                    base_delay=self.backoff_base)
+            self._cache[key] = run_workload(workload, config, self.scale)
         return self._cache[key]
 
     def baseline(self, workload: Workload) -> WorkloadRun:

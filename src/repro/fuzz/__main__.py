@@ -15,7 +15,7 @@ Examples::
     # re-run a persisted failure, verbatim from its seed
     python -m repro.fuzz --replay corpus/<name>.json
 
-    # the same campaign sharded across 4 worker processes, resumable
+    # the same campaign across 4 worker processes, resumable
     python -m repro.fuzz --iterations 200 --seed 0 --jobs 4 \\
         --checkpoint ckpt-fuzz
 """
@@ -27,7 +27,9 @@ import sys
 
 from repro.eval.configs import CONFIG_NAMES
 from repro.fuzz.corpus import DEFAULT_CORPUS_DIR, load_entry
-from repro.fuzz.driver import DEFAULT_CONFIGS, replay_entry, run_fuzz
+from repro.fuzz.driver import DEFAULT_CONFIGS, replay_entry
+from repro.par.cli import add_pool_args, run
+from repro.par.kinds import plan_fuzz
 from repro.vm.machine import ENGINE_CHOICES, TEMPORAL_POLICIES
 
 
@@ -72,22 +74,6 @@ def main(argv=None) -> int:
                         metavar="SECONDS",
                         help="base of the exponential retry backoff "
                              "(default 0.1)")
-    parser.add_argument("--jobs", "-j", type=int, default=1,
-                        help="worker processes; >1 shards the campaign "
-                             "via repro.par (default 1, sequential)")
-    parser.add_argument("--shard-size", type=int, default=0,
-                        help="iterations per shard when sharded "
-                             "(default: auto, 4 shards per worker)")
-    parser.add_argument("--checkpoint", type=str, metavar="DIR",
-                        help="resumable checkpoint directory (implies "
-                             "the sharded path even at --jobs 1)")
-    parser.add_argument("--shard-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="wall-clock budget per shard attempt "
-                             "(implies the sharded path even at "
-                             "--jobs 1)")
-    parser.add_argument("--shard-retries", type=int, default=2,
-                        help="requeues per failed shard (default 2)")
     parser.add_argument("--engine", type=str, default="auto",
                         choices=ENGINE_CHOICES,
                         help="execution engine for oracle runs; engines "
@@ -105,10 +91,9 @@ def main(argv=None) -> int:
                         help="write run metrics in the repro.obs "
                              "schema-v2 JSON format")
     parser.add_argument("--quiet", "-q", action="store_true",
-                        help="suppress progress lines")
+                        help="suppress pool progress lines")
+    add_pool_args(parser)
     args = parser.parse_args(argv)
-
-    log = (lambda message: None) if args.quiet else print
 
     if args.replay:
         try:  # validate the entry up front for a friendly CLI error
@@ -122,8 +107,7 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown configuration(s): {', '.join(unknown)}")
 
-    from repro.par.kinds import campaign_kind, plan_fuzz
-    plan = plan_fuzz(
+    return run(plan_fuzz(
         args.iterations, args.seed, configs=configs, start=args.start,
         clean=not args.inject_only, inject=not args.no_inject,
         corpus_dir=args.corpus, minimize=not args.no_minimize,
@@ -131,54 +115,7 @@ def main(argv=None) -> int:
         timeout_seconds=args.timeout, retries=args.retries,
         backoff_base=args.backoff, jobs=args.jobs,
         shard_size=args.shard_size, engine=args.engine,
-        temporal=args.temporal)
-    ok = True
-    drained = False
-    if args.jobs > 1 or args.checkpoint \
-            or args.shard_timeout is not None:
-        import threading
-
-        from repro.par.engine import run_campaign_plan
-        from repro.par.pool import install_drain_handler
-        stop = threading.Event()
-        restore = install_drain_handler(stop, log=log)
-        try:
-            stats, outcome = run_campaign_plan(
-                plan, jobs=args.jobs, checkpoint_dir=args.checkpoint,
-                shard_timeout=args.shard_timeout,
-                shard_retries=args.shard_retries, log=log, stop=stop)
-        finally:
-            restore()
-        if not args.quiet:
-            print(outcome.summary())
-        ok = outcome.ok
-        drained = outcome.drained
-        if drained:
-            print("drained: campaign interrupted; re-run with the same "
-                  "--checkpoint to resume", file=sys.stderr)
-    else:
-        stats = run_fuzz(
-            iterations=args.iterations, seed=args.seed, configs=configs,
-            start=args.start, clean=not args.inject_only,
-            inject=not args.no_inject, corpus_dir=args.corpus,
-            minimize=not args.no_minimize,
-            max_attacks_per_program=args.max_attacks,
-            plant_bug=args.plant_bug, log=log,
-            progress_every=0 if args.quiet else 25,
-            timeout_seconds=args.timeout, retries=args.retries,
-            backoff_base=args.backoff, engine=args.engine,
-            temporal=args.temporal)
-    print(stats.summary())
-    if args.metrics_out:
-        from repro.obs.metrics import write_metrics
-        # the plan's document, identical at every --jobs (the CI
-        # determinism gate diffs them with `python -m repro.par diff`)
-        path = write_metrics(args.metrics_out,
-                             campaign_kind("fuzz").document(plan, stats))
-        print(f"metrics written to {path}")
-    if drained:
-        return 3
-    return 0 if stats.ok and ok else 1
+        temporal=args.temporal), args, args.metrics_out)
 
 
 if __name__ == "__main__":

@@ -403,7 +403,6 @@ def run_fuzz(iterations: int, seed: int = 0,
              max_attacks_per_program: int = 2,
              plant_bug: bool = False,
              log: Optional[Callable[[str], None]] = None,
-             progress_every: int = 25,
              timeout_seconds: Optional[float] = None,
              retries: int = 2,
              backoff_base: float = 0.1,
@@ -549,13 +548,6 @@ def run_fuzz(iterations: int, seed: int = 0,
                     f"after {1 + max(0, retries)} timed-out attempts: "
                     f"{exc}")
 
-        done = offset + 1
-        if progress_every and done % progress_every == 0 \
-                and done < iterations:
-            log(f"[repro.fuzz] {done}/{iterations} iterations, "
-                f"{stats.divergences} divergences, "
-                f"{stats.attacks_detected}/{stats.attacks_detectable} "
-                f"attacks detected")
     stats.elapsed = time.monotonic() - started
     return stats
 
@@ -588,7 +580,7 @@ def replay_entry(path: str,
     stats = run_fuzz(1, seed=entry.seed, start=entry.iteration,
                      configs=entry.configs, minimize=False,
                      corpus_dir=DEFAULT_CORPUS_DIR + "/.replay",
-                     log=log, progress_every=0,
+                     log=log,
                      temporal=entry.extra.get("temporal", "off"))
     log(stats.summary())
     return True

@@ -26,6 +26,8 @@ module          role
                 metrics document
 `engine`        execute → merge → resume entry points for the CLIs and
                 the campaign service
+`cli`           the campaign CLIs' one front end: pool flags, signal
+                drain, report and exit code
 ==============  ======================================================
 
 The package root imports nothing: ``repro.par.seeds`` sits on the

@@ -25,73 +25,23 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
-import threading
 
-from repro.par.engine import resume_checkpoint, run_campaign_plan
-from repro.par.kinds import campaign_kind, plan_bench, plan_juliet
+from repro.par.cli import (
+    add_pool_args, drain_on_signal, log_for, report, run,
+)
+from repro.par.engine import resume_checkpoint
+from repro.par.kinds import plan_bench, plan_juliet
 from repro.par.merge import diff_documents
-from repro.par.pool import install_drain_handler
 from repro.vm.machine import ENGINE_CHOICES, TEMPORAL_POLICIES
-
-#: exit code for a campaign drained by SIGTERM/SIGINT: the checkpoint
-#: is resumable, but the run did not complete
-EXIT_DRAINED = 3
-
-
-@contextlib.contextmanager
-def _drain_on_signal(log):
-    """First SIGTERM/SIGINT drains the pool (in-flight shards finish
-    and checkpoint); a second one aborts immediately."""
-    stop = threading.Event()
-    restore = install_drain_handler(stop, log=log)
-    try:
-        yield stop
-    finally:
-        restore()
-
-
-def _log_for(args):
-    return (lambda message: None) if args.quiet else print
-
-
-def _report(plan, merged, outcome, args) -> int:
-    """Print any campaign's summary and pool outcome, write its metrics
-    document to ``--out`` when given, and map the verdict to the exit
-    code."""
-    kind = campaign_kind(plan.kind)
-    print(kind.summary(merged))
-    if not args.quiet:
-        print(outcome.summary())
-    if outcome.drained:
-        print("drained: campaign interrupted; resume with "
-              "`python -m repro.par resume --checkpoint DIR`",
-              file=sys.stderr)
-    if args.out:
-        from repro.obs.metrics import write_metrics
-        path = write_metrics(args.out, kind.document(plan, merged))
-        print(f"metrics written to {path}")
-    if outcome.drained:
-        return EXIT_DRAINED
-    return 0 if kind.ok(merged) and outcome.ok else 1
-
-
-def _run(plan, args) -> int:
-    with _drain_on_signal(_log_for(args)) as stop:
-        merged, outcome = run_campaign_plan(
-            plan, jobs=args.jobs, checkpoint_dir=args.checkpoint,
-            shard_timeout=args.shard_timeout,
-            shard_retries=args.retries, log=_log_for(args), stop=stop)
-    return _report(plan, merged, outcome, args)
 
 
 def _cmd_juliet(args) -> int:
-    return _run(plan_juliet(seed=args.seed, allocator=args.allocator,
-                            jobs=args.jobs, shard_size=args.shard_size,
-                            temporal=args.temporal),
-                args)
+    return run(plan_juliet(seed=args.seed, allocator=args.allocator,
+                           jobs=args.jobs, shard_size=args.shard_size,
+                           temporal=args.temporal),
+               args, args.out)
 
 
 def _cmd_bench(args) -> int:
@@ -110,34 +60,39 @@ def _cmd_bench(args) -> int:
         print(f"unknown configuration(s): {', '.join(unknown)}",
               file=sys.stderr)
         return 2
-    return _run(plan_bench(workloads=workloads, configs=configs,
-                           scale=args.scale,
-                           timeout_seconds=args.shard_timeout,
-                           seed=args.seed, jobs=args.jobs,
-                           shard_size=args.shard_size,
-                           engine=args.engine),
-                args)
+    return run(plan_bench(workloads=workloads, configs=configs,
+                          scale=args.scale,
+                          timeout_seconds=args.shard_timeout,
+                          seed=args.seed, jobs=args.jobs,
+                          shard_size=args.shard_size,
+                          engine=args.engine),
+               args, args.out)
 
 
 def _cmd_resume(args) -> int:
     try:
-        with _drain_on_signal(_log_for(args)) as stop:
+        with drain_on_signal(log_for(args)) as stop:
             plan, merged, outcome = resume_checkpoint(
                 args.checkpoint, jobs=args.jobs,
                 shard_timeout=args.shard_timeout,
-                shard_retries=args.retries, log=_log_for(args),
+                shard_retries=args.shard_retries, log=log_for(args),
                 stop=stop)
     except (FileNotFoundError, ValueError) as exc:
         print(f"cannot resume: {exc}", file=sys.stderr)
         return 2
-    return _report(plan, merged, outcome, args)
+    return report(plan, merged, outcome, args)
 
 
 def _cmd_diff(args) -> int:
-    with open(args.first) as handle:
-        first = json.load(handle)
-    with open(args.second) as handle:
-        second = json.load(handle)
+    documents = []
+    for path in (args.first, args.second):
+        try:
+            with open(path) as handle:
+                documents.append(json.load(handle))
+        except (OSError, ValueError) as exc:
+            print(f"cannot read {path}: {exc}", file=sys.stderr)
+            return 2
+    first, second = documents
     differences = diff_documents(first, second,
                                  ignore_timing=not args.strict_timing)
     if differences:
@@ -154,19 +109,8 @@ def _cmd_diff(args) -> int:
     return 0
 
 
-def _add_pool_args(parser) -> None:
-    parser.add_argument("--jobs", "-j", type=int, default=1,
-                        help="worker processes (default 1)")
-    parser.add_argument("--shard-size", type=int, default=0,
-                        help="items per shard (default: auto, "
-                             "4 shards per worker)")
-    parser.add_argument("--checkpoint", metavar="DIR",
-                        help="resumable checkpoint directory")
-    parser.add_argument("--shard-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="wall-clock budget per shard attempt")
-    parser.add_argument("--retries", type=int, default=2,
-                        help="requeues per failed shard (default 2)")
+def _add_campaign_args(parser) -> None:
+    add_pool_args(parser)
     parser.add_argument("--seed", "-s", type=int, default=0,
                         help="campaign master seed (default 0)")
     parser.add_argument("--quiet", "-q", action="store_true")
@@ -190,7 +134,7 @@ def main(argv=None) -> int:
                              "(default off)")
     juliet.add_argument("--out", metavar="JSON",
                         help="write schema-v2 metrics JSON here")
-    _add_pool_args(juliet)
+    _add_campaign_args(juliet)
     juliet.set_defaults(func=_cmd_juliet)
 
     bench = sub.add_parser(
@@ -206,18 +150,14 @@ def main(argv=None) -> int:
                             "either way (default auto)")
     bench.add_argument("--out", metavar="JSON",
                        help="write schema-v2 metrics JSON here")
-    _add_pool_args(bench)
+    _add_campaign_args(bench)
     bench.set_defaults(func=_cmd_bench)
 
     resume = sub.add_parser(
         "resume", help="resume a checkpointed campaign of any kind")
-    resume.add_argument("--checkpoint", required=True, metavar="DIR")
-    resume.add_argument("--jobs", "-j", type=int, default=1)
-    resume.add_argument("--shard-timeout", type=float, default=None,
-                        metavar="SECONDS")
-    resume.add_argument("--retries", type=int, default=2)
+    add_pool_args(resume, resume=True)
     resume.add_argument("--quiet", "-q", action="store_true")
-    resume.set_defaults(func=_cmd_resume, out=None)
+    resume.set_defaults(func=_cmd_resume)
 
     diff = sub.add_parser(
         "diff", help="compare two metrics documents, ignoring "

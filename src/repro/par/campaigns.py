@@ -15,9 +15,10 @@ flaky work in the crash-recovery tests.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.par.seeds import derive_seed, splitmix64
 
@@ -48,7 +49,7 @@ def run_fuzz_shard(shard: Dict[str, Any], attempt: int
         corpus_dir=params["corpus_dir"], minimize=params["minimize"],
         max_attacks_per_program=params["max_attacks"],
         plant_bug=params["plant_bug"],
-        log=lambda message: None, progress_every=0,
+        log=lambda message: None,
         timeout_seconds=params["timeout_seconds"],
         retries=params["retries"],
         backoff_base=params["backoff_base"],
@@ -63,6 +64,22 @@ def run_fuzz_shard(shard: Dict[str, Any], attempt: int
 # resil: a slice of the fault class x scheme x workload cell order
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
+def _resil_runner(scale: int, timeout_seconds: Optional[float],
+                  strict: bool, engine: str):
+    """One :class:`~repro.resil.matrix.CampaignRunner` per worker
+    process and runner parameters, so every shard a worker runs reuses
+    its compiled programs and fault-free references — exactly what the
+    sequential :meth:`~repro.resil.matrix.CampaignRunner.run` loop
+    does across all of its cells."""
+    from repro.resil.matrix import CampaignRunner
+    from repro.resil.policy import DEFAULT_POLICY, STRICT_POLICY
+    return CampaignRunner(
+        scale=scale, timeout_seconds=timeout_seconds,
+        policy=STRICT_POLICY if strict else DEFAULT_POLICY,
+        engine=engine)
+
+
 def run_resil_shard(shard: Dict[str, Any], attempt: int
                     ) -> Dict[str, Any]:
     """Run the resilience-matrix cells whose *global* indices are in
@@ -74,19 +91,15 @@ def run_resil_shard(shard: Dict[str, Any], attempt: int
     outcome is independent of how the campaign was sharded.
     """
     del attempt
-    from repro.resil.matrix import CampaignRunner, enumerate_cells
-    from repro.resil.policy import DEFAULT_POLICY, STRICT_POLICY
+    from repro.resil.matrix import enumerate_cells
     from repro.workloads import get as get_workload
 
     params = shard["params"]
     cells = enumerate_cells(tuple(params["faults"]),
                             tuple(params["schemes"]),
                             tuple(params["workloads"]))
-    runner = CampaignRunner(
-        scale=params["scale"],
-        timeout_seconds=params["timeout_seconds"],
-        policy=STRICT_POLICY if params["strict"] else DEFAULT_POLICY,
-        engine=params.get("engine", "auto"))
+    runner = _resil_runner(params["scale"], params["timeout_seconds"],
+                           params["strict"], params.get("engine", "auto"))
     results = []
     for index in shard["items"]:
         fault, scheme, name = cells[index]

@@ -1,9 +1,9 @@
 """High-level entry points: execute a plan, merge it, resume a
 checkpoint — the same calls for every campaign kind, which they look
-up in :data:`repro.par.kinds.CAMPAIGN_KINDS`.  This is what the
-``--jobs N`` flags on ``python -m repro.fuzz`` /
-``python -m repro.resil``, the ``python -m repro.par`` CLI and the
-campaign service delegate to.
+up in :data:`repro.par.kinds.CAMPAIGN_KINDS`.  Every run of
+``python -m repro.fuzz``, ``python -m repro.resil`` and
+``python -m repro.par`` (through :mod:`repro.par.cli`), and every
+campaign-service job, delegates to them.
 """
 
 from __future__ import annotations

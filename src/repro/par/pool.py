@@ -296,7 +296,17 @@ def _worker_main(worker_id: int, runner_ref: str, task_queue,
     worker lives on to take the next task.  A worker whose parent (pid
     ``parent``) was killed (SIGKILL, OOM-kill) exits instead of waiting
     forever.
+
+    A forked worker inherits its parent's signal wakeup fd (asyncio's
+    self-pipe in the campaign service) and Python signal handlers (a
+    CLI's drain handler).  Both are reset, so the SIGTERM that ends a
+    timed-out worker kills it at once and never reaches the parent's
+    event loop.  SIGINT is ignored: a terminal's Ctrl-C drains the
+    parent, and in-flight shards run to completion.
     """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     runner = resolve_runner(runner_ref)
     while True:
         try:

@@ -6,7 +6,7 @@ fault class × scheme matrix as a ``repro.obs.metrics/v2`` document.
 
 Examples::
 
-    # the standard campaign: 3 workloads x 3 schemes x 7 fault classes
+    # the standard campaign: 4 workloads x 3 schemes x 8 fault classes
     python -m repro.resil --out resil-matrix.json
 
     # quick smoke (one workload, the MAC-protected fault classes)
@@ -20,12 +20,14 @@ Examples::
     # the gate fails on any silent divergence from a fault-free run
     python -m repro.resil chaos --check --out chaos-matrix.json
 
-    # the full matrix sharded across 4 worker processes, resumable
+    # the full matrix across 4 worker processes, resumable
     python -m repro.resil --jobs 4 --checkpoint ckpt-resil \\
         --out resil-matrix.json
 
-The exit code is non-zero when any MAC-protected metadata fault ended
-in silent corruption — the property CI enforces.
+Every run goes through the :mod:`repro.par` pool, ``--jobs 1``
+included.  The exit code is 1 when any MAC-protected metadata fault
+ended in silent corruption — the property CI enforces — and 3 when a
+SIGTERM/SIGINT drained the run.
 """
 
 from __future__ import annotations
@@ -46,9 +48,9 @@ def main(argv=None) -> int:
         # the package root stays light (repro.vm.machine imports it)
         from repro.resil.chaos import main as chaos_main
         return chaos_main(argv[1:])
-    from repro.resil.matrix import (
-        DEFAULT_WORKLOADS, SCHEMES, run_campaign,
-    )
+    from repro.par.cli import add_pool_args, run
+    from repro.par.kinds import plan_resil
+    from repro.resil.matrix import DEFAULT_WORKLOADS, SCHEMES
     parser = argparse.ArgumentParser(
         prog="python -m repro.resil",
         description="Fault-injection resilience campaign for the IFP "
@@ -74,22 +76,6 @@ def main(argv=None) -> int:
     parser.add_argument("--strict", action="store_true",
                         help="strict degradation policy: resource "
                              "exhaustion traps instead of degrading")
-    parser.add_argument("--jobs", "-j", type=int, default=1,
-                        help="worker processes; >1 shards the campaign "
-                             "via repro.par (default 1, sequential)")
-    parser.add_argument("--shard-size", type=int, default=0,
-                        help="cells per shard when sharded (default: "
-                             "auto, 4 shards per worker)")
-    parser.add_argument("--checkpoint", type=str, metavar="DIR",
-                        help="resumable checkpoint directory (implies "
-                             "the sharded path even at --jobs 1)")
-    parser.add_argument("--shard-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="wall-clock budget per shard attempt "
-                             "(implies the sharded path even at "
-                             "--jobs 1)")
-    parser.add_argument("--shard-retries", type=int, default=2,
-                        help="requeues per failed shard (default 2)")
     parser.add_argument("--engine", type=str, default="auto",
                         choices=ENGINE_CHOICES,
                         help="execution engine; 'auto' runs clean and "
@@ -100,14 +86,14 @@ def main(argv=None) -> int:
                         help="write the matrix as a repro.obs "
                              "schema-v2 metrics document")
     parser.add_argument("--quiet", "-q", action="store_true",
-                        help="suppress per-cell progress lines")
+                        help="suppress pool progress lines")
+    add_pool_args(parser)
     args = parser.parse_args(argv)
 
-    workloads = tuple(w.strip() for w in args.workloads.split(",")
-                      if w.strip())
-    schemes = tuple(s.strip() for s in args.schemes.split(",")
-                    if s.strip())
-    faults = tuple(f.strip() for f in args.faults.split(",") if f.strip())
+    workloads = [w.strip() for w in args.workloads.split(",")
+                 if w.strip()]
+    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
+    faults = [f.strip() for f in args.faults.split(",") if f.strip()]
     unknown = [w for w in workloads if w not in WORKLOADS]
     if unknown:
         parser.error(f"unknown workload(s): {', '.join(unknown)}")
@@ -118,40 +104,12 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown fault class(es): {', '.join(unknown)}")
 
-    log = (lambda message: None) if args.quiet else print
     timeout = args.timeout if args.timeout > 0 else None
-    from repro.par.kinds import campaign_kind, plan_resil
-    plan = plan_resil(
-        workloads=list(workloads), schemes=list(schemes),
-        faults=list(faults), seed=args.seed, scale=args.scale,
+    return run(plan_resil(
+        workloads=workloads, schemes=schemes, faults=faults,
+        seed=args.seed, scale=args.scale,
         timeout_seconds=timeout, strict=args.strict, jobs=args.jobs,
-        shard_size=args.shard_size, engine=args.engine)
-    pool_ok = True
-    if args.jobs > 1 or args.checkpoint \
-            or args.shard_timeout is not None:
-        from repro.par.engine import run_campaign_plan
-        campaign, outcome = run_campaign_plan(
-            plan, jobs=args.jobs, checkpoint_dir=args.checkpoint,
-            shard_timeout=args.shard_timeout,
-            shard_retries=args.shard_retries, log=log)
-        if not args.quiet:
-            print(outcome.summary())
-        pool_ok = outcome.ok
-    else:
-        campaign = run_campaign(
-            workloads=workloads, schemes=schemes, faults=faults,
-            seed=args.seed, scale=args.scale, timeout_seconds=timeout,
-            strict=args.strict, log=log, engine=args.engine)
-    print(campaign.render())
-
-    if args.out:
-        from repro.obs.metrics import write_metrics
-        # the plan's document, identical at every --jobs (the CI
-        # determinism gate)
-        path = write_metrics(args.out,
-                             campaign_kind("resil").document(plan, campaign))
-        print(f"matrix written to {path}")
-    return 0 if campaign.ok and pool_ok else 1
+        shard_size=args.shard_size, engine=args.engine), args, args.out)
 
 
 if __name__ == "__main__":

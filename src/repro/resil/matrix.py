@@ -436,7 +436,10 @@ class CampaignRunner:
     def run(self, workload_names: Tuple[str, ...] = DEFAULT_WORKLOADS,
             schemes: Tuple[str, ...] = SCHEMES,
             faults: Tuple[str, ...] = FAULT_CLASSES,
-            seed: int = 0, log=None) -> CampaignResult:
+            seed: int = 0) -> CampaignResult:
+        """The whole campaign in one process: the reference the sharded
+        runs (:func:`repro.par.campaigns.run_resil_shard`) are compared
+        against."""
         campaign = CampaignResult(
             seed=seed, policy_name=self.policy.name,
             workloads=list(workload_names), schemes=list(schemes),
@@ -444,11 +447,8 @@ class CampaignRunner:
         cells = enumerate_cells(faults, schemes, workload_names)
         for index, (fault, scheme, name) in enumerate(cells):
             cell_seed = derive_seed(seed, index + 1)
-            cell = self.run_cell(get_workload(name), scheme, fault,
-                                 cell_seed)
-            campaign.cells.append(cell)
-            if log is not None:
-                log("  " + cell.row())
+            campaign.cells.append(self.run_cell(
+                get_workload(name), scheme, fault, cell_seed))
         return campaign
 
 
@@ -457,11 +457,12 @@ def run_campaign(workloads: Tuple[str, ...] = DEFAULT_WORKLOADS,
                  faults: Tuple[str, ...] = FAULT_CLASSES,
                  seed: int = 0, scale: int = 1,
                  timeout_seconds: Optional[float] = 120.0,
-                 strict: bool = False, log=None,
+                 strict: bool = False,
                  engine: str = "auto") -> CampaignResult:
-    """Convenience wrapper used by the CLI and the chaos-smoke CI job."""
+    """Run a whole campaign sequentially, in this process, with one
+    :class:`CampaignRunner` (see :meth:`CampaignRunner.run`)."""
     runner = CampaignRunner(
         scale=scale, timeout_seconds=timeout_seconds,
         policy=STRICT_POLICY if strict else DEFAULT_POLICY,
         engine=engine)
-    return runner.run(workloads, schemes, faults, seed=seed, log=log)
+    return runner.run(workloads, schemes, faults, seed=seed)

@@ -79,6 +79,12 @@ def main(argv=None) -> int:
                              "get 429 + Retry-After (default 8)")
     parser.add_argument("--max-running", type=int, default=2,
                         help="per-tenant running-job cap (default 2)")
+    parser.add_argument("--shard-timeout", type=float, default=None,
+                        metavar="SECONDS",
+                        help="wall-clock budget per shard attempt of "
+                             "every job; a shard over it is retried, "
+                             "then quarantined as a timeout (default: "
+                             "no budget)")
     parser.add_argument("--tenant-weight", action="append",
                         metavar="NAME=WEIGHT",
                         help="weighted-fair share override, repeatable")
@@ -138,7 +144,7 @@ def main(argv=None) -> int:
         args.store, workers_total=args.workers,
         max_concurrent_jobs=args.max_concurrent_jobs,
         default_quota=default_quota, quotas=quotas, kinds=kinds,
-        bus=bus, log=log)
+        bus=bus, log=log, shard_timeout=args.shard_timeout)
     return asyncio.run(_serve(service, args.host, args.port, log))
 
 

@@ -71,7 +71,8 @@ class CampaignService:
                  bus: Optional[EventBus] = None, log=None,
                  events_tail: int = 4096,
                  breaker_threshold: int = 3,
-                 breaker_cooldown: float = 2.0):
+                 breaker_cooldown: float = 2.0,
+                 shard_timeout: Optional[float] = None):
         self.store = JobStore(store_dir)
         self.scheduler = WeightedFairScheduler(
             default_quota=default_quota, quotas=quotas)
@@ -80,6 +81,9 @@ class CampaignService:
             base_cooldown=breaker_cooldown,
             on_transition=self._on_breaker)
         self.workers_total = max(1, workers_total)
+        #: wall-clock budget per shard attempt of every job (None: no
+        #: budget); a deployment setting, not a job-spec parameter
+        self.shard_timeout = shard_timeout
         self.allowed_kinds = tuple(kinds or CAMPAIGN_KINDS)
         self.bus = bus if bus is not None else EventBus()
         self.log = log or (lambda message: None)
@@ -285,6 +289,7 @@ class CampaignService:
                 plan, jobs=granted,
                 checkpoint_dir=self.store.checkpoint_dir(
                     record.job_id),
+                shard_timeout=self.shard_timeout,
                 bus=self._progress_bus(record), stop=stop,
                 log=self.log, context=self._job_ctx(record),
                 quarantine=True)

@@ -248,7 +248,7 @@ class TestCorpus:
     def test_plant_bug_persists_and_replays(self, tmp_path):
         corpus = str(tmp_path / "corpus")
         stats = run_fuzz(1, seed=5, plant_bug=True, corpus_dir=corpus,
-                         log=lambda m: None, progress_every=0)
+                         log=lambda m: None)
         assert not stats.ok
         assert stats.failures
         record = stats.failures[0]
@@ -266,7 +266,7 @@ class TestCorpus:
 class TestDriverSmoke:
     def test_fuzz_smoke(self, tmp_path):
         stats = run_fuzz(25, seed=0, corpus_dir=str(tmp_path),
-                         log=lambda m: None, progress_every=0)
+                         log=lambda m: None)
         assert stats.ok, stats.summary()
         assert stats.programs == 25
         assert stats.attacks_injected > 0
@@ -276,7 +276,7 @@ class TestDriverSmoke:
 
     def test_stats_summary_renders(self, tmp_path):
         stats = run_fuzz(2, seed=1, corpus_dir=str(tmp_path),
-                         log=lambda m: None, progress_every=0)
+                         log=lambda m: None)
         text = stats.summary()
         assert "programs generated : 2" in text
         assert "divergences" in text
@@ -303,8 +303,7 @@ class TestTemporalFuzz:
 
     def test_armed_campaign_detects_temporal_attacks(self, tmp_path):
         stats = run_fuzz(10, seed=11, corpus_dir=str(tmp_path),
-                         temporal="check", log=lambda m: None,
-                         progress_every=0)
+                         temporal="check", log=lambda m: None)
         assert stats.ok, stats.summary()
         assert stats.temporal == "check"
         temporal_traps = sum(

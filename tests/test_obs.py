@@ -193,8 +193,7 @@ class TestForensics:
     def test_fuzz_failures_ship_forensics(self, tmp_path):
         from repro.fuzz import run_fuzz
         stats = run_fuzz(1, seed=0, corpus_dir=str(tmp_path),
-                         plant_bug=True, log=lambda m: None,
-                         progress_every=0)
+                         plant_bug=True, log=lambda m: None)
         assert not stats.ok
         with_forensics = [record for record in stats.failures
                           if record.forensics_path]

@@ -286,6 +286,48 @@ class TestPool:
         assert [f.reason for f in outcome.failures] == ["timeout"]
         assert sorted(outcome.results) == [0, 1, 3]
 
+    def test_timed_out_worker_keeps_its_sigterm(self):
+        """The SIGTERM that ends a timed-out worker must not reach the
+        parent: neither through the drain handler the worker inherits
+        from a CLI, nor through an inherited signal wakeup fd (asyncio's
+        self-pipe in ``python -m repro.serve``, which drained the whole
+        service on the first shard timeout)."""
+        import signal
+        import socket
+        import threading
+        import time
+
+        from repro.par.pool import install_drain_handler
+
+        stop = threading.Event()
+        restore = install_drain_handler(stop)
+        reader, writer = socket.socketpair()
+        reader.setblocking(False)
+        writer.setblocking(False)
+        previous_fd = signal.set_wakeup_fd(writer.fileno())
+        try:
+            started = time.monotonic()
+            outcome = run_plan(
+                _selftest_plan(2, 4, 2, mode="hang", fail_shards=[0],
+                               hang_seconds=60.0),
+                SELFTEST, jobs=1, retries=0, shard_timeout=0.5)
+            elapsed = time.monotonic() - started
+        finally:
+            signal.set_wakeup_fd(previous_fd)
+            restore()
+        try:
+            leaked = reader.recv(64)
+        except BlockingIOError:
+            leaked = b""
+        reader.close()
+        writer.close()
+        assert [f.reason for f in outcome.failures] == ["timeout"]
+        assert leaked == b""
+        assert not stop.is_set()
+        # the worker dies at SIGTERM instead of outliving the pool's
+        # 5 s grace before SIGKILL
+        assert elapsed < 4.0
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_unresolvable_runner_raises_typed(self, jobs):
         plan = _selftest_plan(2, 8, 4)
@@ -371,7 +413,7 @@ class TestMergeDeterminism:
         sequential = run_fuzz(
             8, seed=11, configs=list(self.FUZZ_CONFIGS),
             corpus_dir=str(tmp_path / "seq"), plant_bug=True,
-            log=lambda message: None, progress_every=0)
+            log=lambda message: None)
         plan = plan_fuzz(8, 11, configs=list(self.FUZZ_CONFIGS),
                          corpus_dir=str(tmp_path / "par"),
                          plant_bug=True, jobs=2)
@@ -460,42 +502,86 @@ class TestMergeDeterminism:
         assert "temporal" not in plans[0].params
         capsys.readouterr()
 
-    @pytest.mark.parametrize("cli", ["fuzz", "resil"])
+    @pytest.mark.parametrize("flags", [[], ["--shard-timeout", "30"]],
+                             ids=["no-pool-flags", "shard-timeout"])
+    @pytest.mark.parametrize("cli", ["fuzz", "resil", "par-juliet"])
     def test_shard_timeout_selects_the_pool_at_one_job(
-            self, cli, tmp_path, monkeypatch, capsys):
+            self, cli, flags, tmp_path, monkeypatch, capsys):
+        """Every CLI run goes through the pool with a drain event, at
+        the default one job and with or without pool flags."""
         import importlib
+        import threading
 
-        import repro.par.engine as engine
+        import repro.par.cli as front
         seen = []
-        real = engine.run_campaign_plan
+        real = front.run_campaign_plan
 
         def spy(plan, **options):
             seen.append(options)
             return real(plan, **options)
 
-        monkeypatch.setattr(engine, "run_campaign_plan", spy)
-        main = importlib.import_module(f"repro.{cli}.__main__").main
-        args = (["-n", "2", "--no-inject", "--corpus", str(tmp_path)]
-                if cli == "fuzz" else
-                ["--workloads", "treeadd", "--schemes", "local_offset",
-                 "--faults", "metadata_corrupt"])
-        assert main(args + ["--quiet", "--shard-timeout", "30"]) == 0
+        monkeypatch.setattr(front, "run_campaign_plan", spy)
+        module, _, command = cli.partition("-")
+        main = importlib.import_module(f"repro.{module}.__main__").main
+        args = {"fuzz": ["-n", "2", "--no-inject",
+                         "--corpus", str(tmp_path)],
+                "resil": ["--workloads", "treeadd",
+                          "--schemes", "local_offset",
+                          "--faults", "metadata_corrupt"],
+                "par": [command]}[module]
+        assert main(args + ["--quiet"] + flags) == 0
         assert [(o["jobs"], o["shard_timeout"]) for o in seen] \
-            == [(1, 30.0)]
+            == [(1, 30.0 if flags else None)]
+        assert isinstance(seen[0]["stop"], threading.Event)
         capsys.readouterr()
 
-    def test_sharded_resil_matches_sequential(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sharded_resil_matches_sequential(self, jobs):
         from repro.resil.matrix import SCHEMES, run_campaign
         kwargs = dict(workloads=("treeadd",), schemes=SCHEMES,
                       faults=("metadata_corrupt",), seed=4)
-        sequential = run_campaign(log=lambda message: None, **kwargs)
-        plan = plan_resil(jobs=2, **{k: list(v) if isinstance(v, tuple)
-                                     else v for k, v in kwargs.items()})
-        merged, outcome = run_campaign_plan(plan, jobs=2)
+        sequential = run_campaign(**kwargs)
+        plan = plan_resil(jobs=jobs, **{k: list(v) if isinstance(v, tuple)
+                                        else v for k, v in kwargs.items()})
+        merged, outcome = run_campaign_plan(plan, jobs=jobs)
         assert outcome.ok
         assert canonical_metrics(merged.to_dict()) \
             == canonical_metrics(sequential.to_dict())
         assert merged.ok == sequential.ok
+
+    def test_resil_worker_reuses_one_runner(self, monkeypatch):
+        """Oracle for the per-worker runner memo: two shards of one
+        plan give the same payloads with the memo kept as with it
+        cleared between them, and the kept memo compiles each
+        (workload, scheme) pair once."""
+        import repro.resil.matrix as matrix
+        from repro.par.campaigns import _resil_runner, run_resil_shard
+
+        plan = plan_resil(workloads=["treeadd"],
+                          schemes=["local_offset", "subheap"],
+                          faults=["metadata_corrupt", "mac_corrupt"],
+                          seed=4, jobs=1, shard_size=2)
+        shards = [shard.to_dict() for shard in plan.shards]
+        assert [shard["items"] for shard in shards] == [[0, 1], [2, 3]]
+        compiled = []
+        real = matrix.compile_source
+
+        def counting(source, options):
+            compiled.append(options)
+            return real(source, options)
+
+        monkeypatch.setattr(matrix, "compile_source", counting)
+        _resil_runner.cache_clear()
+        reused = [run_resil_shard(shard, 0) for shard in shards]
+        assert len(compiled) == 2     # one per (workload, scheme) pair
+
+        fresh = []
+        for shard in shards:
+            _resil_runner.cache_clear()
+            fresh.append(run_resil_shard(shard, 0))
+        _resil_runner.cache_clear()
+        assert reused == fresh
+        assert len(compiled) == 2 + 4
 
 
 class TestDiffDocuments:
@@ -521,6 +607,21 @@ class TestDiffDocuments:
         b.write_text(json.dumps({"n": 2, "elapsed": 2.0}))
         assert main(["diff", str(a), str(b)]) == 1
         capsys.readouterr()
+
+
+    @pytest.mark.parametrize("content", [None, "{not json"],
+                             ids=["missing", "malformed"])
+    def test_par_diff_cli_unreadable_document(self, content, tmp_path,
+                                              capsys):
+        from repro.par.__main__ import main
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps({"n": 1}))
+        if content is not None:
+            bad.write_text(content)
+        for pair in ([str(good), str(bad)], [str(bad), str(good)]):
+            assert main(["diff", *pair]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"cannot read {bad}: ")
 
 
 # ---------------------------------------------------------------------------

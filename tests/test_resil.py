@@ -368,7 +368,7 @@ class TestFuzzDriverRetry:
         stats = driver.run_fuzz(
             1, seed=42, configs=["baseline"], inject=False,
             timeout_seconds=5.0, retries=retries, backoff_base=0.1,
-            log=lambda message: None, progress_every=0)
+            log=lambda message: None)
         return stats, calls, delays
 
     def test_flaky_iteration_retries_with_derived_seed(self, monkeypatch):

@@ -361,7 +361,7 @@ class TestServeFuzzEquivalence:
         configs = ["baseline", "wrapped"]
         stats = run_fuzz(6, seed=5, configs=configs,
                          corpus_dir=str(tmp_path / "seq"),
-                         log=lambda message: None, progress_every=0)
+                         log=lambda message: None)
         batch = metrics_document(
             "fuzz", {"seed": 5, "iterations": 6,
                      "configs": ",".join(configs)}, stats.metrics())
@@ -851,6 +851,23 @@ class TestCircuitBreaker:
             assert done.status == "done"
             assert service.breakers.state("alice") == "closed"
             assert service.healthz()["status"] == "ok"
+        finally:
+            service.drain()
+
+    def test_service_shard_timeout_quarantines_a_hung_shard(
+            self, tmp_path):
+        # the service-wide shard budget fails a hung shard as a
+        # timeout on a one-worker job, long before the hang ends
+        import time
+        service = _service(tmp_path, shard_timeout=1.0)
+        try:
+            started = time.monotonic()
+            record = service.submit(_spec(mode="hang", fail_shards=[0]))
+            done = service.wait(record.job_id, timeout=60.0)
+            assert time.monotonic() - started < 30.0
+            assert done.status == "done"
+            assert [(q["shard_id"], q["reason"])
+                    for q in done.result["quarantined"]] == [(0, "timeout")]
         finally:
             service.drain()
 
