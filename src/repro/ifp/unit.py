@@ -91,20 +91,23 @@ class MetadataPort:
     def __init__(self, memory, hierarchy=None):
         self.memory = memory
         self.hierarchy = hierarchy
-        # The L1's MRU-hit test, inlined into every fetch: a fetch that
-        # stays inside its set's most-recently-used line is counted here,
-        # as ``Cache.access`` counts it; any other goes to
-        # ``access_cycles``.
+        # The L1's hit test, inlined into every fetch: a fetch that stays
+        # inside one L1 line already resident in its set is counted here
+        # (moving the line to MRU), as ``Cache.access`` counts it; any
+        # other goes to ``_access``, which charges one cycle per fetch
+        # when no hierarchy is attached.
         self._l1 = None
+        self._access = _one_cycle
         if hierarchy is not None:
             l1d = hierarchy.l1d
             self._l1 = (l1d._sets, l1d._set_mask, l1d._line_shift,
                         l1d.stats, hierarchy._hit_cycles)
+            self._access = hierarchy.access_cycles
         self.cycles = 0
         self.loads = 0
-        # The IFP unit holds the last-fetched line in a line buffer, so
-        # decoding multiple fields of one metadata record costs a single
-        # cache access.
+        # The IFP unit holds the last-fetched 64-byte line in a line
+        # buffer, so decoding multiple fields of one metadata record costs
+        # a single cache access.
         self._buffered_line = -1
         #: fault injector (repro.resil.faults); None on the hot path
         self.faults = None
@@ -112,17 +115,22 @@ class MetadataPort:
         #: set by the promote engine so injected corruption can target
         #: metadata words vs. layout-table entries
         self.phase = None
-        # Recording of the promote-cache miss in flight: ``[loads,
-        # extra]`` where ``loads`` is the ordered (address, size) fetch
-        # sequence and ``extra`` the deterministic add_cycles total; None
-        # when nothing records.
+        # Recording of the promote-cache miss in flight: ``[fetches,
+        # extra, loads]`` where ``fetches`` lists, as (address, size),
+        # the first fetch and each later one that leaves the buffered
+        # line, ``extra`` is the deterministic add_cycles total and
+        # ``loads`` the load count when recording began; None when
+        # nothing records.
         self._trace = None
 
     def load(self, address: int, size: int) -> int:
         self.loads += 1
         line = address >> 6
         last_line = (address + size - 1) >> 6
+        trace = self._trace
         if line != self._buffered_line or last_line != line:
+            if trace is not None:
+                trace[0].append((address, size))
             l1 = self._l1
             if l1 is None:
                 self.cycles += 1
@@ -130,17 +138,24 @@ class MetadataPort:
                 sets, mask, shift, l1_stats, hit = l1
                 first = address >> shift
                 lines = sets[first & mask]
-                if lines and lines[-1] == first \
-                        and (address + size - 1) >> shift == first:
+                if (address + size - 1) >> shift != first:
+                    self.cycles += self._access(address, size, False)
+                elif lines and lines[-1] == first:
+                    l1_stats.read_hits += 1
+                    self.cycles += hit
+                elif first in lines:
+                    lines.remove(first)
+                    lines.append(first)
                     l1_stats.read_hits += 1
                     self.cycles += hit
                 else:
-                    self.cycles += self.hierarchy.access_cycles(
-                        address, size, False)
+                    self.cycles += self._access(address, size, False)
             self._buffered_line = last_line
+        elif trace is not None and not trace[0]:
+            # the first fetch, served by the line buffer here, reaches
+            # the L1 when a replay finds another line buffered
+            trace[0].append((address, size))
         value = self.memory.load_int(address, size)
-        if self._trace is not None:
-            self._trace[0].append((address, size))
         if self.faults is not None:
             value = self.faults.on_metadata_load(address, size, value,
                                                  self.phase)
@@ -151,48 +166,57 @@ class MetadataPort:
         if self._trace is not None:
             self._trace[1] += cycles
 
-    # -- cache support: record / replay fetch sequences -----------------------
+    # -- cache support: record and compact fetch sequences --------------------
 
     def begin_trace(self) -> None:
-        """Start recording the fetch sequence."""
-        self._trace = [[], 0]
+        """Start recording the fetches that can reach the L1."""
+        self._trace = [[], 0, self.loads]
 
     def end_trace(self):
-        """Stop recording; returns ``(loads, extra)``."""
-        loads, extra = self._trace
+        """Stop recording; returns ``(fetches, extra, loads)``."""
+        fetches, extra, loads = self._trace
         self._trace = None
-        return loads, extra
+        return fetches, extra, self.loads - loads
 
-    def replay(self, trace, extra: int) -> None:
-        """Re-apply a recorded fetch sequence without touching memory.
+    def compact(self, fetches):
+        """What a replay of the recorded ``fetches`` needs:
+        ``(first_line, every, later, final_line)``.
 
-        Reproduces :meth:`load`'s line-buffer and hierarchy effects access
-        by access (so simulated cycles, load counts, and L1 state end up
-        byte-identical to a recomputed promote), then charges the
-        deterministic ``extra`` cycles in one step.
+        Only the first fetch can hit the line buffer depending on the
+        state a replay starts from: each later one follows a fetch that
+        leaves its last 64-byte line buffered, so whether it reaches the
+        L1 was fixed when it was recorded.  ``every`` lists the fetches,
+        and ``later`` lists them without the first; a replay takes
+        ``later`` when the buffered line is ``first_line`` (-2, never
+        buffered, when the first fetch spans two lines) and leaves
+        ``final_line`` buffered.  Each listed fetch is ``(l1_line,
+        set_lines, address, size)``: its L1 line and that line's set
+        list, or ``(-1, ())`` when the fetch spans two L1 lines or no
+        hierarchy is attached, so that only ``_access`` can serve it.
         """
-        l1 = self._l1
-        if l1 is not None:
-            sets, mask, shift, l1_stats, hit = l1
-            access_cycles = self.hierarchy.access_cycles
-        for address, size in trace:
-            self.loads += 1
-            line = address >> 6
-            last_line = (address + size - 1) >> 6
-            if line != self._buffered_line or last_line != line:
-                if l1 is None:
-                    self.cycles += 1
-                else:
-                    first = address >> shift
-                    lines = sets[first & mask]
-                    if lines and lines[-1] == first \
-                            and (address + size - 1) >> shift == first:
-                        l1_stats.read_hits += 1
-                        self.cycles += hit
-                    else:
-                        self.cycles += access_cycles(address, size, False)
-                self._buffered_line = last_line
-        self.cycles += extra
+        if not fetches:
+            # a bypassed promote fetches nothing; its replay is skipped
+            return -2, (), (), -1
+        sets, mask, shift = self._l1[:3] if self._l1 else ((), 0, 0)
+        every = []
+        for address, size in fetches:
+            first = address >> shift
+            if sets and (address + size - 1) >> shift == first:
+                every.append((first, sets[first & mask], address, size))
+            else:
+                every.append((-1, (), address, size))
+        address, size = fetches[0]
+        first_line = address >> 6
+        if (address + size - 1) >> 6 != first_line:
+            first_line = -2
+        address, size = fetches[-1]
+        return (first_line, tuple(every), tuple(every[1:]),
+                (address + size - 1) >> 6)
+
+
+def _one_cycle(address: int, size: int, write: bool) -> int:
+    """The cost of a metadata fetch when no hierarchy is attached."""
+    return 1
 
 
 @dataclass
@@ -344,10 +368,11 @@ class IFPUnit:
         Unless a fault injector or an observer is armed, results are
         served from / recorded into the promote cache keyed by the
         version vector ``(pointer, control.version[, registry.version])``;
-        a replay re-applies the recorded stat deltas and fetch trace
-        through the live metadata port, so every simulated observable
-        (cycles, loads, L1 state, counters) matches a recomputed promote
-        exactly.  Armed runs take :meth:`_promote_execute`, the oracle.
+        a hit re-applies the recorded stat deltas and replays the
+        compacted fetch trace (:meth:`MetadataPort.compact`) through the
+        live line buffer and L1, so every simulated observable (cycles,
+        loads, L1 state, counters) matches a recomputed promote exactly.
+        Armed runs take :meth:`_promote_execute`, the oracle.
         """
         if self.faults is None and self.port.faults is None \
                 and self.obs is None:
@@ -360,8 +385,40 @@ class IFPUnit:
                    else (pointer, self.control.version, registry.version))
             cached = self._promote_cache.get(key)
             if cached is not None:
-                stats.promote_cache_hits += 1
-                return self._replay_promote(cached)
+                # ``spent`` starts at the recorded add_cycles total and
+                # gathers the replayed fetches' cycles
+                (result_pointer, bounds, outcome, narrowed, narrow_attempted,
+                 deltas, spent, loads, first_line, every, later,
+                 final_line) = cached
+                counters = stats.__dict__
+                counters["promote_cache_hits"] += 1
+                for name, delta in deltas:
+                    counters[name] += delta
+                port = self.port
+                if loads:
+                    port.loads += loads
+                    hits = 0
+                    for line, lines, address, size in (
+                            later if port._buffered_line == first_line
+                            else every):
+                        if lines and lines[-1] == line:
+                            hits += 1
+                        elif line in lines:
+                            lines.remove(line)
+                            lines.append(line)
+                            hits += 1
+                        else:
+                            spent += port._access(address, size, False)
+                    if hits:
+                        _sets, _mask, _shift, l1_stats, hit = port._l1
+                        l1_stats.read_hits += hits
+                        spent += hits * hit
+                    port._buffered_line = final_line
+                port.cycles += spent
+                cycles = self.config.promote_base_cycles + spent
+                counters["promote_cycles"] += cycles
+                return PromoteResult(result_pointer, bounds, outcome,
+                                     narrowed, narrow_attempted, cycles)
             stats.promote_cache_misses += 1
             before = stats.__dict__.copy()
             port = self.port
@@ -369,16 +426,14 @@ class IFPUnit:
             try:
                 result = self._promote_execute(pointer)
             finally:
-                trace, extra = port.end_trace()
+                fetches, extra, loads = port.end_trace()
             after = stats.__dict__
             excluded = _PROMOTE_DELTA_EXCLUDED
             deltas = tuple((name, after[name] - value)
                            for name, value in before.items()
                            if after[name] != value and name not in excluded)
-            self._insert_promote(key, (
-                result.pointer, result.bounds, result.outcome,
-                result.narrowed, result.narrow_attempted,
-                trace, extra, deltas))
+            self._insert_promote(key, (result, deltas, fetches, extra,
+                                       loads))
             return result
         return self._promote_execute(pointer)
 
@@ -398,30 +453,24 @@ class IFPUnit:
         probe.faults = None
         return probe._promote_execute(pointer)
 
-    def _replay_promote(self, entry) -> PromoteResult:
-        (pointer, bounds, outcome, narrowed, narrow_attempted,
-         trace, extra, deltas) = entry
-        stats = self.stats
-        for name, delta in deltas:
-            setattr(stats, name, getattr(stats, name) + delta)
-        port = self.port
-        start = port.cycles
-        port.replay(trace, extra)
-        cycles = self.config.promote_base_cycles + (port.cycles - start)
-        stats.promote_cycles += cycles
-        return PromoteResult(pointer, bounds, outcome, narrowed=narrowed,
-                             narrow_attempted=narrow_attempted, cycles=cycles)
-
-    def _insert_promote(self, key, entry) -> None:
+    def _insert_promote(self, key, recording) -> None:
+        """Cache the promote a miss just executed: ``recording`` is its
+        ``(result, stat deltas, recorded fetches, extra cycles, load
+        count)``.  The recorded fetches cover every 64-byte line the
+        promote read: a fetch left out stayed inside the line the fetch
+        before it left buffered."""
+        result, deltas, fetches, extra, loads = recording
         cache = self._promote_cache
         deps = self._promote_deps
         if len(cache) >= _PROMOTE_CACHE_CAPACITY:
             self.stats.promote_cache_evictions += len(cache)
             cache.clear()
             deps.clear()
-        cache[key] = entry
+        cache[key] = (result.pointer, result.bounds, result.outcome,
+                      result.narrowed, result.narrow_attempted, deltas,
+                      extra, loads) + self.port.compact(fetches)
         lines = set()
-        for address, size in entry[5]:
+        for address, size in fetches:
             first = address >> 6
             last = (address + size - 1) >> 6
             lines.add(first)

@@ -93,6 +93,12 @@ def _cmd_diff(args) -> int:
             print(f"cannot read {path}: {exc}", file=sys.stderr)
             return 2
     first, second = documents
+    for path, document in zip((args.first, args.second), documents):
+        labels = document.get("labels") if isinstance(document, dict) \
+            else None
+        if isinstance(labels, dict) and labels.get("drained") == "true":
+            print(f"{path}: drained run, merged from the shards that "
+                  f"finished")
     differences = diff_documents(first, second,
                                  ignore_timing=not args.strict_timing)
     if differences:

@@ -59,8 +59,8 @@ def drain_on_signal(log):
 
 def report(plan, merged, outcome, args, out=None) -> int:
     """Print any campaign's summary and pool outcome, write its metrics
-    document to ``out`` when given, and map the verdict to the exit
-    code."""
+    document to ``out`` when given (labelled ``drained`` when the run
+    was), and map the verdict to the exit code."""
     kind = campaign_kind(plan.kind)
     print(kind.summary(merged))
     if not args.quiet:
@@ -72,7 +72,12 @@ def report(plan, merged, outcome, args, out=None) -> int:
         print(f"drained: campaign interrupted; {hint}", file=sys.stderr)
     if out:
         from repro.obs.metrics import write_metrics
-        path = write_metrics(out, kind.document(plan, merged))
+        document = kind.document(plan, merged)
+        if outcome.drained:
+            # built from the shards that finished: label it, so it never
+            # reads as the complete run of the same name and config
+            document["labels"]["drained"] = "true"
+        path = write_metrics(out, document)
         print(f"metrics written to {path}")
     if outcome.drained:
         return EXIT_DRAINED

@@ -301,13 +301,13 @@ class _FuncCompiler:
             "FN": func.name, "LIMIT": interp._limit, "PCLR": _PCLR,
             "_fb": _fallback(interp, func),
         }
-        # Inlined memory hierarchy: LOAD/STORE test the L1's MRU line and
-        # slice the page themselves, calling ``access``/``mem_load``/
-        # ``mem_store`` only off that path.  The emitted text hard-codes
-        # 64-byte lines, the granularity of ``IFPUnit.snoop_store`` (a
-        # line never straddles a page), so a machine with another L1
-        # line size, or whose stores are snooped by anything else, keeps
-        # the out-of-line calls.
+        # Inlined memory hierarchy: LOAD/STORE test the L1 set for a hit
+        # (its MRU line first) and slice the page themselves, calling
+        # ``access``/``mem_load``/``mem_store`` only off that path.  The
+        # emitted text hard-codes 64-byte lines, the granularity of
+        # ``IFPUnit.snoop_store`` (a line never straddles a page), so a
+        # machine with another L1 line size, or whose stores are snooped
+        # by anything else, keeps the out-of-line calls.
         memory, l1d, ifp = interp.memory, interp.hierarchy.l1d, interp.ifp
         self.inline = (l1d.line_bytes == 64
                        and memory.watcher == ifp.snoop_store)
@@ -559,12 +559,22 @@ class _FuncCompiler:
             return _Emitted((0, 1, 0, 0, 0, 0, 0), lines, _RAISING)
         if op == Op.IFPADD:
             delta = f"{imm}" if b < 0 else f"_signed(regs[{b}])"
+            # Legacy, subheap and global-table tags only recompute the
+            # poison bits from the bounds; local offset's granule
+            # re-encode stays in ``tagged``.
             lines = [
                 f"_v = regs[{a}]",
                 f"_ad = ((_v & ADDRESS_MASK) + {delta}) & ADDRESS_MASK",
                 "_tg = _v >> 48",
-                f"regs[{d}] = _ad if _tg == 0"
-                f" else tagged(_v, _ad, _tg, bnds[{a}])",
+                "if _tg == 0:",
+                f"    regs[{d}] = _ad",
+                "elif (_tg >> 12) & 3 != 1:",
+                "    _pz = _tg >> 14",
+                f"    if _pz < 2 and (_bd := bnds[{a}]) is not None:",
+                "        _pz = 0 if _bd.lower <= _ad < _bd.upper else 1",
+                f"    regs[{d}] = (_pz << 62) | ((_tg & 16383) << 48) | _ad",
+                "else:",
+                f"    regs[{d}] = tagged(_v, _ad, _tg, bnds[{a}])",
                 f"bnds[{d}] = bnds[{a}]",
             ]
             return _Emitted((0, 0, 1, 0, 0, 0, 0), lines, _SIMPLE)
@@ -696,24 +706,32 @@ class _FuncCompiler:
     @staticmethod
     def _inline_access(size: int, guard: str, counter: str, effect: str,
                        calls: List[str]) -> List[str]:
-        """Lines for an access to ``_ea`` with the L1 MRU hit and the
-        page access inline: when the 64-byte line ``_ln`` is its set's
-        MRU line, the access stays inside it, ``guard`` holds and the
-        page is mapped, count the hit and run ``effect`` on page ``_pg``
-        at offset ``_o``; otherwise run ``calls``, the out-of-line
-        path."""
+        """Lines for an access to ``_ea`` with the L1 hit and the page
+        access inline: when the access stays inside the 64-byte line
+        ``_ln``, ``guard`` holds, the page is mapped and ``_ln`` is
+        resident in its set, count the hit and run ``effect`` on page
+        ``_pg`` at offset ``_o``; otherwise run ``calls``, the
+        out-of-line path.  The MRU line is tested first, so its hit
+        costs no more than before; a hit on any other way moves the line
+        to MRU, as ``Cache._touch_line`` does."""
         within = f" and _ea & 63 <= {64 - size}" if size > 1 else ""
-        return [
-            "_ln = _ea >> 6",
-            "_cs = L1S[_ln & SMASK]",
-            f"if _cs and _cs[-1] == _ln{within}{guard}"
-            " and (_pg := PAGES.get(_ea >> PSH)) is not None:",
+        rest = (f"{within}{guard}"
+                " and (_pg := PAGES.get(_ea >> PSH)) is not None")
+        hit = [
             f"    L1ST.{counter} += 1",
             "    c[4] += HIT",
             "    _o = _ea & PMASK",
             f"    {effect}",
-            "else:",
-        ] + [f"    {line}" for line in calls]
+        ]
+        return [
+            "_ln = _ea >> 6",
+            "_cs = L1S[_ln & SMASK]",
+            f"if _cs and _cs[-1] == _ln{rest}:",
+        ] + hit + [
+            f"elif _ln in _cs{rest}:",
+            "    _cs.remove(_ln)",
+            "    _cs.append(_ln)",
+        ] + hit + ["else:"] + [f"    {line}" for line in calls]
 
     def _emit_bin(self, ins) -> _Emitted:
         d, a = ins.dst, ins.a
@@ -982,8 +1000,9 @@ class FastInterpreter(Interpreter):
     """Block-compiling engine; drop-in replacement for the reference.
 
     Inherits the call-entry / builtin / deadline plumbing and the
-    ``_ifpadd_tagged`` helper (the same code object the reference runs,
-    so tag maintenance cannot diverge); only ``_run`` is replaced.
+    ``_ifpadd_tagged`` helper, the same code object the reference runs,
+    for local offset's tag maintenance (translated ``ifpadd`` keeps the
+    other schemes' poison refresh inline); only ``_run`` is replaced.
     """
 
     def __init__(self, machine):

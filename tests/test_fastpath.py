@@ -1091,7 +1091,8 @@ class TestPromoteOracle:
     """Every input runs twice: once as is, and once with
     ``IFPUnit.promote`` replaced by the uncached ``_promote_execute``.
     Bar the cache counters, the two runs must be identical — traps,
-    output, simulated cycles and every IFP counter."""
+    output, simulated cycles, every IFP counter, and the L1's sets and
+    counters — under both engines."""
 
     @staticmethod
     def _assert_matches_oracle(monkeypatch, observe):
@@ -1108,8 +1109,12 @@ class TestPromoteOracle:
                                        config_name, temporal="off"):
         program = compile_source(source, build_options(config_name))
         config = build_machine_config(config_name, temporal=temporal)
-        return self._assert_matches_oracle(
-            monkeypatch, lambda: _observables(program, config, "auto"))
+        runs = [self._assert_matches_oracle(
+            monkeypatch,
+            lambda: _hierarchy_state(program, config, engine, False))
+            for engine in ("reference", "auto")]
+        assert runs[1] == runs[0]
+        return runs[1]
 
     @pytest.mark.parametrize("temporal", ["off", "check", "quarantine"])
     @pytest.mark.parametrize("config", ["wrapped", "subheap"])
@@ -1168,6 +1173,104 @@ class TestPromoteOracle:
 
         run = self._assert_matches_oracle(monkeypatch, observe)
         assert run["results"][-1].startswith("fault: ")
+
+    @pytest.mark.parametrize("line", [64, 32])
+    def test_replayed_fetch_sequences(self, monkeypatch, line):
+        # Ten objects whose metadata share one L1 set (more than its
+        # eight ways), promoted round robin: replays meet the L1 on its
+        # MRU line, on another way and not at all, start with the first
+        # fetch's line buffered and not, and walk layout tables whose
+        # fetches cross 64-byte lines (index 5) and, at 32-byte L1
+        # lines, L1 lines inside one buffer line (index 3).
+        from repro.cache.hierarchy import HierarchyConfig
+        from repro.ifp.layout import LayoutEntry, LayoutTable
+        from repro.mem import Memory
+
+        layout = 0x1002A
+        objects = [0x11000 + 4096 * i for i in range(10)]
+        seen = set()
+
+        def observe():
+            memory = Memory()
+            memory.map_range(0x10000, 0x20000)
+            unit = ifp_unit.IFPUnit(
+                memory, HierarchyConfig(l1d_line=line).build())
+            memory.write_bytes(layout, LayoutTable("S", [
+                LayoutEntry(0, 0, 24, 24), LayoutEntry(0, 0, 4, 4),
+                LayoutEntry(0, 4, 20, 8), LayoutEntry(2, 0, 4, 4),
+                LayoutEntry(2, 4, 8, 4), LayoutEntry(0, 20, 24, 4),
+            ]).serialize())
+            scheme = unit.local_offset
+            for obj in objects:
+                scheme.write_metadata(memory, obj, 24, layout, unit.mac_key)
+            pointers = []
+            for obj in objects:
+                pointers += [scheme.make_pointer(obj, obj, 24),
+                             scheme.make_pointer(obj, obj, 24),
+                             scheme.make_pointer(obj + 20, obj, 24, 5),
+                             scheme.make_pointer(obj + 16, obj, 24, 4),
+                             scheme.make_pointer(obj + 8, obj, 24, 3)]
+            results = []
+            for _ in range(3):
+                for pointer in pointers:
+                    entry = unit._promote_cache.get(
+                        (pointer, unit.control.version))
+                    if entry is not None:
+                        first_line, every, later, _final = entry[-4:]
+                        buffered = unit.port._buffered_line == first_line
+                        seen.add("buffered" if buffered else "unbuffered")
+                        for l1_line, lines, _a, _s in (
+                                later if buffered else every):
+                            if lines and lines[-1] == l1_line:
+                                seen.add("mru")
+                            elif l1_line in lines:
+                                seen.add("other way")
+                            else:
+                                seen.add("out of line")
+                        if len(every) > 1:
+                            seen.add("crossing")
+                    results.append(repr(unit.promote(pointer)))
+            l1d = unit.port.hierarchy.l1d
+            port = unit.port
+            return {"results": results,
+                    "stats": {"ifp": dataclasses.asdict(unit.stats)},
+                    "l1d_sets": [list(lines) for lines in l1d._sets],
+                    "l1d_stats": dataclasses.asdict(l1d.stats),
+                    "port": (port.cycles, port.loads, port._buffered_line)}
+
+        run = self._assert_matches_oracle(monkeypatch, observe)
+        assert seen == {"buffered", "unbuffered", "mru", "other way",
+                        "out of line", "crossing"}
+        assert all("narrowed=True" in result
+                   for result in run["results"][2::5])
+
+    def test_recorded_and_compacted_fetches(self):
+        # a miss records its first fetch even when the line buffer
+        # serves it, and no later fetch that stays in the buffered line;
+        # a first fetch spanning two 64-byte lines reaches the L1
+        # whatever line is buffered, so no line selects ``later``
+        from repro.cache.hierarchy import HierarchyConfig
+        from repro.mem import Memory
+
+        memory = Memory()
+        memory.map_range(0x10000, 0x1000)
+        port = ifp_unit.MetadataPort(memory, HierarchyConfig().build())
+        port.load(0x10000, 8)
+        port.begin_trace()
+        port.load(0x10008, 8)
+        port.load(0x10010, 8)
+        port.add_cycles(3)
+        assert port.end_trace() == ([(0x10008, 8)], 3, 2)
+        port.begin_trace()
+        for address, size in ((0x1003C, 8), (0x10044, 2), (0x10080, 4)):
+            port.load(address, size)
+        fetches, extra, loads = port.end_trace()
+        assert (fetches, extra, loads) == ([(0x1003C, 8), (0x10080, 4)],
+                                           0, 3)
+        first_line, every, later, final_line = port.compact(fetches)
+        assert first_line == -2 and final_line == 0x402
+        assert [slot[2] for slot in every] == [0x1003C, 0x10080]
+        assert later == every[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -1611,16 +1714,20 @@ def _hierarchy_state(program, config: MachineConfig, engine: str,
 
 
 class TestInlineMemoryHierarchy:
-    """Translated loads and stores test the L1's MRU line and slice the
-    page inline, and call ``access``/``mem_load``/``mem_store`` only off
-    that path.  Each program drives one path under both engines; the
-    L1's sets and counters, every mapped page and every ``RunStats``
+    """Translated loads and stores test their L1 set for a hit and slice
+    the page inline, and call ``access``/``mem_load``/``mem_store`` only
+    off that path; translated ``ifpadd`` keeps every tag but local
+    offset's inline.  Each program drives one path under both engines;
+    the L1's sets and counters, every mapped page and every ``RunStats``
     field must match the reference interpreter's."""
 
     @staticmethod
-    def _agree(source: str, config_name: str = "baseline",
+    def _agree(source, config_name: str = "baseline",
                observe: bool = False, hierarchy=None) -> dict:
-        program = compile_source(source, build_options(config_name))
+        """``source`` is mini-C, or a program already compiled for
+        ``config_name``."""
+        program = (compile_source(source, build_options(config_name))
+                   if isinstance(source, str) else source)
         config = build_machine_config(config_name)
         if hierarchy is not None:
             config = dataclasses.replace(config, hierarchy=hierarchy)
@@ -1639,6 +1746,92 @@ class TestInlineMemoryHierarchy:
     def test_non_mru_hit(self):
         run = self._agree(NON_MRU_HIT)
         assert run["l1d_stats"]["read_hits"] >= 38
+        assert run["l1d_stats"]["write_hits"] >= 38
+
+    def test_non_mru_hit_stays_inline(self):
+        # every access after the two cold misses hits a way of the set,
+        # half of them not the MRU one: only the misses go out of line
+        program = compile_source(NON_MRU_HIT, build_options("baseline"))
+        machine = Machine(program, MachineConfig())
+        calls = []
+        access = machine.hierarchy.access_cycles
+
+        def counted(address, size, write):
+            calls.append(write)
+            return access(address, size, write)
+
+        machine.hierarchy.access_cycles = counted
+        stats = machine.hierarchy.l1d.stats
+        before = dataclasses.asdict(stats)
+        machine.run()
+        assert machine.engine_used == "fastpath"
+        assert calls == [False, False]
+        assert stats.read_misses - before["read_misses"] == 2
+        assert stats.write_misses == before["write_misses"]
+        assert stats.write_hits - before["write_hits"] == 40
+
+    def test_ifpadd_on_tagged_pointers(self, monkeypatch):
+        # ``ifpadd`` on subheap, global-table and legacy tags: in bounds,
+        # one past the end, back in bounds, already irrecoverable (both
+        # encodings) and with no bounds register
+        from repro.compiler.ir import Instr
+        from repro.vm.interp import Interpreter
+
+        base, size = 0x4000_0000, 64
+        cases = []        # (tag, bounded, delta, expected poison)
+        for scheme, payload in ((2, 0xABC), (3, 0x123), (0, 0)):
+            tag = (scheme << 12) | payload
+            cases += [
+                (tag, True, 4, 0),
+                (tag, True, size, 1),
+                (tag, True, -1, 1),
+                ((1 << 14) | tag, True, 8, 0),
+                ((2 << 14) | tag, True, 4, 2),
+                ((3 << 14) | tag, True, 4, 3),
+                ((2 << 14) | tag, False, 4, 2),
+                ((1 << 14) | tag, False, 4, 1),
+                (tag, False, size, 0),
+            ]
+        # an all-zero tag is the untagged fast path, not a case here
+        cases = [case for case in cases if case[0]]
+        program = compile_source("long out[40]; int main(void) { return 0; }",
+                                 build_options("subheap"))
+        instrs = [Instr(Op.GLOB, dst=1, name="out")]
+        for index, (tag, bounded, delta, _poison) in enumerate(cases):
+            instrs.append(Instr(Op.LI, dst=2, imm=(tag << 48) | base))
+            if bounded:
+                instrs.append(Instr(Op.IFPBND, dst=2, a=2, imm=size))
+            if index % 2:
+                instrs.append(Instr(Op.IFPADD, dst=4, a=2, imm=delta))
+            else:
+                instrs.append(Instr(Op.LI, dst=3, imm=delta & ((1 << 64) - 1)))
+                instrs.append(Instr(Op.IFPADD, dst=4, a=2, b=3))
+            instrs.append(Instr(Op.STORE, a=1, b=4, imm=8 * index, size=8))
+        instrs += [Instr(Op.LI, dst=0, imm=0), Instr(Op.RET, a=0)]
+        main = program.functions["main"]
+        program.functions["main"] = dataclasses.replace(
+            main, instrs=instrs, num_regs=5)
+        original = Interpreter._ifpadd_tagged
+        calls = []
+
+        def counted(interp, value, address, tag, bound):
+            calls.append(type(interp).__name__)
+            return original(interp, value, address, tag, bound)
+
+        monkeypatch.setattr(Interpreter, "_ifpadd_tagged", counted)
+        run = self._agree(program, "subheap")
+        assert calls == ["Interpreter"] * len(cases)
+        machine = Machine(program, build_machine_config("subheap"))
+        page_size = machine.memory.page_size
+        words = []
+        for index in range(len(cases)):
+            address = machine.image.symbols["out"] + 8 * index
+            page = run["pages"][address // page_size]
+            offset = address % page_size
+            words.append(int.from_bytes(page[offset:offset + 8], "little"))
+        for word, (tag, _bounded, delta, poison) in zip(words, cases):
+            assert word == ((poison << 62) | ((tag & 0x3FFF) << 48)
+                            | (base + delta))
 
     def test_miss_with_eviction(self):
         run = self._agree(EVICTION)

@@ -696,6 +696,50 @@ class TestDrain:
         assert _values(resumed, plan) \
             == _values(clean, _selftest_plan(5, 12, 6))
 
+    def test_drained_document_is_labelled(self, tmp_path, monkeypatch,
+                                          capsys):
+        """A checkpointed resil run stopped after its first shard writes
+        its document from the partial merge: the document carries
+        ``labels.drained`` and ``repro.par diff`` names it; a complete
+        run's document carries no such label."""
+        import json
+
+        import repro.par.cli as front
+        from repro.obs.events import EventBus, ShardDoneEvent
+        from repro.par.__main__ import main as par_main
+        from repro.resil.__main__ import main as resil_main
+
+        real = front.run_campaign_plan
+
+        def stop_after_first_shard(plan, **options):
+            bus = EventBus()
+            bus.subscribe(lambda event: options["stop"].set()
+                          if isinstance(event, ShardDoneEvent) else None)
+            return real(plan, bus=bus, **options)
+
+        args = ["--workloads", "treeadd,health", "--schemes",
+                "local_offset", "--faults", "metadata_corrupt",
+                "--shard-size", "1", "--quiet"]
+        drained = str(tmp_path / "drained.json")
+        complete = str(tmp_path / "complete.json")
+        with monkeypatch.context() as patch:
+            patch.setattr(front, "run_campaign_plan",
+                          stop_after_first_shard)
+            assert resil_main(args + [
+                "--checkpoint", str(tmp_path / "ck"),
+                "--out", drained]) == front.EXIT_DRAINED
+        assert resil_main(args + ["--out", complete]) == 0
+        with open(drained) as handle:
+            assert json.load(handle)["labels"] == {"drained": "true"}
+        with open(complete) as handle:
+            assert "drained" not in json.load(handle)["labels"]
+        capsys.readouterr()
+        assert par_main(["diff", drained, complete]) == 1
+        out = capsys.readouterr().out
+        assert f"{drained}: drained run" in out
+        assert f"{complete}: drained run" not in out
+        assert "$.labels.drained: only in first" in out
+
     def test_inline_drain_checkpoints_and_resumes(self, tmp_path):
         self._drain_after_first_shard(1, tmp_path)
 
