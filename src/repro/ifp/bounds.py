@@ -7,12 +7,15 @@ pointer with a 96-bit bounds register holding two 48-bit addresses
 through the pointer are not bounds-checked.
 
 In the simulator a cleared bounds register is represented by ``None`` in
-the register file; a loaded one by a :class:`Bounds` instance.
+the register file; a loaded one by a :class:`Bounds` instance.  Both
+engines build one on every ``ifpbnd``, so it is a ``__slots__`` value
+class rather than a dataclass: immutable, with a constructor of four
+slot stores and no ``__post_init__``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 
 from repro.mem.layout import ADDRESS_MASK
 
@@ -21,7 +24,6 @@ from repro.mem.layout import ADDRESS_MASK
 BOUNDS_SPILL_BYTES = 16
 
 
-@dataclass(frozen=True)
 class Bounds:
     """A half-open address interval ``[lower, upper)``.
 
@@ -36,14 +38,37 @@ class Bounds:
     its temporal fact and is refreshed by the next promote (DESIGN §11).
     """
 
-    lower: int
-    upper: int
-    tbase: int = field(default=0, repr=False, compare=False)
-    tkey: int = field(default=0, repr=False, compare=False)
+    __slots__ = ("lower", "upper", "tbase", "tkey")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lower", self.lower & ADDRESS_MASK)
-        object.__setattr__(self, "upper", self.upper & ADDRESS_MASK)
+    def __init__(self, lower: int, upper: int, tbase: int = 0,
+                 tkey: int = 0):
+        # the slot descriptors' own stores: ``__setattr__`` raises
+        _set_lower(self, lower & ADDRESS_MASK)
+        _set_upper(self, upper & ADDRESS_MASK)
+        _set_tbase(self, tbase)
+        _set_tkey(self, tkey)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, not through the
+        # raising __setattr__
+        return (Bounds, (self.lower, self.upper, self.tbase, self.tkey))
+
+    def __eq__(self, other):
+        if other.__class__ is Bounds:
+            return self.lower == other.lower and self.upper == other.upper
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lower, self.upper))
+
+    def __repr__(self) -> str:
+        return f"Bounds(lower={self.lower!r}, upper={self.upper!r})"
 
     @property
     def size(self) -> int:
@@ -88,3 +113,9 @@ class Bounds:
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"[0x{self.lower:x}, 0x{self.upper:x})"
+
+
+_set_lower = Bounds.lower.__set__
+_set_upper = Bounds.upper.__set__
+_set_tbase = Bounds.tbase.__set__
+_set_tkey = Bounds.tkey.__set__

@@ -109,6 +109,11 @@ from repro.vm.interp import (
 #: clears both poison bits of a tagged pointer
 _PCLR = ~(3 << 62)
 
+#: the sign bit of a 64-bit register.  Registers hold values in
+#: ``[0, 2**64)``, so the emitted text reads ``(x ^ SGN) - SGN`` for
+#: ``_signed(x)`` and orders signed values by ``x ^ SGN``
+_SGN = 1 << 63
+
 # instruction classification for accounting segments
 _SIMPLE = 0    #: cannot raise; fusable anywhere in a block
 _RAISING = 1   #: may raise or call; ends an accounting segment
@@ -136,7 +141,7 @@ _SWITCH_READERS = (
     frozenset((Op.LOAD, Op.STORE, Op.PROMOTE)),  # temporal
     frozenset((Op.LOAD, Op.STORE)),          # inline hierarchy
     frozenset((Op.PROMOTE,)),                # promote as a move
-    frozenset((Op.IFPIDX,)),                 # local subobject bits
+    frozenset((Op.IFPIDX, Op.IFPADD)),       # local-offset geometry
     frozenset((Op.IFPIDX,)),                 # subheap subobject bits
     frozenset((Op.IFPMAC,)),                 # MAC latency
 )
@@ -191,7 +196,7 @@ _BIN_EXPR = {
     7: "{a} ^ {b}",
     8: "({a} << ({b} & 63)) & U64",
     9: "{a} >> ({b} & 63)",
-    10: "(_signed({a}) >> ({b} & 63)) & U64",
+    10: "((({a} ^ SGN) - SGN) >> ({b} & 63)) & U64",
     11: "int({a} == {b})",
     12: "int({a} != {b})",
     13: "int({a} < {b})",
@@ -206,10 +211,11 @@ _BIN_EXPR = {
     22: "(({a} & ADDRESS_MASK) - ({b} & ADDRESS_MASK)) & U64",
 }
 
-#: signed overrides (only slt/sle interpret their operands as signed)
+#: signed overrides (only slt/sle interpret their operands as signed);
+#: {b} is the operand already offset by SGN (see :meth:`_emit_bin`)
 _BIN_EXPR_SIGNED = {
-    13: "int(_signed({a}) < _signed({b}))",
-    14: "int(_signed({a}) <= _signed({b}))",
+    13: "int(({a} ^ SGN) < {b})",
+    14: "int(({a} ^ SGN) <= {b})",
 }
 
 
@@ -285,7 +291,7 @@ class _FuncCompiler:
         self.ns = {
             # FunctionType, unlike exec, does not add the builtins
             "__builtins__": builtins,
-            "U64": U64, "ADDRESS_MASK": ADDRESS_MASK, "_signed": _signed,
+            "U64": U64, "ADDRESS_MASK": ADDRESS_MASK, "SGN": _SGN,
             "Bounds": Bounds, "SimTrap": SimTrap, "PoisonTrap": PoisonTrap,
             "BoundsTrap": BoundsTrap, "LinkError": LinkError,
             "I": interp, "stats": interp.stats, "_flush": _flush,
@@ -294,7 +300,6 @@ class _FuncCompiler:
             "mem_store": interp.memory.store_int,
             "memory": interp.memory,
             "mac_compute": interp.ifp.mac.compute,
-            "tagged": interp._ifpadd_tagged,
             "promote": interp.ifp.promote,
             "call_function": interp.call_function,
             "FBA": interp.functions_by_address,
@@ -558,23 +563,37 @@ class _FuncCompiler:
             ]
             return _Emitted((0, 1, 0, 0, 0, 0, 0), lines, _RAISING)
         if op == Op.IFPADD:
-            delta = f"{imm}" if b < 0 else f"_signed(regs[{b}])"
-            # Legacy, subheap and global-table tags only recompute the
-            # poison bits from the bounds; local offset's granule
-            # re-encode stays in ``tagged``.
+            # a register delta needs no _signed: 2**64 vanishes mod 2**48
+            delta = f"{imm}" if b < 0 else f"regs[{b}]"
+            # ``Interpreter._ifpadd_tagged`` inline: every tag recomputes
+            # its poison bits from the bounds, and local offset (scheme
+            # 1) first re-encodes its granule offset, with the geometry
+            # as literals (``IFPConfig.validate`` makes the offset and
+            # subobject fields fill the 12-bit payload).  ``_gd`` is the
+            # distance from the new pointer's granule to the metadata's.
+            interp = self.interp
+            lsb, gsh = interp._local_sub_bits, interp._granule_shift
+            gclear = ADDRESS_MASK & ~interp._granule_mask
             lines = [
                 f"_v = regs[{a}]",
                 f"_ad = ((_v & ADDRESS_MASK) + {delta}) & ADDRESS_MASK",
                 "_tg = _v >> 48",
                 "if _tg == 0:",
                 f"    regs[{d}] = _ad",
-                "elif (_tg >> 12) & 3 != 1:",
+                "else:",
                 "    _pz = _tg >> 14",
+                "    _pl = _tg & 16383",
+                "    if _pl >> 12 == 1:",
+                f"        _gd = ((_v & {gclear}) - (_ad & {gclear})"
+                f" + ((_pl & 4095) >> {lsb} << {gsh}))",
+                f"        if 0 <= _gd < {1 << interp._local_off_bits << gsh}:",
+                f"            _pl = {1 << 12} | (_gd >> {gsh} << {lsb})"
+                f" | (_tg & {(1 << lsb) - 1})",
+                "        else:",
+                "            _pz = 2",
                 f"    if _pz < 2 and (_bd := bnds[{a}]) is not None:",
                 "        _pz = 0 if _bd.lower <= _ad < _bd.upper else 1",
-                f"    regs[{d}] = (_pz << 62) | ((_tg & 16383) << 48) | _ad",
-                "else:",
-                f"    regs[{d}] = tagged(_v, _ad, _tg, bnds[{a}])",
+                f"    regs[{d}] = (_pz << 62) | (_pl << 48) | _ad",
                 f"bnds[{d}] = bnds[{a}]",
             ]
             return _Emitted((0, 0, 1, 0, 0, 0, 0), lines, _SIMPLE)
@@ -753,7 +772,9 @@ class _FuncCompiler:
                 f"_a = {aex}",
             ]
             if ins.signed:
-                lines += ["_sa = _signed(_a)", "_sb = _signed(_b)"]
+                lines += ["_sa = (_a ^ SGN) - SGN",
+                          f"_sb = {_signed(ins.imm)}" if is_imm
+                          else "_sb = (_b ^ SGN) - SGN"]
             else:
                 lines += ["_sa = _a", "_sb = _b"]
             lines += [
@@ -766,8 +787,13 @@ class _FuncCompiler:
             ]
             return _Emitted((1, 0, 0, 0, _DIV_EXTRA + 1, 0, 0), lines,
                             _RAISING)
-        table = _BIN_EXPR_SIGNED if ins.signed else _BIN_EXPR
-        expr = table.get(code) or _BIN_EXPR.get(code)
+        expr = _BIN_EXPR.get(code)
+        if ins.signed and code in _BIN_EXPR_SIGNED:
+            expr = _BIN_EXPR_SIGNED[code]
+            # an immediate, which may be a negative int, is folded
+            # through _signed here
+            bex = (f"{_signed(ins.imm) + _SGN}" if is_imm
+                   else f"({bex} ^ SGN)")
         if expr is None:
             # The reference raises before charging the instruction's
             # trailing cycle; compensate the baseline cycle c[0] implies.
@@ -899,7 +925,9 @@ class _FuncCompiler:
         :data:`_SWITCH_READERS` names."""
         interp = self.interp
         return (self.armed, self.trace, self.temporal, self.inline,
-                interp._no_promote, interp._local_sub_bits,
+                interp._no_promote,
+                (interp._local_sub_bits, interp._granule_mask + 1,
+                 interp._local_off_bits),
                 interp._subheap_sub_bits,
                 interp.machine.config.ifp.mac_cycles)
 
@@ -999,10 +1027,10 @@ def _make_unreachable(name: str):
 class FastInterpreter(Interpreter):
     """Block-compiling engine; drop-in replacement for the reference.
 
-    Inherits the call-entry / builtin / deadline plumbing and the
-    ``_ifpadd_tagged`` helper, the same code object the reference runs,
-    for local offset's tag maintenance (translated ``ifpadd`` keeps the
-    other schemes' poison refresh inline); only ``_run`` is replaced.
+    Inherits the call-entry / builtin / deadline plumbing; only
+    ``_run`` is replaced.  Translated ``ifpadd`` maintains every
+    scheme's tag inline, local offset's granule re-encode included;
+    the reference keeps ``_ifpadd_tagged`` as the oracle of that text.
     """
 
     def __init__(self, machine):

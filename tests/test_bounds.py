@@ -1,5 +1,10 @@
 """Tests for Bounds / IFPR semantics."""
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ifp import Bounds
@@ -50,3 +55,45 @@ class TestOperations:
         bounds = Bounds(lower, lower + size)
         expected = lower <= address and address + access <= lower + size
         assert bounds.contains(address, access) == expected
+
+
+class TestValueSemantics:
+    """``Bounds`` is an immutable value: the interval is its identity,
+    the temporal fact rides along."""
+
+    def test_equality_and_hash_ignore_the_temporal_fact(self):
+        plain = Bounds(0x1000, 0x1040)
+        keyed = Bounds(0x1000, 0x1040, tbase=0x1000, tkey=7)
+        assert plain == keyed
+        assert hash(plain) == hash(keyed)
+        assert len({plain, keyed}) == 1
+        assert plain != Bounds(0x1000, 0x1048)
+        assert plain != (0x1000, 0x1040)
+
+    def test_assignment_and_deletion_raise(self):
+        bounds = Bounds(8, 24, 8, 3)
+        for name in ("lower", "upper", "tbase", "tkey", "extra"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(bounds, name, 0)
+            with pytest.raises(FrozenInstanceError):
+                delattr(bounds, name)
+        assert (bounds.lower, bounds.upper, bounds.tbase, bounds.tkey) \
+            == (8, 24, 8, 3)
+
+    @pytest.mark.parametrize("clone", [
+        lambda b: pickle.loads(pickle.dumps(b)),
+        copy.copy,
+        copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_round_trips_keep_the_temporal_fact(self, clone):
+        bounds = Bounds(0x2000, 0x2100, tbase=0x2000, tkey=42)
+        twin = clone(bounds)
+        assert type(twin) is Bounds
+        assert (twin.lower, twin.upper, twin.tbase, twin.tkey) \
+            == (0x2000, 0x2100, 0x2000, 42)
+        with pytest.raises(FrozenInstanceError):
+            twin.lower = 0
+
+    def test_repr_names_the_interval_only(self):
+        assert repr(Bounds(4096, 4104, tbase=4096, tkey=9)) \
+            == "Bounds(lower=4096, upper=4104)"

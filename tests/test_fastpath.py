@@ -19,6 +19,7 @@ import os
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as hst
 
 from repro.compiler import CompilerOptions, compile_source
 from repro.compiler.ir import IRFunction, Op
@@ -29,6 +30,7 @@ from repro.eval.configs import build_machine_config, build_options
 from repro.fuzz.attacks import attacks_for
 from repro.fuzz.generator import generate_program, render
 from repro.ifp import unit as ifp_unit
+from repro.mem.layout import ADDRESS_MASK
 from repro.vm import Machine, MachineConfig
 from repro.vm.fastpath import FastInterpreter
 from repro.workloads import WORKLOADS
@@ -1511,6 +1513,8 @@ class TestBlockCache:
                                                local_offset_bits=7,
                                                local_subobj_bits=5))),
             compiler(replace(base, ifp=replace(DEFAULT_CONFIG,
+                                               granule=32))),
+            compiler(replace(base, ifp=replace(DEFAULT_CONFIG,
                                                subheap_reg_bits=5,
                                                subheap_subobj_bits=7))),
             compiler(replace(base, ifp=replace(DEFAULT_CONFIG,
@@ -1716,8 +1720,8 @@ def _hierarchy_state(program, config: MachineConfig, engine: str,
 class TestInlineMemoryHierarchy:
     """Translated loads and stores test their L1 set for a hit and slice
     the page inline, and call ``access``/``mem_load``/``mem_store`` only
-    off that path; translated ``ifpadd`` keeps every tag but local
-    offset's inline.  Each program drives one path under both engines;
+    off that path; translated ``ifpadd`` maintains every tag inline.
+    Each program drives one path under both engines;
     the L1's sets and counters, every mapped page and every ``RunStats``
     field must match the reference interpreter's."""
 
@@ -1884,6 +1888,176 @@ class TestInlineMemoryHierarchy:
             machine.run()
             block = _blocks(machine, "main")[0]
             assert ("L1S" in block.__globals__) is inline
+
+
+#: (granule, local_offset_bits, local_subobj_bits): the default local
+#: offset geometry, a wider offset field and a coarser granule
+LOCAL_GEOMETRIES = ((16, 6, 6), (16, 7, 5), (32, 6, 6))
+
+
+class TestInlineArithmetic:
+    """Translated ``ifpadd`` re-encodes local offset's granule offset
+    inline, and the signed ops (``slt``/``sle``/``sra``/``div``/``rem``)
+    read ``(x ^ SGN) - SGN`` where the reference calls ``_signed``.  The
+    reference's own helpers are the oracle."""
+
+    @pytest.fixture(scope="class")
+    def compilers(self):
+        """A fastpath compiler per local offset geometry (see
+        :data:`LOCAL_GEOMETRIES`)."""
+        from repro.ifp.config import DEFAULT_CONFIG
+        from repro.vm import fastpath
+
+        program = compile_source("int main(void) { return 0; }",
+                                 build_options("baseline"))
+        base = build_machine_config("wrapped")
+        compilers = {}
+        for granule, offset_bits, subobj_bits in LOCAL_GEOMETRIES:
+            machine = Machine(program, dataclasses.replace(
+                base, ifp=dataclasses.replace(
+                    DEFAULT_CONFIG, granule=granule,
+                    local_offset_bits=offset_bits,
+                    local_subobj_bits=subobj_bits)))
+            compilers[granule, offset_bits, subobj_bits] = \
+                fastpath._FuncCompiler(machine.select_interp(),
+                                       program.functions["main"])
+        return compilers
+
+    @given(geometry=hst.sampled_from(LOCAL_GEOMETRIES),
+           poison=hst.integers(0, 3),
+           payload=hst.integers(0, 0xFFF),
+           address=hst.integers(0x1000, (1 << 48) - 0x1000),
+           delta=hst.one_of(hst.integers(-2048, 2048),
+                            hst.integers(-(1 << 63), (1 << 63) - 1)),
+           in_register=hst.booleans(),
+           bounded=hst.booleans(),
+           lower_back=hst.integers(0, 1024),
+           size=hst.integers(1, 2048))
+    @example(geometry=(16, 6, 6), poison=0, payload=3 << 6 | 5,
+             address=0x40_0010, delta=16, in_register=True, bounded=True,
+             lower_back=16, size=32)       # encodable, one past the end
+    @example(geometry=(16, 6, 6), poison=0, payload=1 << 6, address=0x40_0010,
+             delta=32, in_register=True, bounded=True, lower_back=16,
+             size=64)                      # one granule past the metadata
+    @example(geometry=(16, 7, 5), poison=1, payload=0, address=0x40_0800,
+             delta=-2032, in_register=False, bounded=True, lower_back=0,
+             size=64)                      # the largest encodable offset
+    @example(geometry=(16, 7, 5), poison=1, payload=0, address=0x40_0800,
+             delta=-2048, in_register=True, bounded=True, lower_back=0,
+             size=64)                      # one granule beyond it
+    @example(geometry=(32, 6, 6), poison=2, payload=7 << 6, address=0x40_0100,
+             delta=-32, in_register=True, bounded=True, lower_back=64,
+             size=256)                     # already irrecoverable
+    @example(geometry=(16, 6, 6), poison=3, payload=2 << 6, address=0x40_0040,
+             delta=-8, in_register=False, bounded=False, lower_back=0,
+             size=1)                       # poison 3, no bounds
+    @settings(max_examples=300, deadline=None)
+    def test_local_offset_ifpadd_matches_the_reference_helper(
+            self, compilers, geometry, poison, payload, address, delta,
+            in_register, bounded, lower_back, size):
+        from types import FunctionType
+
+        from repro.compiler.ir import Instr
+        from repro.ifp import Bounds
+        from repro.vm.fastpath import _Act
+        from repro.vm.interp import U64, Interpreter, _signed
+
+        comp = compilers[geometry]
+        if in_register:
+            ins = Instr(Op.IFPADD, dst=3, a=1, b=2)
+        else:
+            ins = Instr(Op.IFPADD, dst=3, a=1, imm=delta)
+        code = comp.compile_block(0, [(0, comp.emit(ins, 0))])
+        assert "tagged" not in code.co_names
+        assert "_signed" not in code.co_names
+        value = (((poison << 14) | (1 << 12) | payload) << 48) | address
+        bound = (Bounds(address - lower_back, address - lower_back + size)
+                 if bounded else None)
+        st = _Act()
+        st.regs = [0, value, delta & U64, 0]
+        st.bnds = [None, bound, None, None]
+        st.c = [0] * 7
+        st.frame_base = 0
+        assert FunctionType(code, comp.ns)(st) == 1
+
+        step = _signed(delta & U64) if in_register else delta
+        moved = (address + step) & ADDRESS_MASK
+        expected = Interpreter._ifpadd_tagged(
+            comp.interp, value, moved, value >> 48, bound)
+        assert st.regs[3] == expected
+        assert st.bnds[3] is bound
+
+    def test_signed_ops_on_both_sides_of_the_sign_bit(self):
+        # slt/sle/sra/div/rem with register operands below and above
+        # 2**63 and BINI immediates that are negative ints; both engines
+        # must store the same words and agree on every RunStats field
+        from repro.compiler.ir import BIN_CODES, Instr
+
+        values = (0, 1, 7, (1 << 63) - 1, 1 << 63, (1 << 63) + 1,
+                  (1 << 64) - 1, (1 << 64) - 7, 0x0123_4567_89AB_CDEF)
+        immediates = (-1, -7, -(1 << 63), 3, (1 << 63) + 5)
+        ops = [("slt", True), ("sle", True), ("sar", False),
+               ("div", True), ("rem", True), ("slt", False),
+               ("div", False), ("rem", False)]
+        cases = []     # (name, signed, x, y, is_imm)
+        for name, signed in ops:
+            for x in values:
+                for y in values:
+                    if not (y == 0 and name in ("div", "rem")):
+                        cases.append((name, signed, x, y, False))
+                for y in immediates:
+                    cases.append((name, signed, x, y, True))
+        program = compile_source(
+            f"long out[{len(cases)}]; int main(void) {{ return 0; }}",
+            build_options("baseline"))
+        instrs = [Instr(Op.GLOB, dst=1, name="out")]
+        for index, (name, signed, x, y, is_imm) in enumerate(cases):
+            instrs.append(Instr(Op.LI, dst=2, imm=x))
+            if is_imm:
+                bin_ins = Instr(Op.BINI, dst=4, a=2, imm=y, signed=signed,
+                                name=name)
+            else:
+                instrs.append(Instr(Op.LI, dst=3, imm=y))
+                bin_ins = Instr(Op.BIN, dst=4, a=2, b=3, signed=signed,
+                                name=name)
+            bin_ins.code = BIN_CODES[name]
+            instrs += [bin_ins,
+                       Instr(Op.STORE, a=1, b=4, imm=8 * index, size=8)]
+        instrs += [Instr(Op.LI, dst=0, imm=0), Instr(Op.RET, a=0)]
+        main = program.functions["main"]
+        program.functions["main"] = dataclasses.replace(
+            main, instrs=instrs, num_regs=5)
+        run = TestInlineMemoryHierarchy._agree(program)
+        assert run["trap"] is None
+
+        machine = Machine(program, build_machine_config("baseline"))
+        machine.run()
+        for block in _blocks(machine, "main"):
+            assert "_signed" not in block.__code__.co_names
+        page_size = machine.memory.page_size
+        base = machine.image.symbols["out"]
+        for index, (name, signed, x, y, is_imm) in enumerate(cases):
+            address = base + 8 * index
+            page = run["pages"][address // page_size]
+            offset = address % page_size
+            word = int.from_bytes(page[offset:offset + 8], "little")
+            # the reference reads a negative immediate through
+            # ``_signed`` too
+            sx, sy = _signed64(x), _signed64(y)
+            if name == "slt":
+                want = int(sx < sy) if signed else int(x < y)
+            elif name == "sle":
+                want = int(sx <= sy)
+            elif name == "sar":
+                want = (sx >> (y & 63)) & ((1 << 64) - 1)
+            else:
+                a, b = (sx, sy) if signed else (x, y)
+                quotient = abs(a) // abs(b)
+                if (a < 0) != (b < 0):
+                    quotient = -quotient
+                want = (quotient if name == "div"
+                        else a - quotient * b) & ((1 << 64) - 1)
+            assert word == want, (name, signed, x, y, is_imm)
 
 
 def _signed16(value: int) -> int:
