@@ -154,10 +154,3 @@ def _temporal_expectation(attack: Attack, config: str,
     # be caught by allocator metadata (InvalidFree).
     return EXPECT_MAY if attack.kind == "double_free" \
         else EXPECT_NO_TRAP
-
-
-def expectation_map(site: AccessSite, attack: Attack,
-                    configs: List[str],
-                    temporal: str = "off") -> Dict[str, str]:
-    return {config: expectation(site, attack, config, temporal)
-            for config in configs}

@@ -52,10 +52,6 @@ def set_injector(injector: Optional[Any]) -> Optional[Any]:
     return previous
 
 
-def current_injector() -> Optional[Any]:
-    return _INJECTOR
-
-
 @contextmanager
 def inject_faults(injector: Optional[Any]):
     """Arm ``injector`` for the duration of the block (restores the

@@ -103,10 +103,6 @@ class SubheapScheme:
         memory.store_int(md_addr + 30, MAGIC, 2)
         return md_addr
 
-    def clear_block_metadata(self, memory, block_base: int,
-                             region: SubheapRegion) -> None:
-        memory.fill(block_base + region.metadata_offset, 0, METADATA_BYTES)
-
     def make_pointer(self, address: int, register_index: int,
                      subobject_index: int = 0,
                      poison: Poison = Poison.VALID) -> int:

@@ -61,12 +61,6 @@ class ControlRegisters:
             return None
         return self._subheap[index]
 
-    def set_subheap_region(self, index: int, region: SubheapRegion) -> None:
-        if not (0 <= index < len(self._subheap)):
-            raise ValueError("subheap control register index out of range")
-        self._subheap[index] = region
-        self.version += 1
-
     def allocate_subheap_register(self, region: SubheapRegion) -> int:
         """Find a free register (or one already holding ``region``)."""
         for index, existing in enumerate(self._subheap):

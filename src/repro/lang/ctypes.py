@@ -72,15 +72,6 @@ class IntType(CType):
     def align(self) -> int:  # type: ignore[override]
         return self.size
 
-    @property
-    def min_value(self) -> int:
-        return -(1 << (self.size * 8 - 1)) if self.signed else 0
-
-    @property
-    def max_value(self) -> int:
-        bits = self.size * 8
-        return (1 << (bits - 1)) - 1 if self.signed else (1 << bits) - 1
-
     def wrap(self, value: int) -> int:
         """Truncate a Python int to this type's representable range."""
         bits = self.size * 8

@@ -32,7 +32,9 @@ from repro.par.cli import (
     add_pool_args, drain_on_signal, log_for, report, run,
 )
 from repro.par.engine import resume_checkpoint
-from repro.par.kinds import plan_bench, plan_juliet
+from repro.par.kinds import (
+    BENCH_CONFIGS, BENCH_WORKLOADS, plan_bench, plan_juliet,
+)
 from repro.par.merge import diff_documents
 from repro.vm.machine import ENGINE_CHOICES, TEMPORAL_POLICIES
 
@@ -145,9 +147,9 @@ def main(argv=None) -> int:
 
     bench = sub.add_parser(
         "bench", help="ad-hoc sharded (workload x config) sweep")
-    bench.add_argument("--workloads", default="treeadd,anagram",
+    bench.add_argument("--workloads", default=",".join(BENCH_WORKLOADS),
                        help="comma-separated workload list")
-    bench.add_argument("--configs", default="baseline,wrapped,subheap",
+    bench.add_argument("--configs", default=",".join(BENCH_CONFIGS),
                        help="comma-separated configuration list")
     bench.add_argument("--scale", type=int, default=1)
     bench.add_argument("--engine", default="auto",

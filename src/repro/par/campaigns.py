@@ -55,7 +55,7 @@ def run_fuzz_shard(shard: Dict[str, Any], attempt: int
         backoff_base=params["backoff_base"],
         engine=params.get("engine", "auto"),
         trace=shard.get("trace"),
-        # absent from plans built before the temporal policy existed
+        # planners record the policy only when armed
         temporal=params.get("temporal", "off"))
     return stats.to_dict()
 
@@ -127,7 +127,7 @@ def run_juliet_shard(shard: Dict[str, Any], attempt: int
     options = CompilerOptions.subheap() \
         if params.get("allocator") == "subheap" \
         else CompilerOptions.wrapped()
-    # absent from plans built before the temporal policy existed
+    # planners record the policy only when armed
     temporal = params.get("temporal", "off")
     cases = generate_cases()
     if temporal != "off":

@@ -236,8 +236,7 @@ def _plan_for_cell(kind: str, seed: int, work_dir: str,
                    tag: str) -> "ShardPlan":
     """The (small, CI-sized) campaign plan one chaos cell runs.  A pure
     function of ``(kind, seed)`` modulo the scratch directories."""
-    from repro.par.kinds import plan_fuzz, plan_juliet
-    from repro.par.plan import plan_indices
+    from repro.par.kinds import plan_fuzz, plan_juliet, plan_selftest
 
     if kind == "fuzz":
         return plan_fuzz(6, seed, configs=list(FUZZ_CONFIGS),
@@ -248,10 +247,8 @@ def _plan_for_cell(kind: str, seed: int, work_dir: str,
         return plan_juliet(seed=seed, jobs=2, shard_size=0)
     if kind == "selftest":
         # the poison cell: one shard raises on every attempt
-        return plan_indices(
-            "selftest", seed, list(range(8)),
-            params={"fail_shards": [POISON_SHARD], "mode": "raise"},
-            shards=8)
+        return plan_selftest(total=8, seed=seed, shards=8,
+                             fail_shards=[POISON_SHARD], mode="raise")
     raise ValueError(f"no chaos cell for campaign kind {kind!r}")
 
 

@@ -327,9 +327,9 @@ class CampaignRunner:
         self.timeout_seconds = timeout_seconds
         self.policy = policy
         #: execution engine for every run.  The default "auto" runs
-        #: both the clean reference runs and the faulted runs (which
-        #: arm an injector) on the fastpath — armed runs get an
-        #: instrumented translation with inline guarded emits;
+        #: both the clean reference runs and the faulted runs on the
+        #: fastpath; an injector does not arm a translation (only an
+        #: attached observer does, ``machine.obs is not None``).
         #: "reference" forces the slow path everywhere.
         self.engine = engine
         self._programs: Dict[Tuple[str, str], object] = {}

@@ -94,18 +94,15 @@ def do_strlen(machine, args, bounds) -> Result:
     pointer = _guest_pointer(args[0])
     data = _cstring(machine, pointer)
     length = len(data)
-    if machine.config.strlen_word_reads:
-        # glibc reads whole aligned words; model the cache traffic of the
-        # words covering [pointer, pointer + length] inclusive of the
-        # terminator (and thus possibly bytes beyond it).
-        start = pointer & ~7
-        end = (pointer + length + 8) & ~7
-        words = (end - start) // 8
-        instrs = 12 + words * 2
-        cycles = instrs + _touch(machine, start, end - start, False)
-    else:
-        instrs = 8 + length
-        cycles = instrs + _touch(machine, pointer, length + 1, False)
+    # glibc reads whole aligned words (the over-read the paper hit in
+    # bc); model the cache traffic of the words covering
+    # [pointer, pointer + length] inclusive of the terminator (and thus
+    # possibly bytes beyond it).
+    start = pointer & ~7
+    end = (pointer + length + 8) & ~7
+    words = (end - start) // 8
+    instrs = 12 + words * 2
+    cycles = instrs + _touch(machine, start, end - start, False)
     return length, None, cycles, instrs
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.errors import TemporalViolation
-from repro.ifp.tag import temporal_key_of
 
 #: entry field indices (entries are lists for cheap mutation)
 KEY = 0
@@ -208,8 +207,3 @@ def check_free(registry: TemporalRegistry, pointer: int, base: int,
             pointer=pointer, address=base, key=key, lock=entry[KEY],
             kind="stale_free", origin="free")
     return entry
-
-
-def extract_key(pointer: int, config) -> int:
-    """Tag key of a packed pointer under ``config`` (0 when untracked)."""
-    return temporal_key_of(pointer, config)

@@ -47,6 +47,7 @@ _DEADLINE_MASK = 0xFFF
 
 
 def _signed(value: int) -> int:
+    value &= U64
     return value - (1 << 64) if value & _SIGN else value
 
 

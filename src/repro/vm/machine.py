@@ -42,8 +42,6 @@ class MachineConfig:
     mac_key: int = 0x1F9A7C0FFEE
     #: hard cap on executed instructions (runaway guard)
     max_instructions: int = 500_000_000
-    #: glibc strlen reads whole words — the over-read the paper hit in bc
-    strlen_word_reads: bool = True
     #: what happens when fixed-size metadata resources run out
     #: (see repro.resil.policy): degrade to untagged pointers or trap
     policy: DegradationPolicy = DEFAULT_POLICY
@@ -250,16 +248,3 @@ class Machine:
 
 def _as_exit_code(value: int) -> int:
     return value & 0xFF
-
-
-def run_source(source: str, options=None,
-               machine_config: Optional[MachineConfig] = None) -> RunResult:
-    """Convenience: compile mini-C source and run it."""
-    from repro.compiler import CompilerOptions, compile_source
-    options = options or CompilerOptions.baseline()
-    program = compile_source(source, options)
-    config = machine_config or MachineConfig(no_promote=options.no_promote)
-    if options.no_promote and not config.no_promote:
-        from dataclasses import replace
-        config = replace(config, no_promote=True)
-    return Machine(program, config).run()

@@ -2041,8 +2041,7 @@ class TestInlineArithmetic:
             page = run["pages"][address // page_size]
             offset = address % page_size
             word = int.from_bytes(page[offset:offset + 8], "little")
-            # the reference reads a negative immediate through
-            # ``_signed`` too
+            # a negative immediate reads as its two's-complement word
             sx, sy = _signed64(x), _signed64(y)
             if name == "slt":
                 want = int(sx < sy) if signed else int(x < y)
@@ -2069,4 +2068,5 @@ def _signed32(value: int) -> int:
 
 
 def _signed64(value: int) -> int:
+    value &= (1 << 64) - 1
     return value - (1 << 64) if value & (1 << 63) else value

@@ -5,6 +5,7 @@ and the restart-recovery guarantee — a killed service resumes its
 campaigns to results byte-identical (timing aside) to an uninterrupted
 run."""
 
+import inspect
 import json
 import os
 import signal
@@ -21,6 +22,7 @@ from repro.errors import (
     UnknownJob,
 )
 from repro.obs.metrics import metrics_document, validate_document
+from repro.par.kinds import CAMPAIGN_KINDS
 from repro.par.merge import canonical_metrics
 from repro.par.plan import plan_indices
 from repro.par.pool import run_plan
@@ -159,6 +161,95 @@ def test_default_plan_fingerprints_are_pinned(kind, params, fingerprint):
         _spec(kind=kind, workers=2, **params))
     assert build_plan(kind, resolved, workers).fingerprint() \
         == fingerprint
+
+
+#: every kind's empty-spec resolved params (in persisted key order) and
+#: plan fingerprint at workers=1; resil and bench gained ``engine``
+#: when the service began taking it, without moving the fingerprint
+PINNED_EMPTY_SPECS = [
+    ("fuzz", {"iterations": 20, "seed": 0,
+              "configs": ["baseline", "subheap", "wrapped", "subheap-np"],
+              "start": 0, "clean": True, "inject": True,
+              "corpus_dir": "corpus", "minimize": True, "max_attacks": 2,
+              "plant_bug": False, "timeout_seconds": None, "retries": 2,
+              "backoff_base": 0.1, "engine": "auto", "temporal": "off",
+              "shard_size": 0},
+     "adb663ff0e46320b22a61b461267a188"
+     "06a6e8b2e66e06ea1afdbbc55f71484d"),
+    ("resil", {"workloads": ["treeadd", "anagram", "ks", "health"],
+               "schemes": ["local_offset", "subheap", "global_table"],
+               "faults": ["tag_bit_flip", "metadata_corrupt",
+                          "mac_corrupt", "layout_corrupt",
+                          "global_table_exhaust",
+                          "subheap_register_pressure", "alloc_oom",
+                          "temporal_lock_corrupt"],
+               "seed": 0, "scale": 1, "timeout_seconds": 120.0,
+               "strict": False, "shard_size": 0, "engine": "auto"},
+     "d7e348f81d312fc8b9b734a975bece2f"
+     "f1c8707e6ea0a7bc0897530813881dea"),
+    ("juliet", {"seed": 0, "allocator": "wrapped", "temporal": "off",
+                "shard_size": 0},
+     "80aa4df86e77f4e83547ecadc96871a4"
+     "a799d900c9bd556a14704aae76fb5a47"),
+    ("bench", {"workloads": ["treeadd", "anagram"],
+               "configs": ["baseline", "wrapped", "subheap"], "scale": 1,
+               "timeout_seconds": None, "seed": 0, "shard_size": 0,
+               "engine": "auto"},
+     "427b1c0715d5a3691fe18bdeb3ed2e51"
+     "95f206205510290fe8f95cfc29d67026"),
+    ("selftest", {"total": 8, "seed": 0, "shards": 4,
+                  "sleep_seconds": 0.0, "fail_shards": [], "mode": "ok",
+                  "succeed_attempt": 1, "marker": ""},
+     "66036d62fefe457e245e40bd8744cd20"
+     "4b4417dabcb73b45080ae52887a20b17"),
+]
+
+
+class TestParamsFromTheTable:
+    @pytest.mark.parametrize("kind", sorted(CAMPAIGN_KINDS))
+    def test_empty_spec_resolves_to_the_planner_defaults(self, kind):
+        campaign = CAMPAIGN_KINDS[kind]
+        keywords = {name: parameter.default for name, parameter in
+                    inspect.signature(campaign.plan).parameters.items()
+                    if name != "jobs"}
+        _, _, _, resolved = validate_spec(_spec(kind=kind))
+        assert list(resolved) == list(keywords)
+        assert set(campaign.checks) == set(keywords)
+        for name, default in keywords.items():
+            if isinstance(default, tuple):
+                default = list(default)
+            assert resolved[name] == default, name
+
+    @pytest.mark.parametrize("kind,resolved,fingerprint",
+                             PINNED_EMPTY_SPECS)
+    def test_empty_spec_is_pinned(self, kind, resolved, fingerprint):
+        _, kind, workers, params = validate_spec(_spec(kind=kind))
+        assert json.dumps(params) == json.dumps(resolved)
+        assert build_plan(kind, params, workers).fingerprint() \
+            == fingerprint
+
+    @pytest.mark.parametrize("kind", ["resil", "bench"])
+    def test_served_engine_param(self, kind):
+        _, kind, workers, params = validate_spec(
+            _spec(kind=kind, engine="reference"))
+        assert params["engine"] == "reference"
+        assert build_plan(kind, params, workers).params["engine"] \
+            == "reference"
+        with pytest.raises(InvalidJobSpec) as info:
+            validate_spec(_spec(kind=kind, engine="turbo"))
+        assert info.value.field == "params.engine"
+
+    def test_resil_record_without_engine_rebuilds_its_plan(self):
+        # a resil record as persisted before the service took ``engine``
+        kind, resolved, fingerprint = PINNED_EMPTY_SPECS[1]
+        assert kind == "resil"
+        old = {name: value for name, value in resolved.items()
+               if name != "engine"}
+        record = JobRecord.from_dict(json.loads(json.dumps({
+            "job_id": "j1", "tenant": "alice", "kind": "resil",
+            "workers": 1, "params": old, "status": "queued"})))
+        assert build_plan(record.kind, record.params,
+                          record.workers).fingerprint() == fingerprint
 
 
 # ---------------------------------------------------------------------------
