@@ -7,8 +7,8 @@ for trace-driven cache simulation and is all the evaluation needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import List
 
 
 @dataclass

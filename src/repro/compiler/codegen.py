@@ -26,14 +26,12 @@ whether the IFP behaviours are woven in:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.baselines.mpx import MPX_TABLE_BASE
 from repro.errors import CompileError
-from repro.compiler.ir import (
-    GlobalObject, IRFunction, Instr, LocalObjectInfo, Op,
-)
+from repro.compiler.ir import IRFunction, Instr, LocalObjectInfo, Op
 from repro.compiler.layout_gen import LayoutTableRegistry, member_delta
 from repro.compiler.options import CompilerOptions
 from repro.ifp.schemes.local_offset import align_up
@@ -43,7 +41,7 @@ from repro.lang.ctypes import (
     ArrayType, CType, FunctionType, INT, IntType, LONG, PointerType,
     StructType, ULONG, VOID, decay,
 )
-from repro.lang.sema import BUILTIN_SIGNATURES, Program
+from repro.lang.sema import Program
 
 #: builtins whose calls are rewritten to the IFP runtime when instrumenting
 _ALLOC_BUILTINS = {"malloc", "calloc", "realloc", "free"}

@@ -25,7 +25,7 @@ from repro.compiler.options import CompilerOptions
 from repro.compiler.safety import analyze_escapes
 from repro.ifp.schemes.local_offset import METADATA_BYTES, align_up
 from repro.lang import astnodes as ast
-from repro.lang.ctypes import IntType, PointerType, VOID
+from repro.lang.ctypes import PointerType, VOID
 from repro.lang.parser import parse
 from repro.lang.sema import Program, analyze
 

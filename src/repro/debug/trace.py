@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional
+from typing import Deque, List, Optional
 
 from repro.compiler.ir import Instr, MNEMONICS, Op
 

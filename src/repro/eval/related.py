@@ -9,7 +9,7 @@ is checked against the corresponding scheme class's actual behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List
 
 
 @dataclass(frozen=True)

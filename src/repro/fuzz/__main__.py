@@ -25,10 +25,11 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.errors import InvalidJobSpec
 from repro.eval.configs import CONFIG_NAMES
 from repro.fuzz.corpus import DEFAULT_CORPUS_DIR, load_entry
 from repro.fuzz.driver import DEFAULT_CONFIGS, replay_entry
-from repro.par.cli import add_pool_args, run
+from repro.par.cli import add_pool_args, check_lists, run
 from repro.par.kinds import plan_fuzz
 from repro.vm.machine import ENGINE_CHOICES, TEMPORAL_POLICIES
 
@@ -102,10 +103,10 @@ def main(argv=None) -> int:
             parser.error(f"cannot replay {args.replay}: {exc}")
         return 0 if replay_entry(args.replay, log=print) else 1
 
-    configs = [c.strip() for c in args.configs.split(",") if c.strip()]
-    unknown = [c for c in configs if c not in CONFIG_NAMES]
-    if unknown:
-        parser.error(f"unknown configuration(s): {', '.join(unknown)}")
+    try:
+        configs = check_lists("fuzz", args, ("configs",))["configs"]
+    except InvalidJobSpec as exc:
+        parser.error(str(exc))
 
     return run(plan_fuzz(
         args.iterations, args.seed, configs=configs, start=args.start,

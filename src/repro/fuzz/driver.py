@@ -23,7 +23,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.fuzz.attacks import Attack, TEMPORAL_KINDS, attacks_for
 from repro.fuzz.corpus import (
@@ -35,8 +35,8 @@ from repro.fuzz.generator import (
 )
 from repro.fuzz.minimize import minimize_source
 from repro.fuzz.oracle import (
-    SPATIAL_TRAPS, AttackVerdict, Divergence, accepted_traps,
-    capture_trap_forensics, check_attack, check_clean, run_program,
+    SPATIAL_TRAPS, Divergence, accepted_traps, capture_trap_forensics,
+    check_attack, check_clean, run_program,
 )
 
 #: divergence kinds whose failing run ends in a trap — the ones a

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.errors import ResourceExhausted
-from repro.ifp.bounds import Bounds
 from repro.ifp.config import IFPConfig, DEFAULT_CONFIG
 from repro.ifp.mac import MacCache
 from repro.ifp.narrow import narrow_bounds

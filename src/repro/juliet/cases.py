@@ -28,7 +28,7 @@ Juliet harness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 #: buffer element count used throughout
 _N = 10

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.compiler import CompilerOptions, compile_source
-from repro.errors import SimTrap
 from repro.juliet.cases import JulietCase, generate_cases
 from repro.vm import Machine, MachineConfig
 

@@ -8,7 +8,7 @@ expressions that denote storage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.lang.ctypes import CType
 

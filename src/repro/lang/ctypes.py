@@ -8,7 +8,7 @@ identical to the C ABI rules the paper's layout tables describe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 

@@ -24,8 +24,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import TypeError_
 from repro.lang import astnodes as ast
 from repro.lang.ctypes import (
-    ArrayType, CHAR, CType, FunctionType, INT, IntType, LONG, PointerType,
-    StructType, UINT, ULONG, USHORT, VOID, VOID_PTR, common_int_type, decay,
+    CHAR, CType, FunctionType, INT, LONG, PointerType, StructType, UINT, ULONG,
+    USHORT, VOID, VOID_PTR, common_int_type, decay,
 )
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.obs.events import (
-    AllocEvent, BoundsSpillEvent, CheckEvent, Event, MacVerifyEvent,
-    MetadataFetchEvent, NarrowEvent, PromoteEvent, SchemeAssignEvent,
-    TrapEvent,
-)
+from repro.obs.events import Event, TrapEvent
 
 _UNATTRIBUTED = ("<runtime>", -1)
 

@@ -28,8 +28,9 @@ import argparse
 import json
 import sys
 
+from repro.errors import InvalidJobSpec
 from repro.par.cli import (
-    add_pool_args, drain_on_signal, log_for, report, run,
+    add_pool_args, check_lists, drain_on_signal, log_for, report, run,
 )
 from repro.par.engine import resume_checkpoint
 from repro.par.kinds import (
@@ -47,23 +48,12 @@ def _cmd_juliet(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    workloads = [w.strip() for w in args.workloads.split(",")
-                 if w.strip()]
-    configs = [c.strip() for c in args.configs.split(",") if c.strip()]
-    from repro.eval.configs import CONFIG_NAMES
-    from repro.workloads import WORKLOADS
-    unknown = [w for w in workloads if w not in WORKLOADS]
-    if unknown:
-        print(f"unknown workload(s): {', '.join(unknown)}",
-              file=sys.stderr)
+    try:
+        lists = check_lists("bench", args, ("workloads", "configs"))
+    except InvalidJobSpec as exc:
+        print(exc, file=sys.stderr)
         return 2
-    unknown = [c for c in configs if c not in CONFIG_NAMES]
-    if unknown:
-        print(f"unknown configuration(s): {', '.join(unknown)}",
-              file=sys.stderr)
-        return 2
-    return run(plan_bench(workloads=workloads, configs=configs,
-                          scale=args.scale,
+    return run(plan_bench(**lists, scale=args.scale,
                           timeout_seconds=args.shard_timeout,
                           seed=args.seed, jobs=args.jobs,
                           shard_size=args.shard_size,

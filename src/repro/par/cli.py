@@ -41,6 +41,18 @@ def add_pool_args(parser, *, resume: bool = False) -> None:
                         help="requeues per failed shard (default 2)")
 
 
+def check_lists(kind: str, args, names) -> dict:
+    """The comma-separated list flags ``names`` of a ``kind`` campaign,
+    split and checked by the kind's parameter checks
+    (:attr:`~repro.par.kinds.CampaignKind.checks`), the ones a served
+    job's parameters pass: name -> list.  A bad value raises
+    :class:`~repro.errors.InvalidJobSpec` naming the flag and the
+    value."""
+    checks = campaign_kind(kind).checks
+    return {name: checks[name](f"--{name}", getattr(args, name))
+            for name in names}
+
+
 def log_for(args):
     return (lambda message: None) if args.quiet else print
 

@@ -114,8 +114,8 @@ def require_str(name: str, value: Any,
     return value
 
 
-def require_str_list(name: str, value: Any,
-                     choices: Sequence[str]) -> List[str]:
+def require_str_list(name: str, value: Any, choices: Sequence[str],
+                     noun: str = "value(s)") -> List[str]:
     if isinstance(value, str):
         value = [item.strip() for item in value.split(",")
                  if item.strip()]
@@ -126,7 +126,7 @@ def require_str_list(name: str, value: Any,
                if not isinstance(item, str) or item not in choices]
     if unknown:
         raise InvalidJobSpec(
-            f"unknown value(s) {unknown!r}; expected from "
+            f"unknown {noun} {unknown!r}; expected from "
             f"{tuple(choices)}", field=name)
     return list(value)
 
@@ -144,8 +144,10 @@ _SCALE = partial(require_int, minimum=1, maximum=64)
 _TIMEOUT = partial(require_number, nullable=True)
 _ENGINE = partial(require_str, choices=ENGINE_CHOICES)
 _TEMPORAL = partial(require_str, choices=TEMPORAL_POLICIES)
-_WORKLOADS = partial(require_str_list, choices=tuple(WORKLOADS))
-_CONFIGS = partial(require_str_list, choices=CONFIG_NAMES)
+_WORKLOADS = partial(require_str_list, choices=tuple(WORKLOADS),
+                     noun="workload(s)")
+_CONFIGS = partial(require_str_list, choices=CONFIG_NAMES,
+                   noun="configuration(s)")
 
 
 def _armed_temporal(plan: ShardPlan) -> Dict[str, str]:
@@ -250,8 +252,10 @@ def plan_resil(*, workloads: Sequence[str] = DEFAULT_WORKLOADS,
 
 _RESIL_CHECKS = {
     "workloads": _WORKLOADS,
-    "schemes": partial(require_str_list, choices=SCHEMES),
-    "faults": partial(require_str_list, choices=FAULT_CLASSES),
+    "schemes": partial(require_str_list, choices=SCHEMES,
+                       noun="scheme(s)"),
+    "faults": partial(require_str_list, choices=FAULT_CLASSES,
+                      noun="fault class(es)"),
     "seed": _NATURAL, "scale": _SCALE, "timeout_seconds": _TIMEOUT,
     "strict": require_bool, "shard_size": _NATURAL, "engine": _ENGINE,
 }

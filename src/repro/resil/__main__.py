@@ -37,7 +37,6 @@ import sys
 
 from repro.resil.faults import FAULT_CLASSES
 from repro.vm.machine import ENGINE_CHOICES
-from repro.workloads import WORKLOADS
 
 
 def main(argv=None) -> int:
@@ -48,7 +47,8 @@ def main(argv=None) -> int:
         # the package root stays light (repro.vm.machine imports it)
         from repro.resil.chaos import main as chaos_main
         return chaos_main(argv[1:])
-    from repro.par.cli import add_pool_args, run
+    from repro.errors import InvalidJobSpec
+    from repro.par.cli import add_pool_args, check_lists, run
     from repro.par.kinds import plan_resil
     from repro.resil.matrix import DEFAULT_WORKLOADS, SCHEMES
     parser = argparse.ArgumentParser(
@@ -90,24 +90,15 @@ def main(argv=None) -> int:
     add_pool_args(parser)
     args = parser.parse_args(argv)
 
-    workloads = [w.strip() for w in args.workloads.split(",")
-                 if w.strip()]
-    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    faults = [f.strip() for f in args.faults.split(",") if f.strip()]
-    unknown = [w for w in workloads if w not in WORKLOADS]
-    if unknown:
-        parser.error(f"unknown workload(s): {', '.join(unknown)}")
-    unknown = [s for s in schemes if s not in SCHEMES]
-    if unknown:
-        parser.error(f"unknown scheme(s): {', '.join(unknown)}")
-    unknown = [f for f in faults if f not in FAULT_CLASSES]
-    if unknown:
-        parser.error(f"unknown fault class(es): {', '.join(unknown)}")
+    try:
+        lists = check_lists("resil", args,
+                            ("workloads", "schemes", "faults"))
+    except InvalidJobSpec as exc:
+        parser.error(str(exc))
 
     timeout = args.timeout if args.timeout > 0 else None
     return run(plan_resil(
-        workloads=workloads, schemes=schemes, faults=faults,
-        seed=args.seed, scale=args.scale,
+        **lists, seed=args.seed, scale=args.scale,
         timeout_seconds=timeout, strict=args.strict, jobs=args.jobs,
         shard_size=args.shard_size, engine=args.engine), args, args.out)
 

@@ -50,7 +50,6 @@ The injector plugs into two seams:
 from __future__ import annotations
 
 import errno as errno_mod
-import json
 import os
 from collections import Counter
 from dataclasses import dataclass, field

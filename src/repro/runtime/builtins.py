@@ -8,11 +8,9 @@ table the interpreter consults for non-guest calls.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict
 
-from repro.errors import SimTrap
 from repro.ifp.bounds import Bounds
-from repro.ifp.poison import Poison
 from repro.ifp.schemes.local_offset import (
     LocalOffsetScheme, METADATA_BYTES,
 )

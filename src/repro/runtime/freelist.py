@@ -12,7 +12,7 @@ reads/writes go through the cache hierarchy.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.errors import InvalidFree
 

@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 from repro.errors import ResourceExhausted
 from repro.ifp.poison import Poison
 from repro.ifp.schemes.global_table import GlobalTableScheme, ROW_BYTES
-from repro.ifp.tag import address_of, unpack_tag
+from repro.ifp.tag import unpack_tag
 from repro.resil.policy import STRICT
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.errors import GuestExit, MemoryFault, PoisonTrap, SimTrap
+from repro.errors import GuestExit, PoisonTrap, SimTrap
 from repro.ifp.tag import address_of
 
 Result = Tuple[int, Optional[object], int, int]

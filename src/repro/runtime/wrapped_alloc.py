@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.ifp.bounds import Bounds
-from repro.ifp.poison import Poison
 from repro.ifp.schemes.local_offset import (
     LocalOffsetScheme, METADATA_BYTES, align_up,
 )

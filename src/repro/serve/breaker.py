@@ -25,8 +25,8 @@ time explicitly; nothing here sleeps or threads.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import CircuitOpen
 

@@ -23,8 +23,8 @@ import time
 from typing import List, Optional, Tuple
 
 from repro.errors import (
-    BoundsTrap, GuestExit, LinkError, PoisonTrap, SimTrap,
-    StepBudgetExceeded, TemporalViolation, WorkloadTimeout,
+    BoundsTrap, LinkError, PoisonTrap, SimTrap, StepBudgetExceeded,
+    TemporalViolation, WorkloadTimeout,
 )
 from repro.compiler.ir import IRFunction, Op
 from repro.ifp.bounds import Bounds

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.cache import CacheHierarchy, HierarchyConfig
+from repro.cache import HierarchyConfig
 from repro.compiler.ir import IRProgram
 from repro.errors import GuestExit, ReproError, SimTrap, WorkloadTimeout
 from repro.ifp.config import IFPConfig, DEFAULT_CONFIG

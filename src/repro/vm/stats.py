@@ -15,7 +15,7 @@ matches the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.ifp.unit import IFPUnitStats

@@ -1181,3 +1181,41 @@ class TestErrorSerialization:
             json.loads(json.dumps(exc.to_dict())))
         assert isinstance(clone.trap, PoisonTrap)
         assert clone.trap.pointer == 0xAB
+
+
+class TestCliListChecks:
+    """Each campaign CLI checks its comma-separated lists with its
+    kind's parameter checks (``CampaignKind.checks``), the ones a served
+    job passes: a bad value exits 2 with a message naming it."""
+
+    @staticmethod
+    def _main(cli: str):
+        if cli == "par":
+            from repro.par.__main__ import main
+            return lambda argv: main(["bench"] + argv)
+        if cli == "resil":
+            from repro.resil.__main__ import main
+            return main
+        from repro.fuzz.__main__ import main
+        return main
+
+    @pytest.mark.parametrize("cli, flag, good", [
+        ("par", "--workloads", "treeadd"),
+        ("par", "--configs", "baseline"),
+        ("resil", "--workloads", "anagram"),
+        ("resil", "--schemes", "subheap"),
+        ("resil", "--faults", "mac_corrupt"),
+        ("fuzz", "--configs", "baseline"),
+    ])
+    def test_unknown_value_exits_2_naming_it(self, capsys, cli, flag,
+                                             good):
+        main = self._main(cli)
+        try:
+            code = main([flag, f"{good},no-such-value"])
+        except SystemExit as exc:   # argparse's parser.error
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{flag}: unknown" in err
+        assert "'no-such-value'" in err
+        assert f"'{good}'" not in err.split("expected from")[0]
