@@ -65,8 +65,7 @@ def _percentile(samples, fraction: float) -> float:
 
 @pytest.mark.benchmark(group="serve")
 def test_serve_latency(benchmark, tmp_path):
-    service = CampaignService(str(tmp_path / "store"), workers_total=2,
-                              max_concurrent_jobs=2)
+    service = CampaignService(str(tmp_path / "store"), workers_total=2)
     server = BackgroundServer(service)
     base = f"http://127.0.0.1:{server.start()}"
 

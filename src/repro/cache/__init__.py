@@ -5,7 +5,8 @@ attribute cycle costs, reproducing the paper's cache-behaviour analysis
 (e.g. the wrapped allocator inflating L1 D-cache misses on *health*/*ft*).
 """
 
-from repro.cache.cache import Cache, CacheStats
+from repro.cache.cache import LINE_BYTES, LINE_SHIFT, Cache, CacheStats
 from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
 
-__all__ = ["Cache", "CacheStats", "CacheHierarchy", "HierarchyConfig"]
+__all__ = ["LINE_BYTES", "LINE_SHIFT", "Cache", "CacheStats",
+           "CacheHierarchy", "HierarchyConfig"]

@@ -10,6 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+#: log2 of the L1 line, and the line in bytes: CVA6's L1 data cache and
+#: the IFP unit's metadata line buffer both use 64-byte lines
+LINE_SHIFT = 6
+LINE_BYTES = 1 << LINE_SHIFT
+
 
 @dataclass
 class CacheStats:
@@ -47,24 +52,20 @@ class Cache:
     """Set-associative, write-allocate, true-LRU cache.
 
     Geometry mirrors CVA6's L1 data cache by default: 32 KiB, 8-way,
-    64-byte lines.
+    :data:`LINE_BYTES`-byte lines.
     """
 
     def __init__(self, size_bytes: int = 32 * 1024, ways: int = 8,
-                 line_bytes: int = 64, name: str = "L1D"):
-        if line_bytes <= 0 or line_bytes & (line_bytes - 1):
-            raise ValueError("line_bytes must be a power of two")
-        if size_bytes % (ways * line_bytes):
+                 name: str = "L1D"):
+        if size_bytes % (ways * LINE_BYTES):
             raise ValueError("size must be a multiple of ways * line size")
         self.name = name
         self.size_bytes = size_bytes
         self.ways = ways
-        self.line_bytes = line_bytes
-        self.num_sets = size_bytes // (ways * line_bytes)
+        self.num_sets = size_bytes // (ways * LINE_BYTES)
         if self.num_sets & (self.num_sets - 1):
             raise ValueError("derived set count must be a power of two")
         self._set_mask = self.num_sets - 1
-        self._line_shift = line_bytes.bit_length() - 1
         # Per-set list of line tags, most-recently-used last.
         self._sets: List[List[int]] = [[] for _ in range(self.num_sets)]
         self.stats = CacheStats()
@@ -76,8 +77,8 @@ class Cache:
 
         Multi-line accesses (rare: misaligned or wide) touch each line.
         """
-        first_line = address >> self._line_shift
-        last_line = (address + max(size, 1) - 1) >> self._line_shift
+        first_line = address >> LINE_SHIFT
+        last_line = (address + max(size, 1) - 1) >> LINE_SHIFT
         if first_line == last_line:
             # Fast path: the overwhelmingly common single-line access.
             cache_set = self._sets[first_line & self._set_mask]

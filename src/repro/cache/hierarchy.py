@@ -26,7 +26,6 @@ class HierarchyConfig:
 
     l1d_size: int = 32 * 1024
     l1d_ways: int = 8
-    l1d_line: int = 64
     hit_cycles: int = 1
     miss_penalty: int = 40
 
@@ -39,8 +38,7 @@ class CacheHierarchy:
 
     def __init__(self, config: HierarchyConfig = HierarchyConfig()):
         self.config = config
-        self.l1d = Cache(config.l1d_size, config.l1d_ways,
-                         config.l1d_line, name="L1D")
+        self.l1d = Cache(config.l1d_size, config.l1d_ways, name="L1D")
         # Hoisted latency constants — access_cycles is the hottest call in
         # the whole simulation, so skip the dataclass attribute chain.
         self._hit_cycles = config.hit_cycles

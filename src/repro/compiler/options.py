@@ -7,14 +7,13 @@
   metadata, global-table fallback);
 * *subheap*  — instrumented, subheap (pool-over-buddy) allocator.
 
-``no_promote`` reproduces the paper's no-promote configuration: promotes
-execute as NOPs (no metadata access, no bounds produced), isolating the
-promote instruction's runtime contribution in Figure 10.
+The paper's no-promote configuration compiles the same program; the
+machine executes its promotes as NOPs (``MachineConfig.no_promote``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.ifp.config import IFPConfig, DEFAULT_CONFIG
 
@@ -29,8 +28,6 @@ class CompilerOptions:
     defense: str = "ifp"
     #: generate layout tables and subobject-index maintenance
     narrowing: bool = True
-    #: promote executes as a NOP (evaluation's "no-promote" build)
-    no_promote: bool = False
     #: insert explicit ifpchk instead of relying on implicit checks
     explicit_checks: bool = False
     #: model callee-saved bounds spills (stbnd/ldbnd in prologues)
@@ -59,6 +56,3 @@ class CompilerOptions:
     @classmethod
     def subheap(cls, **kwargs) -> "CompilerOptions":
         return cls(instrument=True, allocator="subheap", **kwargs)
-
-    def with_no_promote(self) -> "CompilerOptions":
-        return replace(self, no_promote=True)

@@ -26,14 +26,10 @@ CONFIG_NAMES = ("baseline", "subheap", "wrapped", "subheap-np", "wrapped-np")
 def build_options(name: str) -> CompilerOptions:
     if name == "baseline":
         return CompilerOptions.baseline()
-    if name == "subheap":
+    if name in ("subheap", "subheap-np"):
         return CompilerOptions.subheap()
-    if name == "wrapped":
+    if name in ("wrapped", "wrapped-np"):
         return CompilerOptions.wrapped()
-    if name == "subheap-np":
-        return CompilerOptions.subheap(no_promote=True)
-    if name == "wrapped-np":
-        return CompilerOptions.wrapped(no_promote=True)
     raise ValueError(f"unknown configuration {name!r}")
 
 

@@ -72,9 +72,8 @@ def run_workload(workload: Workload, config: str, scale: int = 1,
     to finish raises :class:`repro.errors.WorkloadTimeout` (tagged with
     workload/config identity) instead of hanging the harness.
 
-    ``engine`` selects the execution engine ("auto" or "reference";
-    the legacy spellings in ``ENGINE_ALIASES`` mean "auto"); "auto"
-    always runs the fastpath — under an observer (and the tracer it
+    ``engine`` selects the execution engine ("auto" or "reference");
+    "auto" always runs the fastpath — under an observer (and the tracer it
     carries) the closure compiler translates one armed variant of each
     function with the emits inline, and fault injectors need no variant.
     Both engines are byte-identical in every simulated observable

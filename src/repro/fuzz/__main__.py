@@ -31,7 +31,7 @@ from repro.fuzz.corpus import DEFAULT_CORPUS_DIR, load_entry
 from repro.fuzz.driver import DEFAULT_CONFIGS, replay_entry
 from repro.par.cli import add_pool_args, check_lists, run
 from repro.par.kinds import plan_fuzz
-from repro.vm.machine import ENGINE_CHOICES, TEMPORAL_POLICIES
+from repro.vm.machine import ENGINES, TEMPORAL_POLICIES
 
 
 def main(argv=None) -> int:
@@ -76,7 +76,7 @@ def main(argv=None) -> int:
                         help="base of the exponential retry backoff "
                              "(default 0.1)")
     parser.add_argument("--engine", type=str, default="auto",
-                        choices=ENGINE_CHOICES,
+                        choices=ENGINES,
                         help="execution engine for oracle runs; engines "
                              "are byte-identical in every simulated "
                              "observable (default auto)")

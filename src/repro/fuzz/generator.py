@@ -661,12 +661,11 @@ def _gen_legacy_action(rng: random.Random, index: int) -> _Action:
                          length=rng.randint(6, 16))
 
 
-def generate_program(seed: int, iteration: int = 0,
-                     min_actions: int = 2,
-                     max_actions: int = 5) -> GeneratedProgram:
-    """Generate one deterministic program for ``(seed, iteration)``."""
+def generate_program(seed: int, iteration: int = 0) -> GeneratedProgram:
+    """Generate one deterministic program of two to five actions for
+    ``(seed, iteration)``."""
     rng = random.Random(iteration_seed(seed, iteration))
-    n_actions = rng.randint(min_actions, max_actions)
+    n_actions = rng.randint(2, 5)
     actions: List[_Action] = []
     sid = 0
     for index in range(n_actions):

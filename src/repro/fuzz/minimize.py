@@ -17,6 +17,9 @@ from __future__ import annotations
 
 from typing import Callable, List
 
+#: predicate evaluations one minimisation may spend
+MAX_CHECKS = 400
+
 
 def _chunks(items: List[str], n: int) -> List[List[str]]:
     """Split ``items`` into ``n`` roughly equal contiguous chunks."""
@@ -32,17 +35,16 @@ def _chunks(items: List[str], n: int) -> List[List[str]]:
 
 
 def ddmin_lines(lines: List[str],
-                predicate: Callable[[List[str]], bool],
-                max_checks: int = 400) -> List[str]:
+                predicate: Callable[[List[str]], bool]) -> List[str]:
     """Minimise ``lines`` while ``predicate(lines)`` stays True.
 
     Returns a (locally) 1-minimal list: removing any single remaining
-    line breaks the predicate (up to the evaluation budget).
+    line breaks the predicate (up to :data:`MAX_CHECKS` evaluations).
     """
     checks = [0]
 
     def holds(candidate: List[str]) -> bool:
-        if checks[0] >= max_checks:
+        if checks[0] >= MAX_CHECKS:
             return False
         checks[0] += 1
         return predicate(candidate)
@@ -51,7 +53,7 @@ def ddmin_lines(lines: List[str],
         raise ValueError("ddmin: predicate does not hold on the input")
 
     n = 2
-    while len(lines) >= 2 and checks[0] < max_checks:
+    while len(lines) >= 2 and checks[0] < MAX_CHECKS:
         parts = _chunks(lines, min(n, len(lines)))
         reduced = False
         # First try keeping single chunks (big cuts), then removing them.
@@ -78,8 +80,7 @@ def ddmin_lines(lines: List[str],
 
 
 def minimize_source(source: str,
-                    predicate: Callable[[str], bool],
-                    max_checks: int = 400) -> str:
+                    predicate: Callable[[str], bool]) -> str:
     """Minimise program text with a text-level failure predicate.
 
     Wraps :func:`ddmin_lines`; any exception from the predicate counts
@@ -94,4 +95,4 @@ def minimize_source(source: str,
             return False
 
     lines = [line for line in source.splitlines()]
-    return "\n".join(ddmin_lines(lines, line_predicate, max_checks)) + "\n"
+    return "\n".join(ddmin_lines(lines, line_predicate)) + "\n"

@@ -32,11 +32,9 @@ class IFPConfig:
     # -- subheap scheme -----------------------------------------------------
     subheap_reg_bits: int = 4         #: control-register index width
     subheap_subobj_bits: int = 8      #: subobject-index field width
-    subheap_metadata_bytes: int = 32  #: common metadata size per block
 
     # -- global table scheme ------------------------------------------------
     global_index_bits: int = 12       #: table-index field width
-    global_row_bytes: int = 16        #: metadata row size
 
     # -- feature switches (ablations) ---------------------------------------
     mac_enabled: bool = True          #: verify metadata MACs during promote

@@ -18,6 +18,7 @@ import copy
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.cache import LINE_SHIFT
 from repro.errors import ResourceExhausted
 from repro.ifp.config import IFPConfig, DEFAULT_CONFIG
 from repro.ifp.mac import MacCache
@@ -85,7 +86,7 @@ class MetadataPort:
         self.memory = memory
         self.hierarchy = hierarchy
         # The L1's hit test, inlined into every fetch: a fetch that stays
-        # inside one L1 line already resident in its set is counted here
+        # inside one line already resident in its set is counted here
         # (moving the line to MRU), as ``Cache.access`` counts it; any
         # other goes to ``_access``, which charges one cycle per fetch
         # when no hierarchy is attached.
@@ -93,14 +94,14 @@ class MetadataPort:
         self._access = _one_cycle
         if hierarchy is not None:
             l1d = hierarchy.l1d
-            self._l1 = (l1d._sets, l1d._set_mask, l1d._line_shift,
-                        l1d.stats, hierarchy._hit_cycles)
+            self._l1 = (l1d._sets, l1d._set_mask, l1d.stats,
+                        hierarchy._hit_cycles)
             self._access = hierarchy.access_cycles
         self.cycles = 0
         self.loads = 0
-        # The IFP unit holds the last-fetched 64-byte line in a line
-        # buffer, so decoding multiple fields of one metadata record costs
-        # a single cache access.
+        # The IFP unit holds the last-fetched L1 line in a line buffer,
+        # so decoding multiple fields of one metadata record costs a
+        # single cache access.
         self._buffered_line = -1
         #: fault injector (repro.resil.faults); None on the hot path
         self.faults = None
@@ -118,8 +119,8 @@ class MetadataPort:
 
     def load(self, address: int, size: int) -> int:
         self.loads += 1
-        line = address >> 6
-        last_line = (address + size - 1) >> 6
+        line = address >> LINE_SHIFT
+        last_line = (address + size - 1) >> LINE_SHIFT
         trace = self._trace
         if line != self._buffered_line or last_line != line:
             if trace is not None:
@@ -127,18 +128,17 @@ class MetadataPort:
             l1 = self._l1
             if l1 is None:
                 self.cycles += 1
+            elif last_line != line:
+                self.cycles += self._access(address, size, False)
             else:
-                sets, mask, shift, l1_stats, hit = l1
-                first = address >> shift
-                lines = sets[first & mask]
-                if (address + size - 1) >> shift != first:
-                    self.cycles += self._access(address, size, False)
-                elif lines and lines[-1] == first:
+                sets, mask, l1_stats, hit = l1
+                lines = sets[line & mask]
+                if lines and lines[-1] == line:
                     l1_stats.read_hits += 1
                     self.cycles += hit
-                elif first in lines:
-                    lines.remove(first)
-                    lines.append(first)
+                elif line in lines:
+                    lines.remove(line)
+                    lines.append(line)
                     l1_stats.read_hits += 1
                     self.cycles += hit
                 else:
@@ -177,34 +177,34 @@ class MetadataPort:
 
         Only the first fetch can hit the line buffer depending on the
         state a replay starts from: each later one follows a fetch that
-        leaves its last 64-byte line buffered, so whether it reaches the
-        L1 was fixed when it was recorded.  ``every`` lists the fetches,
+        leaves its last line buffered, so whether it reaches the L1 was
+        fixed when it was recorded.  ``every`` lists the fetches,
         and ``later`` lists them without the first; a replay takes
         ``later`` when the buffered line is ``first_line`` (-2, never
         buffered, when the first fetch spans two lines) and leaves
-        ``final_line`` buffered.  Each listed fetch is ``(l1_line,
-        set_lines, address, size)``: its L1 line and that line's set
-        list, or ``(-1, ())`` when the fetch spans two L1 lines or no
+        ``final_line`` buffered.  Each listed fetch is ``(line,
+        set_lines, address, size)``: its line and that line's L1 set
+        list, or ``(-1, ())`` when the fetch spans two lines or no
         hierarchy is attached, so that only ``_access`` can serve it.
         """
         if not fetches:
             # a bypassed promote fetches nothing; its replay is skipped
             return -2, (), (), -1
-        sets, mask, shift = self._l1[:3] if self._l1 else ((), 0, 0)
+        sets, mask = self._l1[:2] if self._l1 else ((), 0)
         every = []
         for address, size in fetches:
-            first = address >> shift
-            if sets and (address + size - 1) >> shift == first:
-                every.append((first, sets[first & mask], address, size))
+            line = address >> LINE_SHIFT
+            if sets and (address + size - 1) >> LINE_SHIFT == line:
+                every.append((line, sets[line & mask], address, size))
             else:
                 every.append((-1, (), address, size))
         address, size = fetches[0]
-        first_line = address >> 6
-        if (address + size - 1) >> 6 != first_line:
+        first_line = address >> LINE_SHIFT
+        if (address + size - 1) >> LINE_SHIFT != first_line:
             first_line = -2
         address, size = fetches[-1]
         return (first_line, tuple(every), tuple(every[1:]),
-                (address + size - 1) >> 6)
+                (address + size - 1) >> LINE_SHIFT)
 
 
 def _one_cycle(address: int, size: int, write: bool) -> int:
@@ -311,7 +311,7 @@ class IFPUnit:
         # fault injector or an observer bypasses it, so those runs see
         # every promote (and every layout walk) computed live.
         self._promote_cache = {}      # version-vector key -> entry
-        self._promote_deps = {}       # 64-byte line -> {keys}
+        self._promote_deps = {}       # L1 line -> {keys}
         # The unit must see every guest store (line-buffer staleness +
         # cache invalidation), so it claims the memory's snoop hooks.
         memory.watcher = self.snoop_store
@@ -327,8 +327,8 @@ class IFPUnit:
         fidelity) and drops promote-cache entries whose recorded fetches
         overlap the stored lines.
         """
-        first = address >> 6
-        last = (address + size - 1) >> 6
+        first = address >> LINE_SHIFT
+        last = (address + size - 1) >> LINE_SHIFT
         port = self.port
         buffered = port._buffered_line
         if buffered >= 0 and first <= buffered <= last:
@@ -403,7 +403,7 @@ class IFPUnit:
                         else:
                             spent += port._access(address, size, False)
                     if hits:
-                        _sets, _mask, _shift, l1_stats, hit = port._l1
+                        _sets, _mask, l1_stats, hit = port._l1
                         l1_stats.read_hits += hits
                         spent += hits * hit
                     port._buffered_line = final_line
@@ -449,9 +449,9 @@ class IFPUnit:
     def _insert_promote(self, key, recording) -> None:
         """Cache the promote a miss just executed: ``recording`` is its
         ``(result, stat deltas, recorded fetches, extra cycles, load
-        count)``.  The recorded fetches cover every 64-byte line the
-        promote read: a fetch left out stayed inside the line the fetch
-        before it left buffered."""
+        count)``.  The recorded fetches cover every L1 line the promote
+        read: a fetch left out stayed inside the line the fetch before
+        it left buffered."""
         result, deltas, fetches, extra, loads = recording
         cache = self._promote_cache
         deps = self._promote_deps
@@ -464,8 +464,8 @@ class IFPUnit:
                       extra, loads) + self.port.compact(fetches)
         lines = set()
         for address, size in fetches:
-            first = address >> 6
-            last = (address + size - 1) >> 6
+            first = address >> LINE_SHIFT
+            last = (address + size - 1) >> LINE_SHIFT
             lines.add(first)
             if last != first:
                 lines.update(range(first + 1, last + 1))

@@ -19,6 +19,9 @@ from typing import List, Optional, Tuple
 
 from repro.errors import BoundsTrap, PoisonTrap, SimTrap, TemporalViolation
 
+#: traced instructions and recent events a report keeps
+TAIL = 16
+
 
 @dataclass
 class ForensicsReport:
@@ -153,10 +156,9 @@ def _metadata_path(anatomy) -> str:
     return path
 
 
-def capture_forensics(machine, trap: SimTrap,
-                      trace_tail: int = 16,
-                      event_tail: int = 16) -> ForensicsReport:
-    """Build a report from a live machine that just delivered ``trap``.
+def capture_forensics(machine, trap: SimTrap) -> ForensicsReport:
+    """Build a report from a live machine that just delivered ``trap``,
+    with its last :data:`TAIL` traced instructions and events.
 
     Must run before the machine is discarded: the dry-run promote in the
     pointer anatomy reads the guest's still-mapped metadata.
@@ -210,11 +212,11 @@ def capture_forensics(machine, trap: SimTrap,
         report.anatomy_text = _temporal_anatomy(trap)
 
     obs = machine.obs
-    if obs is not None and obs.tracer is not None and trace_tail > 0:
-        report.trace_tail = [str(e) for e in obs.tracer.tail(trace_tail)]
-    if obs is not None and obs.recent is not None and event_tail > 0:
+    if obs is not None and obs.tracer is not None:
+        report.trace_tail = [str(e) for e in obs.tracer.tail(TAIL)]
+    if obs is not None and obs.recent is not None:
         report.recent_events = [
-            _format_event(e) for e in list(obs.recent)[-event_tail:]]
+            _format_event(e) for e in list(obs.recent)[-TAIL:]]
     return report
 
 

@@ -64,15 +64,14 @@ def stats_to_dict(stats) -> Dict[str, Any]:
 
 def metrics_document(name: str, config: Union[str, Dict[str, Any]],
                      metrics: Dict[str, Any],
-                     timestamp: Optional[float] = None,
                      labels: Optional[Dict[str, str]] = None
                      ) -> Dict[str, Any]:
-    """Assemble one schema-v2 metrics document (timestamp defaults to
-    now, ``labels`` to none)."""
+    """Assemble one schema-v2 metrics document, stamped now (``labels``
+    default to none)."""
     return {
         "schema": SCHEMA_V2,
         "name": name,
-        "timestamp": time.time() if timestamp is None else timestamp,
+        "timestamp": time.time(),
         "config": config,
         "metrics": metrics,
         "labels": dict(labels or {}),

@@ -35,8 +35,7 @@ class Observer:
     """Aggregates observability state for one machine run."""
 
     def __init__(self, profile: bool = False, forensics: bool = False,
-                 event_tail: int = 64,
-                 sinks: Optional[List] = None) -> None:
+                 event_tail: int = 64) -> None:
         self.bus = EventBus()
         self.profiler: Optional[HotSiteProfiler] = None
         if profile:
@@ -47,8 +46,6 @@ class Observer:
         if event_tail > 0:
             self.recent = deque(maxlen=event_tail)
             self.bus.subscribe(self.recent.append)
-        for sink in sinks or ():
-            self.bus.subscribe(sink)
         self.forensics_enabled = forensics
         self.reports: List[ForensicsReport] = []
         #: code site of the instruction currently observed, set by the

@@ -37,7 +37,7 @@ from repro.par.kinds import (
     BENCH_CONFIGS, BENCH_WORKLOADS, plan_bench, plan_juliet,
 )
 from repro.par.merge import diff_documents
-from repro.vm.machine import ENGINE_CHOICES, TEMPORAL_POLICIES
+from repro.vm.machine import ENGINES, TEMPORAL_POLICIES
 
 
 def _cmd_juliet(args) -> int:
@@ -69,7 +69,7 @@ def _cmd_resume(args) -> int:
                 shard_timeout=args.shard_timeout,
                 shard_retries=args.shard_retries, log=log_for(args),
                 stop=stop)
-    except (FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError, InvalidJobSpec) as exc:
         print(f"cannot resume: {exc}", file=sys.stderr)
         return 2
     return report(plan, merged, outcome, args)
@@ -143,7 +143,7 @@ def main(argv=None) -> int:
                        help="comma-separated configuration list")
     bench.add_argument("--scale", type=int, default=1)
     bench.add_argument("--engine", default="auto",
-                       choices=ENGINE_CHOICES,
+                       choices=ENGINES,
                        help="execution engine; byte-identical results "
                             "either way (default auto)")
     bench.add_argument("--out", metavar="JSON",

@@ -13,6 +13,7 @@ import contextlib
 import sys
 import threading
 
+from repro.errors import InvalidJobSpec
 from repro.par.engine import run_campaign_plan
 from repro.par.kinds import campaign_kind
 from repro.par.pool import install_drain_handler
@@ -98,11 +99,16 @@ def report(plan, merged, outcome, args, out=None) -> int:
 
 def run(plan, args, out=None) -> int:
     """Execute ``plan`` through the pool under the parsed pool flags
-    and report it."""
+    and report it; exit 2 naming the parameter when a value fails the
+    kind's checks, as a served job's would."""
     log = log_for(args)
-    with drain_on_signal(log) as stop:
-        merged, outcome = run_campaign_plan(
-            plan, jobs=args.jobs, checkpoint_dir=args.checkpoint,
-            shard_timeout=args.shard_timeout,
-            shard_retries=args.shard_retries, log=log, stop=stop)
+    try:
+        with drain_on_signal(log) as stop:
+            merged, outcome = run_campaign_plan(
+                plan, jobs=args.jobs, checkpoint_dir=args.checkpoint,
+                shard_timeout=args.shard_timeout,
+                shard_retries=args.shard_retries, log=log, stop=stop)
+    except InvalidJobSpec as exc:
+        print(exc, file=sys.stderr)
+        return 2
     return report(plan, merged, outcome, args, out)

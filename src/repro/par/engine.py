@@ -41,6 +41,11 @@ def execute_plan(plan: ShardPlan, *, jobs: int,
                  quarantine: bool = False, chaos=None) -> PlanResult:
     """Run one plan through the pool with checkpoint + event plumbing.
 
+    The plan's parameters pass its kind's checks
+    (:attr:`~repro.par.kinds.CampaignKind.checks`) before any worker
+    starts, so a plan a checkpoint recorded or a planner built with a
+    value the checks reject fails once, with the typed
+    :class:`~repro.errors.InvalidJobSpec` naming the parameter.
     ``bus`` (when given) receives the shard/steal event stream in
     addition to the on-disk ``events.jsonl`` — the campaign service
     subscribes live progress counters this way.  ``stop`` requests a
@@ -48,6 +53,11 @@ def execute_plan(plan: ShardPlan, *, jobs: int,
     dead-lettering and host-fault injection (see
     :func:`repro.par.pool.run_plan`).
     """
+    kind = campaign_kind(plan.kind)
+    for name, value in plan.params.items():
+        check = kind.checks.get(name)
+        if check is not None:
+            check(name, value)
     checkpoint = Checkpoint(checkpoint_dir) if checkpoint_dir else None
     bus = bus if bus is not None else EventBus()
     events_path = events_out or (checkpoint.events_path
@@ -58,7 +68,7 @@ def execute_plan(plan: ShardPlan, *, jobs: int,
         sink, close = _events_sink(events_path)
         bus.subscribe(sink)
     try:
-        return run_plan(plan, campaign_kind(plan.kind).runner,
+        return run_plan(plan, kind.runner,
                         jobs=jobs, shard_timeout=shard_timeout,
                         retries=shard_retries, backoff_base=backoff_base,
                         checkpoint=checkpoint, bus=bus, log=log,

@@ -47,7 +47,7 @@ from repro.par.plan import (
 )
 from repro.resil.faults import FAULT_CLASSES
 from repro.resil.matrix import DEFAULT_WORKLOADS, SCHEMES
-from repro.vm.machine import ENGINE_CHOICES, TEMPORAL_POLICIES
+from repro.vm.machine import ENGINES, TEMPORAL_POLICIES
 from repro.workloads import WORKLOADS
 
 
@@ -142,7 +142,7 @@ def require_int_list(name: str, value: Any) -> List[int]:
 _NATURAL = partial(require_int, minimum=0)
 _SCALE = partial(require_int, minimum=1, maximum=64)
 _TIMEOUT = partial(require_number, nullable=True)
-_ENGINE = partial(require_str, choices=ENGINE_CHOICES)
+_ENGINE = partial(require_str, choices=ENGINES)
 _TEMPORAL = partial(require_str, choices=TEMPORAL_POLICIES)
 _WORKLOADS = partial(require_str_list, choices=tuple(WORKLOADS),
                      noun="workload(s)")

@@ -36,7 +36,7 @@ import argparse
 import sys
 
 from repro.resil.faults import FAULT_CLASSES
-from repro.vm.machine import ENGINE_CHOICES
+from repro.vm.machine import ENGINES
 
 
 def main(argv=None) -> int:
@@ -77,7 +77,7 @@ def main(argv=None) -> int:
                         help="strict degradation policy: resource "
                              "exhaustion traps instead of degrading")
     parser.add_argument("--engine", type=str, default="auto",
-                        choices=ENGINE_CHOICES,
+                        choices=ENGINES,
                         help="execution engine; 'auto' runs clean and "
                              "fault-injected runs on the fastpath, "
                              "byte-identical to 'reference' (default "

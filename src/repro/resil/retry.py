@@ -28,7 +28,7 @@ re-exports.
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional, Tuple, Type
+from typing import Callable, Optional
 
 from repro.errors import WorkloadTimeout
 from repro.par.seeds import backoff_delay, derive_seed, jittered_backoff
@@ -40,8 +40,6 @@ __all__ = ["backoff_delay", "call_with_retry", "derive_seed",
 def call_with_retry(fn: Callable[[int], object], *,
                     attempts: int = 3,
                     base_delay: float = 0.1,
-                    transient: Tuple[Type[BaseException], ...] = (
-                        WorkloadTimeout,),
                     sleep: Optional[Callable[[float], None]] = None,
                     jitter_seed: Optional[int] = None,
                     on_retry: Optional[
@@ -49,9 +47,10 @@ def call_with_retry(fn: Callable[[int], object], *,
     """Call ``fn(attempt)`` until it succeeds or attempts are exhausted.
 
     ``fn`` receives the 0-based attempt number (so it can re-derive its
-    seed via :func:`derive_seed`).  Only exceptions in ``transient`` are
-    retried; everything else propagates immediately.  After the last
-    attempt the final transient exception propagates.
+    seed via :func:`derive_seed`).  Only a transient failure, a
+    :class:`~repro.errors.WorkloadTimeout`, is retried; everything else
+    propagates immediately.  After the last attempt the final timeout
+    propagates.
 
     ``jitter_seed`` (when given) draws each delay from
     :func:`jittered_backoff` instead of the plain schedule — the
@@ -66,7 +65,7 @@ def call_with_retry(fn: Callable[[int], object], *,
     for attempt in range(attempts):
         try:
             return fn(attempt)
-        except transient as exc:
+        except WorkloadTimeout as exc:
             if attempt == attempts - 1:
                 raise
             if jitter_seed is None:

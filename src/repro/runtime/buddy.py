@@ -10,23 +10,24 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+#: the smallest and largest block orders: 4 KiB to 4 MiB blocks
+MIN_ORDER = 12
+MAX_ORDER = 22
+
 
 class BuddyAllocator:
-    """Buddy allocator over ``[base, limit)``; base must be aligned to the
-    maximum order."""
+    """Buddy allocator over ``[base, limit)``; base must be aligned to
+    :data:`MAX_ORDER`."""
 
-    def __init__(self, memory, base: int, limit: int,
-                 min_order: int = 12, max_order: int = 22):
-        if base & ((1 << max_order) - 1):
+    def __init__(self, memory, base: int, limit: int):
+        if base & ((1 << MAX_ORDER) - 1):
             raise ValueError("base must be aligned to the maximum order")
         self.memory = memory
         self.base = base
         self.limit = limit
-        self.min_order = min_order
-        self.max_order = max_order
         self.cursor = base
         self.free_blocks: Dict[int, List[int]] = \
-            {order: [] for order in range(min_order, max_order + 1)}
+            {order: [] for order in range(MIN_ORDER, MAX_ORDER + 1)}
         self.allocated_bytes = 0
         #: temporal quarantine (repro.temporal): freed blocks are neither
         #: coalesced nor reinserted, so block addresses are never reused
@@ -38,12 +39,12 @@ class BuddyAllocator:
 
         Address 0 means out of memory.
         """
-        order = max(order, self.min_order)
-        if order > self.max_order:
+        order = max(order, MIN_ORDER)
+        if order > MAX_ORDER:
             return 0, 4
         instrs = 8
         # Find the smallest available order >= requested.
-        for candidate in range(order, self.max_order + 1):
+        for candidate in range(order, MAX_ORDER + 1):
             if self.free_blocks[candidate]:
                 block = self.free_blocks[candidate].pop()
                 instrs += 2 * (candidate - order)
@@ -67,14 +68,14 @@ class BuddyAllocator:
 
     def free(self, address: int, order: int) -> int:
         """Free a block; returns modelled instruction count."""
-        order = max(order, self.min_order)
+        order = max(order, MIN_ORDER)
         instrs = 6
         block = address
         self.allocated_bytes -= 1 << order
         if self.quarantine:
             self.quarantined_bytes += 1 << order
             return instrs
-        while order < self.max_order:
+        while order < MAX_ORDER:
             buddy = block ^ (1 << order)
             try:
                 self.free_blocks[order].remove(buddy)

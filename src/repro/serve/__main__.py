@@ -72,8 +72,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=2,
                         help="global shard-worker budget shared by all "
                              "running jobs (default 2)")
-    parser.add_argument("--max-concurrent-jobs", type=int, default=2,
-                        help="jobs executing at once (default 2)")
     parser.add_argument("--max-queued", type=int, default=8,
                         help="per-tenant queued-job bound; full queues "
                              "get 429 + Retry-After (default 8)")
@@ -142,7 +140,6 @@ def main(argv=None) -> int:
 
     service = CampaignService(
         args.store, workers_total=args.workers,
-        max_concurrent_jobs=args.max_concurrent_jobs,
         default_quota=default_quota, quotas=quotas, kinds=kinds,
         bus=bus, log=log, shard_timeout=args.shard_timeout)
     return asyncio.run(_serve(service, args.host, args.port, log))

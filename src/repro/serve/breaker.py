@@ -8,18 +8,18 @@ opens, submissions bounce with a typed
 again.  The state machine is the classic three-state one:
 
 * ``closed`` — normal operation; consecutive job failures are counted,
-  and hitting ``failure_threshold`` (or a single quarantine, which is
-  a stronger signal: the shard *already* exhausted a retry budget)
+  and hitting :data:`FAILURE_THRESHOLD` (or a single quarantine, which
+  is a stronger signal: the shard *already* exhausted a retry budget)
   opens the breaker;
 * ``open`` — submissions rejected until the cooldown elapses; the
-  cooldown doubles on every consecutive trip (capped) so a persistently
-  poisonous tenant backs off exponentially;
+  cooldown doubles on every consecutive trip (capped at
+  :data:`MAX_COOLDOWN`) so a persistently poisonous tenant backs off
+  exponentially;
 * ``half_open`` — after cooldown, exactly one probe job is admitted;
   its success closes the breaker, its failure re-opens it with a
   doubled cooldown.
 
-The clock is injectable (``monotonic``) so tests and the service drive
-time explicitly; nothing here sleeps or threads.
+Time is ``time.monotonic``; nothing here sleeps or threads.
 """
 
 from __future__ import annotations
@@ -32,6 +32,10 @@ from repro.errors import CircuitOpen
 
 #: breaker states, healthiest first
 BREAKER_STATES = ("closed", "open", "half_open")
+#: consecutive job failures that open a closed breaker
+FAILURE_THRESHOLD = 3
+#: cap on the doubling cooldown, seconds
+MAX_COOLDOWN = 120.0
 
 
 @dataclass
@@ -61,19 +65,10 @@ class BreakerBoard:
     :class:`~repro.obs.events.BreakerEvent` records.
     """
 
-    def __init__(self, *, failure_threshold: int = 3,
-                 base_cooldown: float = 2.0,
-                 max_cooldown: float = 120.0,
-                 clock: Callable[[], float] = time.monotonic,
+    def __init__(self, *, base_cooldown: float = 2.0,
                  on_transition: Optional[
                      Callable[[str, str, str], None]] = None):
-        if failure_threshold < 1:
-            raise ValueError(f"failure_threshold must be >= 1, got "
-                             f"{failure_threshold}")
-        self.failure_threshold = failure_threshold
         self.base_cooldown = base_cooldown
-        self.max_cooldown = max_cooldown
-        self.clock = clock
         self.on_transition = on_transition
         self._tenants: Dict[str, TenantBreaker] = {}
 
@@ -92,9 +87,8 @@ class BreakerBoard:
     def _trip(self, breaker: TenantBreaker, reason: str) -> None:
         breaker.trips += 1
         breaker.cooldown = min(
-            self.max_cooldown,
-            self.base_cooldown * (2 ** (breaker.trips - 1)))
-        breaker.opened_at = self.clock()
+            MAX_COOLDOWN, self.base_cooldown * (2 ** (breaker.trips - 1)))
+        breaker.opened_at = time.monotonic()
         breaker.failures = 0
         breaker.probing = False
         self._transition(breaker, "open", reason)
@@ -109,7 +103,7 @@ class BreakerBoard:
         breaker = self._breaker(tenant)
         if breaker.state == "closed":
             return
-        now = self.clock()
+        now = time.monotonic()
         if breaker.state == "open":
             remaining = breaker.opened_at + breaker.cooldown - now
             if remaining > 0:
@@ -142,7 +136,7 @@ class BreakerBoard:
         if breaker.state == "open":
             return
         breaker.failures += 1
-        if breaker.failures >= self.failure_threshold:
+        if breaker.failures >= FAILURE_THRESHOLD:
             self._trip(breaker,
                        f"{breaker.failures} consecutive failures"
                        + (f": {reason}" if reason else ""))

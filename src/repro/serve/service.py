@@ -7,11 +7,11 @@ Threading model
 The core is synchronous and lock-protected; asyncio exists only in the
 HTTP front end (:mod:`repro.serve.server`), which pushes each request
 into this layer via an executor.  One ``RLock`` guards all scheduler
-and record state; campaign execution happens on a small
-``ThreadPoolExecutor`` (one thread per concurrently running job), each
-thread driving :func:`repro.par.engine.run_campaign_plan` with the
-job's checkpoint directory, a per-job stop event, and a progress sink
-on the event bus.
+and record state; campaign execution happens on a
+``ThreadPoolExecutor`` (one thread per worker of the budget, since a
+running job holds at least one worker), each thread driving
+:func:`repro.par.engine.run_campaign_plan` with the job's checkpoint
+directory, a per-job stop event, and a progress sink on the event bus.
 
 Determinism under restart
 =========================
@@ -64,20 +64,17 @@ class CampaignService:
     """Multi-tenant campaign execution over one shared worker budget."""
 
     def __init__(self, store_dir: str, *, workers_total: int = 2,
-                 max_concurrent_jobs: int = 2,
                  default_quota: Optional[TenantQuota] = None,
                  quotas: Optional[Dict[str, TenantQuota]] = None,
                  kinds: Optional[List[str]] = None,
                  bus: Optional[EventBus] = None, log=None,
                  events_tail: int = 4096,
-                 breaker_threshold: int = 3,
                  breaker_cooldown: float = 2.0,
                  shard_timeout: Optional[float] = None):
         self.store = JobStore(store_dir)
         self.scheduler = WeightedFairScheduler(
             default_quota=default_quota, quotas=quotas)
         self.breakers = BreakerBoard(
-            failure_threshold=breaker_threshold,
             base_cooldown=breaker_cooldown,
             on_transition=self._on_breaker)
         self.workers_total = max(1, workers_total)
@@ -88,8 +85,10 @@ class CampaignService:
         self.bus = bus if bus is not None else EventBus()
         self.log = log or (lambda message: None)
         self._lock = threading.RLock()
+        # a job marked running holds a worker, so one thread per worker
+        # lets every running job execute at once
         self._executor = ThreadPoolExecutor(
-            max_workers=max(1, max_concurrent_jobs),
+            max_workers=self.workers_total,
             thread_name_prefix="repro-serve-job")
         self._records: Dict[str, JobRecord] = {}
         self._stops: Dict[str, threading.Event] = {}
@@ -456,8 +455,7 @@ class CampaignService:
                 stop.set()
             return record
 
-    def wait(self, job_id: str, timeout: float = 60.0,
-             poll: float = 0.02) -> JobRecord:
+    def wait(self, job_id: str, timeout: float = 60.0) -> JobRecord:
         """Block until a job leaves ``running``/dispatch (tests and the
         smoke CLI); returns the record in whatever state it reached."""
         deadline = time.monotonic() + timeout
@@ -465,7 +463,7 @@ class CampaignService:
             record = self.get(job_id)
             if record.terminal:
                 return record
-            time.sleep(poll)
+            time.sleep(0.02)
         return self.get(job_id)
 
     # -- health & metrics ---------------------------------------------------

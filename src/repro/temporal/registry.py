@@ -1,10 +1,7 @@
-"""The sharded allocation registry: locks for the lock-and-key scheme.
+"""The allocation registry: locks for the lock-and-key scheme.
 
-One entry per tracked allocation base, living in one of
-``shard_count`` hash shards (selected by the base address, so the
-host-side structure scales the way a banked hardware lock cache or a
-striped lock table would).  Each entry is a small mutable record
-``[key, live, size, generation]``:
+One entry per tracked allocation base, in one map keyed by the base.
+Each entry is a small mutable record ``[key, live, size, generation]``:
 
 * ``generation`` counts incarnations of the base address and only ever
   grows; ``key`` is its projection into the k-bit tag field
@@ -22,7 +19,7 @@ temporal facts have changed.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.errors import TemporalViolation
 
@@ -39,28 +36,20 @@ def _key_of(generation: int, key_bits: int) -> int:
 
 
 class TemporalRegistry:
-    """Sharded base-address -> lock table."""
+    """Base-address -> lock table."""
 
-    def __init__(self, key_bits: int = 2, shard_count: int = 16):
+    def __init__(self, key_bits: int = 2):
         if key_bits < 1:
             raise ValueError("temporal registry needs at least 1 key bit")
-        if shard_count & (shard_count - 1):
-            raise ValueError("shard_count must be a power of two")
         self.key_bits = key_bits
-        self.shard_count = shard_count
-        self._shard_mask = shard_count - 1
-        #: shard index uses bits above the typical 16-byte allocation
-        #: alignment so consecutive allocations spread across shards
-        self._shards: List[dict] = [dict() for _ in range(shard_count)]
+        #: base -> entry, in first-mint order (entries are never removed)
+        self._locks: dict = {}
         #: bumped on mint/release/corrupt; part of the promote-cache key
         self.version = 0
         # lifetime counters (forensics / registry stats)
         self.mints = 0
         self.releases = 0
         self.live_count = 0
-
-    def _shard(self, base: int) -> dict:
-        return self._shards[(base >> 4) & self._shard_mask]
 
     # -- lock lifecycle ------------------------------------------------------
 
@@ -72,11 +61,10 @@ class TemporalRegistry:
         key differs from every dangling key of the previous incarnation
         modulo the k-bit wrap.
         """
-        shard = self._shard(base)
-        entry = shard.get(base)
+        entry = self._locks.get(base)
         if entry is None:
             entry = [_key_of(1, self.key_bits), True, size, 1]
-            shard[base] = entry
+            self._locks[base] = entry
         else:
             entry[KEY] = _key_of(entry[GENERATION], self.key_bits)
             entry[LIVE] = True
@@ -93,7 +81,7 @@ class TemporalRegistry:
         (or None for an untracked base, which is left to the allocators'
         structural :class:`repro.errors.InvalidFree` checks).
         """
-        entry = self._shard(base).get(base)
+        entry = self._locks.get(base)
         if entry is None:
             return None
         if entry[LIVE]:
@@ -106,7 +94,7 @@ class TemporalRegistry:
 
     def probe(self, base: int) -> Optional[list]:
         """Current lock entry for ``base`` (None when untracked)."""
-        return self._shard(base).get(base)
+        return self._locks.get(base)
 
     def corrupt(self, base: int) -> bool:
         """Flip the lock's key to a different value in the key space.
@@ -117,31 +105,27 @@ class TemporalRegistry:
         surfaces as a typed :class:`TemporalViolation`, never as silent
         divergence.
         """
-        entry = self._shard(base).get(base)
+        entry = self._locks.get(base)
         if entry is None:
             return False
         entry[KEY] = _key_of(entry[GENERATION] + 1, self.key_bits)
-        if entry[KEY] == 0:  # pragma: no cover - _key_of never returns 0
-            entry[KEY] = 1
         self.version += 1
         return True
 
     def any_live_base(self) -> Optional[int]:
-        """Some currently-live base, if any (fault-injection target)."""
-        for shard in self._shards:
-            for base, entry in shard.items():
-                if entry[LIVE]:
-                    return base
-        return None
+        """A currently-live base, if any (fault-injection target): the
+        first minted of those with the lowest ``(base >> 4) & 15``."""
+        return min((base for base, entry in self._locks.items()
+                    if entry[LIVE]),
+                   key=lambda base: (base >> 4) & 15, default=None)
 
     def stats(self) -> dict:
         return {
             "key_bits": self.key_bits,
-            "shard_count": self.shard_count,
             "mints": self.mints,
             "releases": self.releases,
             "live": self.live_count,
-            "tracked_bases": sum(len(s) for s in self._shards),
+            "tracked_bases": len(self._locks),
             "version": self.version,
         }
 

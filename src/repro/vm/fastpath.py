@@ -104,6 +104,7 @@ from operator import attrgetter, or_
 from types import CodeType, FunctionType
 from typing import Dict, List, Optional, Tuple
 
+from repro.cache import LINE_BYTES, LINE_SHIFT
 from repro.errors import (
     BoundsTrap, LinkError, PoisonTrap, SimTrap, TemporalViolation,
 )
@@ -194,7 +195,6 @@ _SWITCH_READERS = (
                Op.LDBND, Op.STBND)),         # armed
     frozenset(Op),                           # tracer attached
     frozenset((Op.LOAD, Op.STORE, Op.PROMOTE)),  # temporal
-    frozenset((Op.LOAD, Op.STORE)),          # inline hierarchy
     frozenset((Op.PROMOTE,)),                # promote as a move
     frozenset((Op.IFPIDX, Op.IFPADD)),       # local-offset geometry
     frozenset((Op.IFPIDX,)),                 # subheap subobject bits
@@ -366,20 +366,16 @@ class _FuncCompiler:
         # Inlined memory hierarchy: LOAD/STORE test the L1 set for a hit
         # (its MRU line first) and slice the page themselves, calling
         # ``access``/``mem_load``/``mem_store`` only off that path.  The
-        # emitted text hard-codes 64-byte lines, the granularity of
-        # ``IFPUnit.snoop_store`` (a line never straddles a page), so a
-        # machine with another L1 line size, or whose stores are snooped
-        # by anything else, keeps the out-of-line calls.
+        # L1 line is also the granularity of ``IFPUnit.snoop_store``,
+        # which snoops every store of the machine (a line never
+        # straddles a page).
         memory, l1d, ifp = interp.memory, interp.hierarchy.l1d, interp.ifp
-        self.inline = (l1d.line_bytes == 64
-                       and memory.watcher == ifp.snoop_store)
-        if self.inline:
-            self.ns.update(
-                L1S=l1d._sets, L1ST=l1d.stats, SMASK=l1d._set_mask,
-                HIT=interp.hierarchy._hit_cycles, PAGES=memory._pages,
-                PSH=memory.page_size.bit_length() - 1,
-                PMASK=memory.page_size - 1, PORT=ifp.port,
-                DEPS=ifp._promote_deps)
+        self.ns.update(
+            L1S=l1d._sets, L1ST=l1d.stats, SMASK=l1d._set_mask,
+            HIT=interp.hierarchy._hit_cycles, PAGES=memory._pages,
+            PSH=memory.page_size.bit_length() - 1,
+            PMASK=memory.page_size - 1, PORT=ifp.port,
+            DEPS=ifp._promote_deps)
         # Temporal lock-and-key (repro.temporal): check lines are only
         # *emitted* when the machine's registry exists, so a temporal=off
         # machine compiles exactly the code it always did — zero cost.
@@ -478,38 +474,32 @@ class _FuncCompiler:
                 ]
             size = ins.size
             if op == Op.LOAD:
-                calls = [
-                    f"c[4] += access(_ea, {size}, False)",
-                    f"regs[{d}] = mem_load(_ea, {size},"
-                    f" {bool(ins.signed)}) & U64",
-                ]
-                if self.inline:
-                    if size == 1 and not ins.signed:
-                        value = "_pg[_o]"
-                    else:
-                        value = (f"int.from_bytes(_pg[_o:_o + {size}],"
-                                 " 'little'" + (", signed=True) & U64"
-                                                if ins.signed else ")"))
-                    calls = self._inline_access(
-                        size, "", "_rh", f"regs[{d}] = {value}", calls)
-                lines += calls + [f"bnds[{d}] = None"]
+                if size == 1 and not ins.signed:
+                    value = "_pg[_o]"
+                else:
+                    value = (f"int.from_bytes(_pg[_o:_o + {size}],"
+                             " 'little'" + (", signed=True) & U64"
+                                            if ins.signed else ")"))
+                lines += self._inline_access(
+                    size, "", "_rh", f"regs[{d}] = {value}", [
+                        f"c[4] += access(_ea, {size}, False)",
+                        f"regs[{d}] = mem_load(_ea, {size},"
+                        f" {bool(ins.signed)}) & U64",
+                    ]) + [f"bnds[{d}] = None"]
                 return _Emitted((1, 0, 0, 0, 0, 1, 0), lines, _RAISING)
-            calls = [
-                f"c[4] += access(_ea, {size}, True)",
-                f"mem_store(_ea, regs[{b}], {size})",
-            ]
-            if self.inline:
-                # the snoop is a no-op exactly when the stored 64-byte
-                # line is neither the buffered metadata line nor a
-                # promote-cache dependency: only then may it be skipped
-                effect = (f"_pg[_o] = regs[{b}] & 255" if size == 1 else
-                          f"_pg[_o:_o + {size}] = (regs[{b}]"
-                          f" & {(1 << size * 8) - 1}).to_bytes({size},"
-                          " 'little')")
-                calls = self._inline_access(
-                    size, " and PORT._buffered_line != _ln"
-                    " and _ln not in DEPS", "_wh", effect, calls)
-            lines += calls
+            # the snoop is a no-op exactly when the stored line is
+            # neither the buffered metadata line nor a promote-cache
+            # dependency: only then may it be skipped
+            effect = (f"_pg[_o] = regs[{b}] & 255" if size == 1 else
+                      f"_pg[_o:_o + {size}] = (regs[{b}]"
+                      f" & {(1 << size * 8) - 1}).to_bytes({size},"
+                      " 'little')")
+            lines += self._inline_access(
+                size, " and PORT._buffered_line != _ln"
+                " and _ln not in DEPS", "_wh", effect, [
+                    f"c[4] += access(_ea, {size}, True)",
+                    f"mem_store(_ea, regs[{b}], {size})",
+                ])
             return _Emitted((1, 0, 0, 0, 0, 0, 1), lines, _RAISING)
         if op == Op.MV:
             return _Emitted((1, 0, 0, 0, 0, 0, 0),
@@ -783,7 +773,7 @@ class _FuncCompiler:
     def _inline_access(size: int, guard: str, tally: str, effect: str,
                        calls: List[str]) -> List[str]:
         """Lines for an access to ``_ea`` with the L1 hit and the page
-        access inline: when the access stays inside the 64-byte line
+        access inline: when the access stays inside the L1 line
         ``_ln``, ``guard`` holds, the page is mapped and ``_ln`` is
         resident in its set, count the hit in the block's ``tally``
         (settled into the L1 statistics and its ``HIT`` cycles with the
@@ -792,7 +782,8 @@ class _FuncCompiler:
         out-of-line path.  The MRU line is tested first, so its hit
         costs no more than before; a hit on any other way moves the line
         to MRU, as ``Cache._touch_line`` does."""
-        within = f" and _ea & 63 <= {64 - size}" if size > 1 else ""
+        within = (f" and _ea & {LINE_BYTES - 1} <= {LINE_BYTES - size}"
+                  if size > 1 else "")
         rest = (f"{within}{guard}"
                 " and (_pg := PAGES.get(_ea >> PSH)) is not None")
         hit = [
@@ -801,7 +792,7 @@ class _FuncCompiler:
             f"    {effect}",
         ]
         return [
-            "_ln = _ea >> 6",
+            f"_ln = _ea >> {LINE_SHIFT}",
             "_cs = L1S[_ln & SMASK]",
             f"if _cs and _cs[-1] == _ln{rest}:",
         ] + hit + [
@@ -1070,8 +1061,7 @@ class _FuncCompiler:
         machine, each of which changes the text of the ops
         :data:`_SWITCH_READERS` names."""
         interp = self.interp
-        return (self.armed, self.trace, self.temporal, self.inline,
-                interp._no_promote,
+        return (self.armed, self.trace, self.temporal, interp._no_promote,
                 (interp._local_sub_bits, interp._granule_mask + 1,
                  interp._local_off_bits),
                 interp._subheap_sub_bits,

@@ -20,12 +20,6 @@ from repro.vm.stats import RunStats
 
 #: the execution engines ``MachineConfig.engine`` selects between
 ENGINES = ("auto", "reference")
-#: legacy spellings from when the compiled engine had several tiers; they
-#: still parse and mean "auto".  Plans and job specs keep the spelling
-#: they were given, so recorded fingerprints stay valid.
-ENGINE_ALIASES = {"fastpath": "auto", "superblock": "auto"}
-#: every spelling a CLI or job spec accepts
-ENGINE_CHOICES = ENGINES + tuple(ENGINE_ALIASES)
 #: the values of ``MachineConfig.temporal``
 TEMPORAL_POLICIES = ("off", "check", "quarantine")
 
@@ -55,10 +49,8 @@ class MachineConfig:
     #: block-fused fastpath, which under an armed observer (and its
     #: optional tracer) compiles one armed variant with inline emit
     #: sites (see repro.vm.fastpath); "reference" runs the reference
-    #: interpreter.  The legacy spellings in :data:`ENGINE_ALIASES`
-    #: still parse and mean "auto".  Both engines are byte-identical in
-    #: every simulated observable, including the emitted event stream —
-    #: see DESIGN.md §8.
+    #: interpreter.  Both engines are byte-identical in every simulated
+    #: observable, including the emitted event stream — see DESIGN.md §8.
     engine: str = "auto"
 
 
@@ -181,7 +173,7 @@ class Machine:
 
     def select_interp(self):
         """Resolve ``config.engine`` to the interpreter for this run."""
-        engine = ENGINE_ALIASES.get(self.config.engine, self.config.engine)
+        engine = self.config.engine
         if engine == "reference":
             return self.interp
         if engine != "auto":

@@ -10,13 +10,13 @@ from repro.vm import Machine, MachineConfig
 
 def compile_and_run(source: str, options: CompilerOptions = None,
                     max_instructions: int = 20_000_000,
-                    entry: str = "main"):
-    """Compile mini-C and run it; returns the RunResult."""
+                    entry: str = "main", no_promote: bool = False):
+    """Compile mini-C and run it (``no_promote``: promote runs as a
+    NOP); returns the RunResult."""
     options = options or CompilerOptions.wrapped()
     program = compile_source(source, options)
     machine = Machine(program, MachineConfig(
-        no_promote=options.no_promote,
-        max_instructions=max_instructions))
+        no_promote=no_promote, max_instructions=max_instructions))
     return machine.run(entry)
 
 

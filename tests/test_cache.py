@@ -11,18 +11,14 @@ class TestGeometry:
         cache = Cache()
         assert cache.num_sets == 32 * 1024 // (8 * 64)
 
-    def test_invalid_line_size(self):
-        with pytest.raises(ValueError):
-            Cache(line_bytes=48)
-
     def test_size_not_multiple(self):
         with pytest.raises(ValueError):
-            Cache(size_bytes=1000, ways=8, line_bytes=64)
+            Cache(size_bytes=1000, ways=8)
 
 
 class TestHitMiss:
     def test_cold_miss_then_hit(self):
-        cache = Cache(size_bytes=1024, ways=2, line_bytes=64)
+        cache = Cache(size_bytes=1024, ways=2)
         assert cache.access(0x100) == 1      # cold miss
         assert cache.access(0x100) == 0      # hit
         assert cache.access(0x13F) == 0      # same line
@@ -30,7 +26,7 @@ class TestHitMiss:
         assert cache.stats.read_hits == 2
 
     def test_write_accounting(self):
-        cache = Cache(size_bytes=1024, ways=2, line_bytes=64)
+        cache = Cache(size_bytes=1024, ways=2)
         cache.access(0, write=True)
         cache.access(0, write=True)
         assert cache.stats.write_misses == 1
@@ -38,7 +34,7 @@ class TestHitMiss:
 
     def test_lru_eviction(self):
         # Direct-mapped-ish: 2 ways, 1 set when size == 2 lines.
-        cache = Cache(size_bytes=128, ways=2, line_bytes=64)
+        cache = Cache(size_bytes=128, ways=2)
         assert cache.num_sets == 1
         cache.access(0 * 64)
         cache.access(1 * 64)
@@ -48,25 +44,25 @@ class TestHitMiss:
         assert cache.access(1 * 64) == 1   # was evicted
 
     def test_multi_line_access(self):
-        cache = Cache(size_bytes=1024, ways=2, line_bytes=64)
+        cache = Cache(size_bytes=1024, ways=2)
         misses = cache.access(60, size=16)   # crosses a line boundary
         assert misses == 2
 
     def test_flush(self):
-        cache = Cache(size_bytes=1024, ways=2, line_bytes=64)
+        cache = Cache(size_bytes=1024, ways=2)
         cache.access(0)
         cache.flush()
         assert cache.access(0) == 1
         assert cache.stats.read_misses == 2  # stats preserved by flush
 
     def test_reset_clears_stats(self):
-        cache = Cache(size_bytes=1024, ways=2, line_bytes=64)
+        cache = Cache(size_bytes=1024, ways=2)
         cache.access(0)
         cache.reset()
         assert cache.stats.accesses == 0
 
     def test_miss_rate(self):
-        cache = Cache(size_bytes=1024, ways=2, line_bytes=64)
+        cache = Cache(size_bytes=1024, ways=2)
         assert cache.stats.miss_rate == 0.0
         cache.access(0)
         cache.access(0)
@@ -77,7 +73,7 @@ class TestHitMiss:
     @settings(max_examples=50, deadline=None)
     def test_capacity_invariant(self, addresses):
         """Resident lines never exceed the configured capacity."""
-        cache = Cache(size_bytes=2048, ways=4, line_bytes=64)
+        cache = Cache(size_bytes=2048, ways=4)
         capacity = cache.num_sets * cache.ways
         for address in addresses:
             cache.access(address)
@@ -88,7 +84,7 @@ class TestHitMiss:
     @settings(max_examples=30, deadline=None)
     def test_repeat_is_hit(self, addresses):
         """Accessing the same address twice in a row always hits."""
-        cache = Cache(size_bytes=2048, ways=4, line_bytes=64)
+        cache = Cache(size_bytes=2048, ways=4)
         for address in addresses:
             cache.access(address)
             assert cache.access(address) == 0

@@ -218,7 +218,9 @@ class TestCodegen:
     def test_no_promote_option_still_emits_promotes(self):
         # The no-promote build has the same instruction stream; only the
         # machine treats promote as a NOP.
-        ops = _ops(self.SRC_LIST, CompilerOptions.wrapped(no_promote=True))
+        from repro.eval.configs import build_options
+        assert build_options("wrapped-np") == CompilerOptions.wrapped()
+        ops = _ops(self.SRC_LIST, build_options("wrapped-np"))
         assert Op.PROMOTE in ops
 
 

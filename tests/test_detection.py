@@ -7,7 +7,8 @@ in-bounds variants must run clean under every configuration.
 
 import pytest
 
-from repro.compiler import CompilerOptions
+from repro.compiler import CompilerOptions, compile_source
+from repro.vm import Machine, MachineConfig
 from tests.conftest import compile_and_run, run_all_configs
 
 WRAPPED = CompilerOptions.wrapped()
@@ -65,7 +66,8 @@ class TestHeapOverflow:
             return 0;
         }
         """
-        result = compile_and_run(source, WRAPPED.with_no_promote())
+        result = Machine(compile_source(source, WRAPPED),
+                         MachineConfig(no_promote=True)).run()
         assert result.ok
 
 

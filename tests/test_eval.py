@@ -33,10 +33,6 @@ class TestConfigs:
         with pytest.raises(ValueError):
             build_options("mystery")
 
-    def test_no_promote_flag(self):
-        assert build_options("subheap-np").no_promote
-        assert not build_options("subheap").no_promote
-
 
 class TestHarness:
     def test_run_workload(self):

@@ -117,7 +117,7 @@ class TestEngineSelection:
     def test_forced_fastpath_runs_instrumented(self):
         from repro.obs import attach_observer
         program = compile_source(SMALL, CompilerOptions.wrapped())
-        machine = Machine(program, MachineConfig(engine="fastpath"))
+        machine = Machine(program, MachineConfig(engine="auto"))
         attach_observer(machine, profile=True, forensics=True)
         result = machine.run()
         assert result.exit_code == 7
@@ -140,42 +140,28 @@ class TestEngineSelection:
         machine = Machine(program, MachineConfig(engine="reference"))
         assert machine.select_interp() is machine.interp
 
-    def test_legacy_engine_spellings_mean_auto(self, capsys):
+    def test_legacy_engine_spellings_rejected(self, capsys):
         # "fastpath" and "superblock" named compiled tiers that are now
-        # one; they must keep parsing everywhere an engine is accepted
-        # and run exactly as auto.
+        # one; every place that accepts an engine takes only ENGINES
+        from repro.errors import InvalidJobSpec
         from repro.fuzz.__main__ import main as fuzz_main
         from repro.par.__main__ import main as par_main
-        from repro.par.kinds import plan_resil
         from repro.resil.__main__ import main as resil_main
         from repro.serve.jobs import validate_spec
-        from repro.vm.machine import ENGINE_ALIASES
 
         program = compile_source(SMALL, CompilerOptions.baseline())
-        assert sorted(ENGINE_ALIASES) == ["fastpath", "superblock"]
-        for legacy in ENGINE_ALIASES:
-            machine = Machine(program, MachineConfig(engine=legacy))
-            assert machine.run().exit_code == 7
-            assert machine.engine_used == "fastpath"
-            spec = validate_spec({"tenant": "t", "kind": "fuzz",
-                                  "params": {"engine": legacy}})
-            assert spec[3]["engine"] == legacy
-            assert fuzz_main(["-n", "0", "--engine", legacy]) == 0
-            # a bogus workload fails after argparse accepted the engine
-            assert par_main(["bench", "--workloads", "bogus",
-                             "--engine", legacy]) == 2
-            with pytest.raises(SystemExit):
-                resil_main(["--workloads", "bogus", "--engine", legacy])
-            assert "unknown workload" in capsys.readouterr().err
-        # plans record the spelling as given, so checkpoints and serve
-        # jobs written with it keep their fingerprints
-        plan = plan_resil(workloads=["anagram", "ks"],
-                          schemes=["wrapped", "subheap"],
-                          faults=["mac_corrupt", "tag_bit_flip"], seed=3,
-                          engine="superblock")
-        assert plan.fingerprint() == (
-            "a5c37463eebecd86bd4abfcaa3ed6c63"
-            "28162e3dcd3ff42fd545fb2cf7fa5fec")
+        for legacy in ("fastpath", "superblock"):
+            with pytest.raises(ReproError, match="unknown engine"):
+                Machine(program, MachineConfig(engine=legacy)).run()
+            with pytest.raises(InvalidJobSpec, match="engine"):
+                validate_spec({"tenant": "t", "kind": "fuzz",
+                               "params": {"engine": legacy}})
+            for main, argv in ((fuzz_main, ["-n", "0"]),
+                               (par_main, ["bench"]), (resil_main, [])):
+                with pytest.raises(SystemExit) as exit_info:
+                    main(argv + ["--engine", legacy])
+                assert exit_info.value.code == 2
+                assert "invalid choice" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -1176,14 +1162,12 @@ class TestPromoteOracle:
         run = self._assert_matches_oracle(monkeypatch, observe)
         assert run["results"][-1].startswith("fault: ")
 
-    @pytest.mark.parametrize("line", [64, 32])
-    def test_replayed_fetch_sequences(self, monkeypatch, line):
+    def test_replayed_fetch_sequences(self, monkeypatch):
         # Ten objects whose metadata share one L1 set (more than its
         # eight ways), promoted round robin: replays meet the L1 on its
         # MRU line, on another way and not at all, start with the first
         # fetch's line buffered and not, and walk layout tables whose
-        # fetches cross 64-byte lines (index 5) and, at 32-byte L1
-        # lines, L1 lines inside one buffer line (index 3).
+        # fetches cross lines (index 5).
         from repro.cache.hierarchy import HierarchyConfig
         from repro.ifp.layout import LayoutEntry, LayoutTable
         from repro.mem import Memory
@@ -1195,8 +1179,7 @@ class TestPromoteOracle:
         def observe():
             memory = Memory()
             memory.map_range(0x10000, 0x20000)
-            unit = ifp_unit.IFPUnit(
-                memory, HierarchyConfig(l1d_line=line).build())
+            unit = ifp_unit.IFPUnit(memory, HierarchyConfig().build())
             memory.write_bytes(layout, LayoutTable("S", [
                 LayoutEntry(0, 0, 24, 24), LayoutEntry(0, 0, 4, 4),
                 LayoutEntry(0, 4, 20, 8), LayoutEntry(2, 0, 4, 4),
@@ -1440,11 +1423,10 @@ class TestBlockCache:
 
     def test_machine_switches(self, monkeypatch):
         # one program under every machine setting the emitted text
-        # specializes on: promote as a move, subobject field widths,
-        # MAC latency and the L1 line size (inline hierarchy or not)
+        # specializes on: promote as a move, subobject field widths and
+        # MAC latency
         from dataclasses import replace
 
-        from repro.cache.hierarchy import HierarchyConfig
         from repro.ifp.config import DEFAULT_CONFIG
 
         base = build_machine_config("wrapped", 2_000_000)
@@ -1456,7 +1438,6 @@ class TestBlockCache:
             replace(base, ifp=replace(DEFAULT_CONFIG, subheap_reg_bits=5,
                                       subheap_subobj_bits=7)),
             replace(base, ifp=replace(DEFAULT_CONFIG, mac_cycles=5)),
-            replace(base, hierarchy=HierarchyConfig(l1d_line=32)),
         ]
 
         def observe():
@@ -1483,7 +1464,6 @@ class TestBlockCache:
         import itertools
         from dataclasses import replace
 
-        from repro.cache.hierarchy import HierarchyConfig
         from repro.compiler.ir import Instr
         from repro.ifp.config import DEFAULT_CONFIG
         from repro.obs import attach_observer
@@ -1507,7 +1487,6 @@ class TestBlockCache:
             compiler(armed=True, tracer_capacity=256),
             compiler(armed=True),
             compiler(replace(base, temporal="off")),
-            compiler(replace(base, hierarchy=HierarchyConfig(l1d_line=32))),
             compiler(replace(base, no_promote=True)),
             compiler(replace(base, ifp=replace(DEFAULT_CONFIG,
                                                local_offset_bits=7,
@@ -1727,14 +1706,12 @@ class TestInlineMemoryHierarchy:
 
     @staticmethod
     def _agree(source, config_name: str = "baseline",
-               observe: bool = False, hierarchy=None) -> dict:
+               observe: bool = False) -> dict:
         """``source`` is mini-C, or a program already compiled for
         ``config_name``."""
         program = (compile_source(source, build_options(config_name))
                    if isinstance(source, str) else source)
         config = build_machine_config(config_name)
-        if hierarchy is not None:
-            config = dataclasses.replace(config, hierarchy=hierarchy)
         reference = _hierarchy_state(program, config, "reference", observe)
         compiled = _hierarchy_state(program, config, "auto", observe)
         for key in reference:
@@ -1874,20 +1851,6 @@ class TestInlineMemoryHierarchy:
         assert run["exit_code"] == 1 + 2 + 3 + 1
         assert run["stats"]["ifp"]["promote_cache_invalidations"] > 0
 
-    def test_other_line_size_keeps_the_calls(self):
-        # the inline text assumes 64-byte lines; a 32-byte L1 translates
-        # the out-of-line calls and must still agree
-        from repro.cache.hierarchy import HierarchyConfig
-        hierarchy = HierarchyConfig(l1d_line=32)
-        self._agree(CROSSING, hierarchy=hierarchy)
-        self._agree(METADATA_LINES, "wrapped", hierarchy=hierarchy)
-        program = compile_source(CROSSING, build_options("baseline"))
-        for line, inline in ((32, False), (64, True)):
-            machine = Machine(program, MachineConfig(
-                hierarchy=HierarchyConfig(l1d_line=line)))
-            machine.run()
-            block = _blocks(machine, "main")[0]
-            assert ("L1S" in block.__globals__) is inline
 
 
 #: (granule, local_offset_bits, local_subobj_bits): the default local

@@ -1219,3 +1219,65 @@ class TestCliListChecks:
         assert f"{flag}: unknown" in err
         assert "'no-such-value'" in err
         assert f"'{good}'" not in err.split("expected from")[0]
+
+
+class TestPlanChecks:
+    """``execute_plan`` runs the kind's parameter checks over a plan's
+    parameters before any worker starts, so a plan no CLI or job spec
+    would accept fails once, naming the parameter."""
+
+    def test_planned_bad_engine_fails_before_any_shard(self, tmp_path):
+        from repro.errors import InvalidJobSpec
+        from repro.par.kinds import plan_bench
+
+        plan = plan_bench(workloads=("treeadd",),
+                          configs=("baseline", "subheap"),
+                          engine="superblock")
+        events = tmp_path / "events.jsonl"
+        with pytest.raises(InvalidJobSpec) as info:
+            run_campaign_plan(plan, jobs=1, events_out=str(events))
+        assert info.value.field == "engine"
+        assert "'superblock'" in str(info.value)
+        assert not events.exists()
+
+    def test_cli_value_the_checks_reject_exits_2(self, capsys):
+        from repro.fuzz.__main__ import main
+        assert main(["-n", "0", "--quiet"]) == 2
+        assert "iterations: expected in [1, 1000000], got 0" \
+            in capsys.readouterr().err
+
+    def test_checks_accept_a_manifest_plan(self, tmp_path):
+        # a manifest holds lists where planners were given tuples
+        from repro.par.engine import execute_plan
+        from repro.par.kinds import plan_selftest
+
+        directory = str(tmp_path / "ckpt")
+        Checkpoint(directory).open(plan_selftest(
+            total=4, shards=2, fail_shards=(9,)))
+        plan = Checkpoint(directory).load_plan()
+        assert plan.params["fail_shards"] == [9]
+        assert execute_plan(plan, jobs=1).ok
+
+    def test_resume_of_a_legacy_engine_checkpoint_exits_2(self,
+                                                         tmp_path):
+        import subprocess
+        import sys
+        from repro.par.kinds import plan_bench
+
+        directory = tmp_path / "ckpt"
+        Checkpoint(str(directory)).open(plan_bench(
+            workloads=("treeadd",), configs=("baseline",),
+            engine="superblock"))
+        manifest = json.loads((directory / "manifest.json").read_text())
+        assert manifest["plan"]["params"]["engine"] == "superblock"
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.par", "resume", "--checkpoint",
+             str(directory), "--quiet"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+        assert result.returncode == 2, result.stderr
+        assert "cannot resume: engine: unknown value 'superblock'" \
+            in result.stderr
+        assert not (directory / "events.jsonl").exists()

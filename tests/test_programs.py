@@ -12,13 +12,14 @@ import pytest
 from repro.compiler import CompilerOptions
 from tests.conftest import compile_and_run
 
+#: name -> (compiler options, whether promote runs as a NOP)
 ALL_CONFIGS = {
-    "baseline": CompilerOptions.baseline(),
-    "ifp-wrapped": CompilerOptions.wrapped(),
-    "ifp-subheap": CompilerOptions.subheap(),
-    "ifp-nopromote": CompilerOptions.wrapped(no_promote=True),
-    "asan": CompilerOptions.asan(),
-    "mpx": CompilerOptions.mpx(),
+    "baseline": (CompilerOptions.baseline(), False),
+    "ifp-wrapped": (CompilerOptions.wrapped(), False),
+    "ifp-subheap": (CompilerOptions.subheap(), False),
+    "ifp-nopromote": (CompilerOptions.wrapped(), True),
+    "asan": (CompilerOptions.asan(), False),
+    "mpx": (CompilerOptions.mpx(), False),
 }
 
 QUICKSORT = """
@@ -309,9 +310,10 @@ PROGRAMS = {
 def test_all_defenses_agree(name):
     source, expected_prefix = PROGRAMS[name]
     outputs = {}
-    for config_name, options in ALL_CONFIGS.items():
+    for config_name, (options, no_promote) in ALL_CONFIGS.items():
         result = compile_and_run(source, options,
-                                 max_instructions=50_000_000)
+                                 max_instructions=50_000_000,
+                                 no_promote=no_promote)
         assert result.ok, (name, config_name, result.trap)
         outputs[config_name] = result.output
     assert len(set(outputs.values())) == 1, (name, outputs)
@@ -336,7 +338,8 @@ def test_sieve_expected_value():
 
 
 def test_quicksort_sortedness_all_defenses():
-    for config_name, options in ALL_CONFIGS.items():
+    for config_name, (options, no_promote) in ALL_CONFIGS.items():
         result = compile_and_run(QUICKSORT, options,
-                                 max_instructions=50_000_000)
+                                 max_instructions=50_000_000,
+                                 no_promote=no_promote)
         assert result.output.startswith("1 "), config_name

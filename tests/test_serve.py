@@ -41,7 +41,6 @@ def _spec(tenant="alice", kind="selftest", workers=1, **params):
 
 def _service(tmp_path, name="store", **kwargs):
     kwargs.setdefault("workers_total", 1)
-    kwargs.setdefault("max_concurrent_jobs", 1)
     return CampaignService(str(tmp_path / name), **kwargs)
 
 
@@ -371,6 +370,29 @@ class TestCampaignService:
         finally:
             service.drain()
 
+    def test_running_jobs_execute_at_once(self, tmp_path):
+        # the worker budget is the one concurrency limit: a job granted
+        # a worker and marked running executes at once, never waiting
+        # for an executor thread
+        service = _service(tmp_path, workers_total=3)
+        try:
+            started = time.monotonic()
+            records = [service.submit(_spec(tenant=tenant, total=1,
+                                            shards=1, sleep_seconds=1.0))
+                       for tenant in ("alice", "bob", "carol")]
+            time.sleep(0.5)
+            assert [service.get(r.job_id).status for r in records] \
+                == ["running"] * 3
+            done = [service.wait(r.job_id, timeout=30.0) for r in records]
+            elapsed = time.monotonic() - started
+            assert [d.status for d in done] == ["done"] * 3
+            assert elapsed < 1.5, elapsed
+            for record in done:
+                # running lasted as long as the one 1-s shard
+                assert record.finished - record.started < 1.4
+        finally:
+            service.drain()
+
     def test_cancel_queued_job(self, tmp_path):
         service = _service(tmp_path)
         try:
@@ -557,8 +579,7 @@ class TestRestartRecovery:
         script = (
             "import sys, time; sys.path.insert(0, {src!r})\n"
             "from repro.serve import CampaignService\n"
-            "service = CampaignService({store!r}, workers_total=1,\n"
-            "                          max_concurrent_jobs=1)\n"
+            "service = CampaignService({store!r}, workers_total=1)\n"
             "service.submit({{'tenant': 'alice', 'kind': 'selftest',\n"
             "                 'workers': 1,\n"
             "                 'params': {{'total': 8, 'shards': 8,\n"
@@ -583,8 +604,7 @@ class TestRestartRecovery:
         finally:
             child.wait(timeout=30)
 
-        service = CampaignService(str(store), workers_total=1,
-                                  max_concurrent_jobs=1)
+        service = CampaignService(str(store), workers_total=1)
         try:
             jobs = service.list_jobs()
             assert len(jobs) == 1

@@ -2,6 +2,7 @@
 
 import json
 import pickle
+import random
 from dataclasses import replace
 
 import pytest
@@ -90,15 +91,31 @@ class TestRegistry:
         registry.release(0x6000)
         assert registry.any_live_base() is None
 
-    def test_sharding_spreads_consecutive_allocations(self):
-        registry = TemporalRegistry(shard_count=16)
-        for i in range(16):
-            registry.mint(0x1000 + 16 * i, 16)
-        populated = sum(1 for shard in registry._shards if shard)
-        assert populated == 16  # one base per shard at 16-byte stride
+    def test_any_live_base_takes_the_lowest_bank_first_minted(self):
+        # the fault-injection target: among live bases in first-mint
+        # order, the first whose (base >> 4) & 15 is lowest
+        rng = random.Random(7)
+        for _ in range(50):
+            bases = [0x10000 + 16 * i for i in range(48)]
+            rng.shuffle(bases)
+            registry = TemporalRegistry()
+            for base in bases:
+                registry.mint(base, 16)
+            freed = set(rng.sample(bases, rng.randrange(48)))
+            for base in freed:
+                registry.release(base)
+            # a re-mint keeps the base's first-mint position
+            if freed:
+                reminted = rng.choice(sorted(freed))
+                registry.mint(reminted, 16)
+                freed.discard(reminted)
+            live = [base for base in bases if base not in freed]
+            low = min((base >> 4) & 15 for base in live)
+            assert registry.any_live_base() == next(
+                base for base in live if (base >> 4) & 15 == low)
 
     def test_stats_and_validation(self):
-        registry = TemporalRegistry(key_bits=2, shard_count=8)
+        registry = TemporalRegistry(key_bits=2)
         registry.mint(0x1000, 8)
         registry.mint(0x2000, 8)
         registry.release(0x1000)
@@ -107,8 +124,6 @@ class TestRegistry:
         assert stats["live"] == 1 and stats["tracked_bases"] == 2
         with pytest.raises(ValueError):
             TemporalRegistry(key_bits=0)
-        with pytest.raises(ValueError):
-            TemporalRegistry(shard_count=12)  # not a power of two
 
 
 # ---------------------------------------------------------------------------
