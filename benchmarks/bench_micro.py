@@ -10,9 +10,11 @@ from repro.cache import Cache, HierarchyConfig
 from repro.compiler import CompilerOptions, compile_source
 from repro.ifp import IFPUnit, LayoutEntry, LayoutTable
 from repro.ifp.mac import compute_mac
+from repro.ifp.schemes.subheap import SubheapRegion
 from repro.ifp.tag import PointerTag, Scheme, pack_pointer, unpack_tag
 from repro.ifp.poison import Poison
 from repro.mem import Memory
+from repro.temporal import TemporalRegistry
 from repro.vm import Machine, MachineConfig
 
 
@@ -52,6 +54,58 @@ def test_promote_legacy_bypass(benchmark):
     unit = _unit_with_object()
     result = benchmark(unit.promote, 0x12345)
     assert result.bounds is None
+
+
+def _fresh_key_each_round(unit, pointer):
+    """A promote of ``pointer`` whose cache key is new every call: a
+    lock minted at an unrelated base bumps the temporal registry's
+    version, which every promote-result key carries."""
+    registry = unit.temporal = TemporalRegistry()
+
+    def promote():
+        registry.mint(0x1F000, 16)
+        return unit.promote(pointer)
+    return promote
+
+
+@pytest.mark.benchmark(group="micro")
+def test_promote_miss_local_offset(benchmark):
+    # the whole miss path: lookup, trace, compaction, insertion
+    unit = _unit_with_object()
+    pointer = unit.local_offset.make_pointer(0x11000, 0x11000, 24)
+    result = benchmark(_fresh_key_each_round(unit, pointer))
+    assert result.bounds is not None
+    assert unit.stats.promote_cache_hits == 0
+
+
+@pytest.mark.benchmark(group="micro")
+def test_promote_miss_subheap_block_entry(benchmark):
+    # a miss whose block record comes from the block's entry: the key
+    # of its block (register, base, subobject index, control version)
+    # does not change between rounds
+    unit = _unit_with_object()
+    region = SubheapRegion(12, 0)
+    register = unit.control.allocate_subheap_register(region)
+    unit.subheap.write_block_metadata(unit.port.memory, 0x12000, region,
+                                      32, 32 + 32 * 100, 32, 24, 0x10000,
+                                      unit.mac_key)
+    pointer = unit.subheap.make_pointer(0x12000 + 32 * 6 + 4, register)
+    result = benchmark(_fresh_key_each_round(unit, pointer))
+    assert result.bounds is not None
+    assert unit.stats.promote_block_hits == unit.stats.promotes_total - 1
+
+
+@pytest.mark.benchmark(group="micro")
+def test_store_beside_promote_dependency(benchmark):
+    # a store into the line of a cached promote's metadata that misses
+    # the bytes it read: the snoop scans the line and keeps the entry
+    unit = _unit_with_object()
+    unit.promote(unit.local_offset.make_pointer(0x11000, 0x11000, 24))
+    memory = unit.port.memory
+    assert 0x11008 >> 6 in unit._promote_deps
+    benchmark(memory.store_int, 0x11008, 7, 8)
+    assert unit.stats.promote_cache_invalidations == 0
+    assert len(unit._promote_cache) == 1
 
 
 @pytest.mark.benchmark(group="micro")

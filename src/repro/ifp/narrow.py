@@ -13,6 +13,13 @@ chain, then resolves bounds top-down:
 3. the child's ``[base, bound)`` offsets are then applied relative to that
    element's base.
 
+The walk is split in two halves.  The *fetch* half
+(:func:`fetch_chain`) reads the indexed entry and its parent chain; it
+depends only on the table and the index, never on the address, so a
+subheap block's promote cache entry can replay it for every pointer into
+the block.  The *resolve* half (:func:`resolve_chain`) applies the chain
+to the object bounds and the address, and always runs live.
+
 The walk can fail *softly*: if the subobject index is out of table range,
 a parent link is malformed, or the address lies outside the parent span
 (so the containing array element cannot be identified), the promote falls
@@ -22,40 +29,30 @@ incorrectly-typed pointers still get object-granularity protection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import Optional, Tuple
 
 from repro.ifp.bounds import Bounds
 from repro.ifp.config import IFPConfig
 from repro.ifp.layout import LAYOUT_ENTRY_BYTES
 
 
-@dataclass
-class NarrowResult:
-    """Outcome of one narrowing walk."""
+def fetch_chain(port, config: IFPConfig, layout_ptr: int,
+                subobject_index: int) -> Optional[tuple]:
+    """The fetch half of the walk: read entry ``subobject_index`` and
+    its parent chain through ``port``, the IFP unit's metadata port
+    (loads cost cycles).
 
-    bounds: Bounds        #: final bounds (subobject, or coarser on failure)
-    exact: bool           #: True when narrowing fully resolved the index
-    levels_walked: int    #: layout-table levels traversed
-    divisions: int        #: array-element divisions performed
-
-
-def narrow_bounds(port, config: IFPConfig, layout_ptr: int,
-                  object_bounds: Bounds, address: int,
-                  subobject_index: int) -> NarrowResult:
-    """Run the layout-table walk.
-
-    ``port`` is the IFP unit's metadata port (loads cost cycles).
+    Returns the chain root first, as ``(base, bound, size)`` per entry,
+    or ``None`` when the index is out of table range or an entry is
+    malformed: such a walk falls back to object bounds.
     ``subobject_index`` must be non-zero — index 0 means "whole object"
     and the caller skips narrowing entirely in that case.
     """
     # Entry 0's parent field stores the entry count (see repro.ifp.layout).
     entry_count = port.load(layout_ptr, 2)
     if not (0 < subobject_index < entry_count):
-        return NarrowResult(object_bounds, False, 0, 0)
-
-    # Fetch the entry chain from the index up to (not including) entry 0.
-    chain: List[tuple] = []  # (parent, base, bound, size), leaf first
+        return None
+    chain = []  # (base, bound, size), leaf first
     index = subobject_index
     while index != 0:
         entry_addr = layout_ptr + index * LAYOUT_ENTRY_BYTES
@@ -66,32 +63,41 @@ def narrow_bounds(port, config: IFPConfig, layout_ptr: int,
         if parent >= index or bound < base or size == 0:
             # Malformed table (hardware validates parent < index to
             # guarantee termination): fail softly to object bounds.
-            return NarrowResult(object_bounds, False, len(chain), 0)
-        chain.append((parent, base, bound, size))
+            return None
+        chain.append((base, bound, size))
         port.add_cycles(config.narrow_step_cycles)
         index = parent
+    chain.reverse()
+    return tuple(chain)
 
-    # Resolve top-down.  (lower, upper, elem_size) describe the current
-    # subobject; elem_size < span means it is an array of elements.
+
+def resolve_chain(port, config: IFPConfig, chain: Optional[tuple],
+                  object_bounds: Bounds, address: int) -> Tuple[Bounds, bool]:
+    """The resolve half of the walk: apply ``chain`` (from
+    :func:`fetch_chain`) top-down to ``object_bounds`` at ``address``.
+
+    Returns ``(bounds, exact)``: the subobject bounds and True, or the
+    coarsest bounds resolved before the walk failed and False.
+    """
+    if chain is None:
+        return object_bounds, False
+    # (lower, upper, elem_size) describe the current subobject;
+    # elem_size < span means it is an array of elements.
     lower, upper = object_bounds.lower, object_bounds.upper
     elem_size = upper - lower
-    divisions = 0
-    for level, (_parent, base, bound, size) in enumerate(reversed(chain)):
+    for base, bound, size in chain:
         if elem_size != upper - lower:
             # Parent is an array: identify the containing element.
             if not (lower <= address < upper):
-                coarse = Bounds(lower, upper)
-                return NarrowResult(coarse, False, level, divisions)
+                return Bounds(lower, upper), False
             port.add_cycles(config.divide_cycles)
-            divisions += 1
-            element = (address - lower) // elem_size
-            elem_base = lower + element * elem_size
+            elem_base = lower + (address - lower) // elem_size * elem_size
         else:
             elem_base = lower
         new_lower = elem_base + base
         new_upper = elem_base + bound
-        if not (lower <= new_lower and new_upper <= upper + 0):
+        if not (lower <= new_lower and new_upper <= upper):
             # Child escapes the parent span: malformed table.
-            return NarrowResult(Bounds(lower, upper), False, level, divisions)
+            return Bounds(lower, upper), False
         lower, upper, elem_size = new_lower, new_upper, size
-    return NarrowResult(Bounds(lower, upper), True, len(chain), divisions)
+    return Bounds(lower, upper), True

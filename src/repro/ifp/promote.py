@@ -25,7 +25,6 @@ Pipeline of the operation:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.ifp.bounds import Bounds
@@ -47,16 +46,42 @@ class PromoteOutcome(enum.Enum):
                         PromoteOutcome.BYPASS_LEGACY)
 
 
-@dataclass
 class PromoteResult:
-    """The IFPR produced by a promote, plus accounting."""
+    """The IFPR produced by a promote, plus accounting.
 
-    pointer: int                    #: output pointer (poison refreshed)
-    bounds: Optional[Bounds]        #: None = bounds cleared (unchecked)
-    outcome: PromoteOutcome
-    narrowed: bool = False          #: subobject narrowing succeeded
-    narrow_attempted: bool = False  #: tag had a non-zero subobject index
-    cycles: int = 0                 #: total cycle cost of the operation
+    Both engines build one on every promote, a cache hit included, so it
+    is a ``__slots__`` class with a plain constructor rather than a
+    dataclass; its fields, repr and equality are a dataclass's.
+    """
+
+    __slots__ = ("pointer", "bounds", "outcome", "narrowed",
+                 "narrow_attempted", "cycles")
+
+    def __init__(self, pointer: int, bounds: Optional[Bounds],
+                 outcome: PromoteOutcome, narrowed: bool = False,
+                 narrow_attempted: bool = False, cycles: int = 0):
+        self.pointer = pointer                    #: output pointer (poison refreshed)
+        self.bounds = bounds                      #: None = bounds cleared (unchecked)
+        self.outcome = outcome
+        self.narrowed = narrowed                  #: subobject narrowing succeeded
+        self.narrow_attempted = narrow_attempted  #: tag had a non-zero subobject index
+        self.cycles = cycles                      #: total cycle cost of the operation
+
+    def _fields(self) -> tuple:
+        return (self.pointer, self.bounds, self.outcome, self.narrowed,
+                self.narrow_attempted, self.cycles)
+
+    def __eq__(self, other):
+        if other.__class__ is PromoteResult:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    __hash__ = None    # mutable, as the dataclass was
+
+    def __repr__(self) -> str:
+        return ("PromoteResult(" + ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self.__slots__, self._fields())) + ")")
 
     @property
     def checked(self) -> bool:

@@ -118,18 +118,20 @@ class SubheapScheme:
 
     # -- hardware side ----------------------------------------------------------
 
-    def lookup(self, address: int, tag: PointerTag, port, control_registers,
-               mac) -> Tuple[Optional[ObjectMetadata], bool]:
-        """Fetch and validate the shared block metadata for a promote.
+    def fetch(self, region: SubheapRegion, block_base: int, port,
+              mac) -> Tuple[Optional[tuple], bool]:
+        """The fetch half of a promote's lookup: read and validate the
+        block's shared metadata record.
 
-        ``mac`` is the unit's :class:`repro.ifp.mac.MacCache`.
+        Nothing here depends on where in the block the pointer points,
+        so the promote cache keeps one result per block and replays its
+        fetches for every pointer into it.  ``mac`` is the unit's
+        :class:`repro.ifp.mac.MacCache`.  Returns ``(record,
+        mac_checked)``: ``record`` is ``(slot_start, slot_end,
+        slot_size, object_size, layout_ptr)``, or ``None`` when the
+        record is invalid.
         """
         config = self.config
-        region = control_registers.subheap_region(
-            tag.subheap_register_index(config))
-        if region is None:
-            return None, False
-        block_base = region.block_base(address)
         md_addr = block_base + region.metadata_offset
         slot_start = port.load(md_addr, 4)
         slot_end = port.load(md_addr + 4, 4)
@@ -150,13 +152,24 @@ class SubheapScheme:
             port.add_cycles(config.mac_cycles)
             if stored_mac != (expected & MAC_MASK):
                 return None, True
+        return ((slot_start, slot_end, slot_size, object_size, layout_ptr),
+                config.mac_enabled)
+
+    def resolve(self, record: Optional[tuple], block_base: int,
+                address: int, port) -> Optional[ObjectMetadata]:
+        """The resolve half: locate the object ``address`` points into
+        from a :meth:`fetch` record; ``None`` when the record is invalid
+        or the address lies outside the slot array."""
+        if record is None:
+            return None
+        slot_start, slot_end, slot_size, object_size, layout_ptr = record
         offset_in_array = address - block_base - slot_start
-        if offset_in_array < 0 \
-                or address >= block_base + slot_end:
+        if offset_in_array < 0 or address >= block_base + slot_end:
             # Pointer drifted outside the slot array: cannot identify the
             # object.  Treated as invalid metadata for this pointer.
-            return None, config.mac_enabled
-        port.add_cycles(config.slot_divide_cycles)  # constrained slot division
+            return None
+        # constrained slot division
+        port.add_cycles(self.config.slot_divide_cycles)
         slot = offset_in_array // slot_size
         base = block_base + slot_start + slot * slot_size
-        return ObjectMetadata(base, object_size, layout_ptr), config.mac_enabled
+        return ObjectMetadata(base, object_size, layout_ptr)

@@ -366,16 +366,16 @@ class _FuncCompiler:
         # Inlined memory hierarchy: LOAD/STORE test the L1 set for a hit
         # (its MRU line first) and slice the page themselves, calling
         # ``access``/``mem_load``/``mem_store`` only off that path.  The
-        # L1 line is also the granularity of ``IFPUnit.snoop_store``,
-        # which snoops every store of the machine (a line never
-        # straddles a page).
+        # L1 line is also the granularity of ``IFPUnit.snoop_store``
+        # (``SNOOP``, the memory's watcher), which snoops every store of
+        # the machine (a line never straddles a page).
         memory, l1d, ifp = interp.memory, interp.hierarchy.l1d, interp.ifp
         self.ns.update(
             L1S=l1d._sets, L1ST=l1d.stats, SMASK=l1d._set_mask,
             HIT=interp.hierarchy._hit_cycles, PAGES=memory._pages,
             PSH=memory.page_size.bit_length() - 1,
             PMASK=memory.page_size - 1, PORT=ifp.port,
-            DEPS=ifp._promote_deps)
+            DEPS=ifp._promote_deps, SNOOP=memory.watcher)
         # Temporal lock-and-key (repro.temporal): check lines are only
         # *emitted* when the machine's registry exists, so a temporal=off
         # machine compiles exactly the code it always did — zero cost.
@@ -480,23 +480,28 @@ class _FuncCompiler:
                     value = (f"int.from_bytes(_pg[_o:_o + {size}],"
                              " 'little'" + (", signed=True) & U64"
                                             if ins.signed else ")"))
+                lines += [f"_ln = _ea >> {LINE_SHIFT}"]
                 lines += self._inline_access(
-                    size, "", "_rh", f"regs[{d}] = {value}", [
+                    size, "_rh", f"regs[{d}] = {value}", [
                         f"c[4] += access(_ea, {size}, False)",
                         f"regs[{d}] = mem_load(_ea, {size},"
                         f" {bool(ins.signed)}) & U64",
                     ]) + [f"bnds[{d}] = None"]
                 return _Emitted((1, 0, 0, 0, 0, 1, 0), lines, _RAISING)
-            # the snoop is a no-op exactly when the stored line is
-            # neither the buffered metadata line nor a promote-cache
-            # dependency: only then may it be skipped
+            # the snoop runs before the write, as ``mem_store`` runs
+            # it, whenever it can act: the stored line is the buffered
+            # metadata line or a promote-cache dependency (off the
+            # inline path ``mem_store`` runs it again, which changes
+            # nothing: a second snoop finds nothing left to drop)
             effect = (f"_pg[_o] = regs[{b}] & 255" if size == 1 else
                       f"_pg[_o:_o + {size}] = (regs[{b}]"
                       f" & {(1 << size * 8) - 1}).to_bytes({size},"
                       " 'little')")
-            lines += self._inline_access(
-                size, " and PORT._buffered_line != _ln"
-                " and _ln not in DEPS", "_wh", effect, [
+            lines += [
+                f"_ln = _ea >> {LINE_SHIFT}",
+                "if _ln in DEPS or PORT._buffered_line == _ln:",
+                f"    SNOOP(_ea, {size})",
+            ] + self._inline_access(size, "_wh", effect, [
                     f"c[4] += access(_ea, {size}, True)",
                     f"mem_store(_ea, regs[{b}], {size})",
                 ])
@@ -770,11 +775,11 @@ class _FuncCompiler:
                         [f"raise SimTrap({msg!r})"], _RAISING)
 
     @staticmethod
-    def _inline_access(size: int, guard: str, tally: str, effect: str,
+    def _inline_access(size: int, tally: str, effect: str,
                        calls: List[str]) -> List[str]:
         """Lines for an access to ``_ea`` with the L1 hit and the page
-        access inline: when the access stays inside the L1 line
-        ``_ln``, ``guard`` holds, the page is mapped and ``_ln`` is
+        access inline: when the access stays inside the L1 line the
+        caller has set in ``_ln``, the page is mapped and ``_ln`` is
         resident in its set, count the hit in the block's ``tally``
         (settled into the L1 statistics and its ``HIT`` cycles with the
         block's counts) and run ``effect`` on page
@@ -784,7 +789,7 @@ class _FuncCompiler:
         to MRU, as ``Cache._touch_line`` does."""
         within = (f" and _ea & {LINE_BYTES - 1} <= {LINE_BYTES - size}"
                   if size > 1 else "")
-        rest = (f"{within}{guard}"
+        rest = (f"{within}"
                 " and (_pg := PAGES.get(_ea >> PSH)) is not None")
         hit = [
             f"    {tally} += 1",
@@ -792,7 +797,6 @@ class _FuncCompiler:
             f"    {effect}",
         ]
         return [
-            f"_ln = _ea >> {LINE_SHIFT}",
             "_cs = L1S[_ln & SMASK]",
             f"if _cs and _cs[-1] == _ln{rest}:",
         ] + hit + [

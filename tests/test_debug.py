@@ -204,9 +204,11 @@ class TestAnatomy:
                     [list(lines) for lines in l1d._sets],
                     dataclasses.asdict(l1d.stats),
                     port.cycles, port.loads, port._buffered_line,
-                    dict(ifp._promote_cache),
-                    {line: set(keys)
-                     for line, keys in ifp._promote_deps.items()})
+                    {key: tuple(entry)
+                     for key, entry in ifp._promote_cache.items()},
+                    {line: {ranges: set(keys)
+                            for ranges, keys in bucket.items()}
+                     for line, bucket in ifp._promote_deps.items()})
 
         before = state()
         stats = ifp.stats

@@ -21,6 +21,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as hst
 
+from repro.cache import LINE_SHIFT
 from repro.compiler import CompilerOptions, compile_source
 from repro.compiler.ir import IRFunction, Op
 from repro.errors import (
@@ -1074,6 +1075,127 @@ ORACLE_WORKLOADS = [
 #: attacks (uaf, double_free, realloc_stale)
 ORACLE_FUZZ_SEEDS = FUZZ_SEEDS + [5, 38, 46, 56]
 
+#: many pointers into one subheap block, with subobject indices 0 (the
+#: ``next`` loads), that of ``v`` and that of a ``w`` element: after its
+#: first promote each (block, index) pair's metadata comes from its
+#: block entry
+BLOCK_SHARING = """
+struct node { long v; long w[3]; struct node *next; };
+struct node *head;
+long *g;
+int main(void) {
+    struct node *n;
+    long s = 0;
+    int i;
+    for (i = 0; i < 12; i++) {
+        n = (struct node *)malloc(sizeof(struct node));
+        n->v = i;
+        n->w[i % 3] = i;
+        n->next = head;
+        head = n;
+    }
+    for (n = head; n != NULL; n = n->next) {
+        if (n->v % 2) g = &n->v; else g = &n->w[n->v % 3];
+        long *w = g;
+        s = s + n->v + *w;
+    }
+    return (int)(s & 255);
+}
+"""
+
+#: ``first - 3 - i`` points into the first slot's block record, outside
+#: the slot array: its promote stops before the layout walk, interleaved
+#: with in-slot pointers of the same subobject index that walk
+OUTSIDE_SLOTS = """
+struct pair { long a; long b; };
+long *g;
+long *keep[6];
+int main(void) {
+    long s = 0;
+    int i;
+    long *first = &((struct pair *)malloc(sizeof(struct pair)))->b;
+    for (i = 0; i < 3; i++) {
+        struct pair *p = (struct pair *)malloc(sizeof(struct pair));
+        p->b = i;
+        keep[2 * i] = first - 3 - i;
+        keep[2 * i + 1] = &p->b;
+    }
+    for (i = 0; i < 6; i++) {
+        g = keep[i];
+        long *r = g;
+        if (i % 2) s = s + *r;
+    }
+    return (int)s;
+}
+"""
+
+#: ``b``'s slot is freed and reused while its block has an entry; the
+#: last promote of the stale ``b`` must probe the lock live
+TEMPORAL_BLOCK_REUSE = """
+struct cell { long v; };
+struct cell *g;
+int main(void) {
+    struct cell *a = (struct cell *)malloc(sizeof(struct cell));
+    struct cell *b = (struct cell *)malloc(sizeof(struct cell));
+    struct cell *c = (struct cell *)malloc(sizeof(struct cell));
+    a->v = 1;
+    b->v = 2;
+    c->v = 3;
+    g = b;
+    long x = g->v;
+    free(b);
+    struct cell *d = (struct cell *)malloc(sizeof(struct cell));
+    d->v = 4;
+    g = d;
+    x = x + g->v + a->v + c->v;
+    g = b;
+    return (int)(x + g->v);
+}
+"""
+
+#: a one-byte store at a given offset from ``g`` through an untagged
+#: pointer: offset 31 (wrapped) and -1 (subheap) hit the last byte of
+#: ``g``'s metadata, so its next promote must see the corruption; the
+#: bytes just outside the metadata (wrapped 15 and 32, subheap 0) share
+#: its line but no byte any promote read
+METADATA_BYTE_STORE = """
+struct pair { long a; long b; };
+struct pair *g;
+int main(void) {
+    g = (struct pair *)malloc(sizeof(struct pair));
+    g->a = 1;
+    char *q = (char *)(((long)g & 0xFFFFFFFFFFFF) + %d);
+    *q = *q + 1;
+    return (int)g->a;
+}
+"""
+
+#: (config, offset, overlaps the metadata) for :data:`METADATA_BYTE_STORE`
+METADATA_BYTE_OFFSETS = [("wrapped", 31, True), ("subheap", -1, True),
+                         ("wrapped", 15, False), ("wrapped", 32, False),
+                         ("subheap", 0, False)]
+
+#: the 320-byte ``big`` opens a new subheap size class, so the runtime
+#: writes a subheap control register between promotes of ``a`` and ``b``
+NEW_SIZE_CLASS = """
+struct small { long v; };
+struct big { long w[40]; };
+struct small *g;
+int main(void) {
+    struct small *a = (struct small *)malloc(sizeof(struct small));
+    struct small *b = (struct small *)malloc(sizeof(struct small));
+    a->v = 1;
+    g = b;
+    g->v = 2;
+    struct big *h = (struct big *)malloc(sizeof(struct big));
+    h->w[3] = 5;
+    g = a;
+    long x = g->v;
+    g = b;
+    return (int)(x + g->v + h->w[3]);
+}
+"""
+
 
 class TestPromoteOracle:
     """Every input runs twice: once as is, and once with
@@ -1084,13 +1206,19 @@ class TestPromoteOracle:
 
     @staticmethod
     def _assert_matches_oracle(monkeypatch, observe):
-        cached = _simulated(observe())
+        """Returns the cached run's simulated observables, plus its
+        cache counters under ``"cache"``."""
+        cached = observe()
+        counters = {name: cached["stats"]["ifp"][name]
+                    for name in ifp_unit._CACHE_COUNTER_FIELDS}
+        cached = _simulated(cached)
         with monkeypatch.context() as patch:
             patch.setattr(ifp_unit.IFPUnit, "promote",
                           ifp_unit.IFPUnit._promote_execute)
             oracle = observe()
         assert oracle["stats"]["ifp"]["promote_cache_misses"] == 0
         assert cached == _simulated(oracle)
+        cached["cache"] = counters
         return cached
 
     def _assert_program_matches_oracle(self, monkeypatch, source,
@@ -1136,6 +1264,83 @@ class TestPromoteOracle:
                 for config in ("wrapped", "subheap"):
                     self._assert_program_matches_oracle(
                         monkeypatch, source, config, "check")
+
+    @pytest.mark.parametrize("temporal", ["off", "check"])
+    def test_block_entry_serves_new_pointers(self, monkeypatch, temporal):
+        for config in ("wrapped", "subheap"):
+            run = self._assert_program_matches_oracle(
+                monkeypatch, BLOCK_SHARING, config, temporal)
+            assert run["trap"] is None
+            assert run["stats"]["ifp"]["narrow_success"] == 12
+        assert run["cache"]["promote_block_hits"] > 12
+
+    @pytest.mark.parametrize("temporal", ["off", "check"])
+    def test_pointer_outside_slot_array(self, monkeypatch, temporal):
+        run = self._assert_program_matches_oracle(
+            monkeypatch, OUTSIDE_SLOTS, "subheap", temporal)
+        ifp = run["stats"]["ifp"]
+        assert run["exit_code"] == 3
+        assert ifp["promotes_metadata_invalid"] == 3
+        assert ifp["narrow_success"] == ifp["narrow_attempts"] == 6
+        assert run["cache"]["promote_block_hits"] >= 4
+
+    def test_temporal_reuse_inside_a_block(self, monkeypatch):
+        for config in ("wrapped", "subheap"):
+            run = self._assert_program_matches_oracle(
+                monkeypatch, TEMPORAL_BLOCK_REUSE, config, "check")
+            assert run["trap"][0] == "TemporalViolation"
+        assert run["cache"]["promote_block_hits"] > 0
+
+    @pytest.mark.parametrize("temporal", ["off", "check"])
+    @pytest.mark.parametrize("config,offset,overlaps", METADATA_BYTE_OFFSETS,
+                             ids=[f"{c}{o:+d}"
+                                  for c, o, _ in METADATA_BYTE_OFFSETS])
+    def test_store_into_dependency_line(self, monkeypatch, config, offset,
+                                        overlaps, temporal):
+        run = self._assert_program_matches_oracle(
+            monkeypatch, METADATA_BYTE_STORE % offset, config, temporal)
+        assert (run["trap"] is not None) == overlaps
+        assert (run["cache"]["promote_cache_invalidations"] > 0) == overlaps
+
+    def test_control_register_write(self, monkeypatch):
+        # A new size class takes a subheap control register mid-run.
+        run = self._assert_program_matches_oracle(
+            monkeypatch, NEW_SIZE_CLASS, "subheap")
+        assert run["exit_code"] == 8
+        # Moving the global table's base changes what every global-table
+        # pointer promotes to: no promote may replay a result fetched
+        # under the old base.
+        from repro.cache.hierarchy import HierarchyConfig
+        from repro.mem import Memory
+
+        tables = (0x10000, 0x12000)
+
+        def observe():
+            memory = Memory()
+            memory.map_range(0x10000, 0x8000)
+            unit = ifp_unit.IFPUnit(memory, HierarchyConfig().build())
+            scheme = unit.global_table
+            for number, table in enumerate(tables):
+                for index in range(4):
+                    scheme.write_row(memory, table, index,
+                                     0x14000 + 64 * index,
+                                     16 + 8 * (index + number), 0)
+            pointers = [scheme.make_pointer(0x14000 + 64 * index + 4, index)
+                        for index in range(4)]
+            results = []
+            for table in tables:
+                unit.control.global_table_base = table
+                for _ in range(2):
+                    results += [repr(unit.promote(p)) for p in pointers]
+            l1d = unit.port.hierarchy.l1d
+            return {"results": results,
+                    "stats": {"ifp": dataclasses.asdict(unit.stats)},
+                    "l1d_sets": [list(lines) for lines in l1d._sets],
+                    "l1d_stats": dataclasses.asdict(l1d.stats)}
+
+        run = self._assert_matches_oracle(monkeypatch, observe)
+        assert run["results"][0] != run["results"][8]
+        assert run["cache"]["promote_cache_hits"] == 8
 
     def test_unmapped_metadata(self, monkeypatch):
         # Promote a pointer twice, unmap its metadata page, promote it
@@ -1230,10 +1435,11 @@ class TestPromoteOracle:
                    for result in run["results"][2::5])
 
     def test_recorded_and_compacted_fetches(self):
-        # a miss records its first fetch even when the line buffer
-        # serves it, and no later fetch that stays in the buffered line;
-        # a first fetch spanning two 64-byte lines reaches the L1
-        # whatever line is buffered, so no line selects ``later``
+        # a miss traces every load; compaction keeps its first fetch even
+        # when the line buffer serves it, and no later fetch that stays
+        # in the buffered line; a first fetch spanning two 64-byte lines
+        # reaches the L1 whatever line is buffered, so no line selects
+        # ``later``
         from repro.cache.hierarchy import HierarchyConfig
         from repro.mem import Memory
 
@@ -1245,17 +1451,155 @@ class TestPromoteOracle:
         port.load(0x10008, 8)
         port.load(0x10010, 8)
         port.add_cycles(3)
-        assert port.end_trace() == ([(0x10008, 8)], 3, 2)
+        loads, extra, compacted = port.end_trace()
+        assert (loads, extra) == ([(0x10008, 8), (0x10010, 8)], 3)
+        assert len(loads) == 2
+        assert compacted == port.compact(loads)
+        ranges, first_line, every, later, final_line = compacted
+        assert ranges == ((0x10008, 0x10018),)
+        assert [slot[2:] for slot in every] == [(0x10008, 8)]
+        assert first_line == final_line == 0x400 and later == ()
         port.begin_trace()
         for address, size in ((0x1003C, 8), (0x10044, 2), (0x10080, 4)):
             port.load(address, size)
-        fetches, extra, loads = port.end_trace()
-        assert (fetches, extra, loads) == ([(0x1003C, 8), (0x10080, 4)],
-                                           0, 3)
-        first_line, every, later, final_line = port.compact(fetches)
+        loads, extra, compacted = port.end_trace()
+        assert (loads, extra) == ([(0x1003C, 8), (0x10044, 2),
+                                   (0x10080, 4)], 0)
+        assert len(loads) == 3
+        assert compacted == port.compact(loads)
+        ranges, first_line, every, later, final_line = compacted
+        assert ranges == ((0x1003C, 0x10046), (0x10080, 0x10084))
         assert first_line == -2 and final_line == 0x402
         assert [slot[2] for slot in every] == [0x1003C, 0x10080]
         assert later == every[1:]
+
+
+class TestPromoteCacheRecomputation:
+    """After a run, every promote-cache entry reachable under the final
+    control and registry versions must agree with a promote recomputed
+    on the final memory, and the dependency index must list exactly
+    the bytes the live entries read."""
+
+    @staticmethod
+    def _recomputed_reads(unit, pointer):
+        """The result of ``pointer``'s promote recomputed as
+        :meth:`IFPUnit.dry_run` does, with the bytes its loads read."""
+        import copy
+        from repro.ifp.mac import MacCache
+        probe = copy.copy(unit)
+        probe.stats = ifp_unit.IFPUnitStats()
+        probe.mac = MacCache(unit.mac_key, probe.stats)
+        probe.port = ifp_unit.MetadataPort(unit.port.memory)
+        probe.port.begin_trace()
+        result = probe._promote_execute(pointer)
+        _loads, _extra, compacted = probe.port.end_trace()
+        return result, compacted[0]
+
+    @staticmethod
+    def _recomputed_block(unit, key):
+        """A subheap block entry's fetch halves recomputed on the final
+        memory, with the bytes they read."""
+        from repro.ifp.mac import MacCache
+        from repro.ifp.narrow import fetch_chain
+        register, block_base, subobject_index, _version = key
+        port = ifp_unit.MetadataPort(unit.port.memory)
+        port.begin_trace()
+        record, mac_checked = unit.subheap.fetch(
+            unit.control.subheap_region(register), block_base, port,
+            MacCache(unit.mac_key, ifp_unit.IFPUnitStats()))
+        record_loads = len(port._trace)
+        chain = fetch_chain(port, unit.config, record[4], subobject_index) \
+            if record is not None and subobject_index else None
+        loads, _extra, _compacted = port.end_trace()
+        return record, mac_checked, chain, loads, record_loads
+
+    def _assert_cache_matches(self, unit):
+        cache = unit._promote_cache
+        control = unit.control.version
+        registry = unit.temporal
+        live = ((control,) if registry is None
+                else (control, registry.version))
+        reads = {}
+        checked = 0
+        for key, entry in cache.items():
+            if len(key) == 4:
+                # a subheap block entry
+                if key[3] != control:
+                    continue
+                record, mac_checked, chain, loads, record_loads = \
+                    self._recomputed_block(unit, key)
+                assert (entry[1], entry[2]) == (record, mac_checked)
+                if entry[5] is None:
+                    loads = loads[:record_loads]
+                else:
+                    assert entry[4] == chain
+                reads[key] = unit.port.compact(loads)[0]
+            else:
+                if key[1:] != live:
+                    continue
+                result = unit.dry_run(key[0])
+                assert entry[:5] == (result.pointer, result.bounds,
+                                     result.outcome, result.narrowed,
+                                     result.narrow_attempted)
+                traced, ranges = self._recomputed_reads(unit, key[0])
+                assert traced == result
+                if ranges:
+                    reads[key] = ranges
+            checked += 1
+        listed = {}
+        for line, bucket in unit._promote_deps.items():
+            assert bucket
+            for ranges, keys in bucket.items():
+                assert keys
+                assert any(lo >> LINE_SHIFT <= line <= (hi - 1) >> LINE_SHIFT
+                           for lo, hi in ranges)
+                for key in keys:
+                    assert key in cache
+                    assert listed.setdefault(key, ranges) == ranges
+        for key, ranges in reads.items():
+            assert listed[key] == ranges
+        return checked
+
+    @pytest.mark.parametrize("engine", ["reference", "auto"])
+    @pytest.mark.parametrize("temporal", ["off", "check"])
+    @pytest.mark.parametrize("config", ["subheap", "wrapped"])
+    @pytest.mark.parametrize("name", ["treeadd", "perimeter"])
+    def test_live_entries_match_recomputation(self, name, config, temporal,
+                                              engine):
+        program = compile_source(WORKLOADS[name].source(1),
+                                 build_options(config))
+        machine = Machine(program, build_machine_config(
+            config, temporal=temporal, engine=engine))
+        result = machine.run()
+        assert result.trap is None
+        assert self._assert_cache_matches(machine.ifp) > 0
+        if config == "subheap":
+            assert any(len(key) == 4 for key in machine.ifp._promote_cache)
+
+    @pytest.mark.parametrize("engine", ["reference", "auto"])
+    @pytest.mark.parametrize("config,offset,overlaps", METADATA_BYTE_OFFSETS,
+                             ids=[f"{c}{o:+d}"
+                                  for c, o, _ in METADATA_BYTE_OFFSETS])
+    def test_entries_after_a_store_match_recomputation(
+            self, config, offset, overlaps, engine):
+        program = compile_source(METADATA_BYTE_STORE % offset,
+                                 build_options(config))
+        machine = Machine(program, build_machine_config(
+            config, engine=engine))
+        result = machine.run()
+        assert (result.trap is not None) == overlaps
+        assert (result.stats.ifp.promote_cache_invalidations > 0) == overlaps
+        assert self._assert_cache_matches(machine.ifp) > 0
+
+    @pytest.mark.parametrize("engine", ["reference", "auto"])
+    def test_recorded_walks_match_recomputation(self, engine):
+        program = compile_source(BLOCK_SHARING, build_options("subheap"))
+        machine = Machine(program, build_machine_config(
+            "subheap", engine=engine))
+        assert machine.run().trap is None
+        assert self._assert_cache_matches(machine.ifp) > 0
+        assert any(len(key) == 4 and entry[5] is not None
+                   for key, entry in machine.ifp._promote_cache.items())
 
 
 # ---------------------------------------------------------------------------
@@ -1846,9 +2190,39 @@ class TestInlineMemoryHierarchy:
         assert run["exit_code"] == 1 + 2 + 3 + 1
 
     @pytest.mark.parametrize("config", ["wrapped", "subheap"])
-    def test_store_to_promote_dependency_line(self, config):
+    def test_store_beside_promote_dependency_bytes(self, monkeypatch,
+                                                   config):
+        # ``g->a``/``g->b`` share a line with ``g``'s metadata but miss
+        # every byte a promote read: the stores leave the inline path
+        # and snoop, and every cache entry stays
+        landed = []
+        snoop = ifp_unit.IFPUnit.snoop_store
+
+        def counted(unit, address, size):
+            if address >> LINE_SHIFT in unit._promote_deps:
+                landed.append(address)
+            snoop(unit, address, size)
+
+        monkeypatch.setattr(ifp_unit.IFPUnit, "snoop_store", counted)
         run = self._agree(METADATA_LINES, config)
         assert run["exit_code"] == 1 + 2 + 3 + 1
+        assert landed
+        assert run["stats"]["ifp"]["promote_cache_invalidations"] == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(ifp_unit.IFPUnit, "promote",
+                          ifp_unit.IFPUnit._promote_execute)
+            oracle = self._agree(METADATA_LINES, config)
+        assert _simulated(oracle) == _simulated(run)
+
+    @pytest.mark.parametrize("config,offset", [("wrapped", 31),
+                                               ("subheap", -1)])
+    def test_store_overlapping_promote_dependency_bytes(self, config,
+                                                        offset):
+        # a one-byte store into the last byte of ``g``'s metadata drops
+        # the entries that read it: ``g``'s next promote finds the
+        # corruption and poisons it
+        run = self._agree(METADATA_BYTE_STORE % offset, config)
+        assert run["trap"][0] == "PoisonTrap"
         assert run["stats"]["ifp"]["promote_cache_invalidations"] > 0
 
 

@@ -7,7 +7,6 @@ from repro.ifp import (
     Bounds, DEFAULT_CONFIG, IFPConfig, IFPUnit, LayoutEntry, LayoutTable,
     Poison,
 )
-from repro.ifp.narrow import narrow_bounds
 from repro.ifp.promote import PromoteOutcome
 from repro.ifp.tag import pack_pointer, PointerTag, Scheme, unpack_tag, with_poison
 from repro.mem import Memory
