@@ -8,11 +8,13 @@ import pytest
 
 from repro.cache import Cache, HierarchyConfig
 from repro.compiler import CompilerOptions, compile_source
+from repro.eval.configs import build_options
 from repro.ifp import IFPUnit, LayoutEntry, LayoutTable
 from repro.ifp.mac import compute_mac
 from repro.ifp.schemes.subheap import SubheapRegion
 from repro.ifp.tag import PointerTag, Scheme, pack_pointer, unpack_tag
 from repro.ifp.poison import Poison
+from repro.juliet.cases import generate_cases
 from repro.mem import Memory
 from repro.temporal import TemporalRegistry
 from repro.vm import Machine, MachineConfig
@@ -29,7 +31,7 @@ def _unit_with_object():
     ])
     memory.write_bytes(0x10000, table.serialize())
     unit.local_offset.write_metadata(memory, 0x11000, 24, 0x10000,
-                                     unit.mac_key)
+                                     unit.mac)
     return unit
 
 
@@ -88,7 +90,7 @@ def test_promote_miss_subheap_block_entry(benchmark):
     register = unit.control.allocate_subheap_register(region)
     unit.subheap.write_block_metadata(unit.port.memory, 0x12000, region,
                                       32, 32 + 32 * 100, 32, 24, 0x10000,
-                                      unit.mac_key)
+                                      unit.mac)
     pointer = unit.subheap.make_pointer(0x12000 + 32 * 6 + 4, register)
     result = benchmark(_fresh_key_each_round(unit, pointer))
     assert result.bounds is not None
@@ -180,3 +182,17 @@ def test_subheap_alloc_throughput(benchmark):
         allocator.free(pointer)
 
     benchmark(alloc_free)
+
+
+@pytest.mark.benchmark(group="micro")
+def test_cold_juliet_op(benchmark):
+    # one juliet-suite op end to end with the collector on: compile,
+    # load and run a cold bad case, as perfbench does 356 times a pass
+    case = next(c for c in generate_cases() if c.is_bad)
+    options = build_options("wrapped")
+    config = MachineConfig(max_instructions=2_000_000, temporal="check")
+
+    def op():
+        return Machine(compile_source(case.source, options), config).run()
+
+    assert benchmark(op).trap is not None

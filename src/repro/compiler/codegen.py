@@ -1203,19 +1203,19 @@ def _pointee_hint(ctype: Optional[CType]) -> Optional[CType]:
     return None
 
 
-def _scalar_leaves(ctype: CType) -> List[Tuple[int, CType]]:
+def _scalar_leaves(ctype: CType, base: int = 0,
+                   out: Optional[List[Tuple[int, CType]]] = None
+                   ) -> List[Tuple[int, CType]]:
     """Flattened (offset, scalar type) leaves of an aggregate, in order."""
-    out: List[Tuple[int, CType]] = []
-
-    def walk(t: CType, base: int) -> None:
-        if isinstance(t, StructType):
-            for field_info in t.fields:
-                walk(field_info.type, base + field_info.offset)
-        elif isinstance(t, ArrayType):
-            for i in range(t.count):
-                walk(t.element, base + i * t.element.size)
-        else:
-            out.append((base, t))
-
-    walk(ctype, 0)
+    if out is None:
+        out = []
+    if isinstance(ctype, StructType):
+        for field_info in ctype.fields:
+            _scalar_leaves(field_info.type, base + field_info.offset, out)
+    elif isinstance(ctype, ArrayType):
+        for i in range(ctype.count):
+            _scalar_leaves(ctype.element, base + i * ctype.element.size,
+                           out)
+    else:
+        out.append((base, ctype))
     return out

@@ -88,19 +88,6 @@ def build_layout_table(ctype: CType, type_name: str,
         LayoutEntry(0, 0, ctype.size, ctype.size)]
     names: List[str] = [type_name]
 
-    def emit(parent_index: int, prefix: str, children) -> bool:
-        for name, base, bound, elem_size, child_type in children:
-            index = len(entries)
-            if index >= max_entries:
-                return False
-            entries.append(LayoutEntry(parent_index, base, bound, elem_size))
-            suffix = "[]" if isinstance(child_type, ArrayType) else ""
-            names.append(f"{prefix}.{name}{suffix}")
-            if not emit(index, f"{prefix}.{name}{suffix}",
-                        _children(child_type)):
-                return False
-        return True
-
     if isinstance(ctype, ArrayType):
         # Whole-object entry 0 plus one entry for the top-level array.
         elem = ctype.element
@@ -109,14 +96,35 @@ def build_layout_table(ctype: CType, type_name: str,
             return None
         entries.append(LayoutEntry(0, 0, ctype.size, elem_size))
         names.append(f"{type_name}[]")
-        if not emit(1, f"{type_name}[]", _children(ctype)):
+        if not _emit(entries, names, max_entries, 1, f"{type_name}[]",
+                     _children(ctype)):
             return None
     else:
-        if not emit(0, type_name, top_children):
+        if not _emit(entries, names, max_entries, 0, type_name,
+                     top_children):
             return None
     if len(entries) <= 1:
         return None
     return LayoutTable(type_name, entries, names)
+
+
+def _emit(entries: List[LayoutEntry], names: List[str], max_entries: int,
+          parent_index: int, prefix: str, children) -> bool:
+    """Append ``children``'s subtrees under entry ``parent_index``
+    (depth first); False once the table would exceed ``max_entries``.
+    A module function, not a closure: a closure that calls itself is a
+    reference cycle."""
+    for name, base, bound, elem_size, child_type in children:
+        index = len(entries)
+        if index >= max_entries:
+            return False
+        entries.append(LayoutEntry(parent_index, base, bound, elem_size))
+        suffix = "[]" if isinstance(child_type, ArrayType) else ""
+        names.append(f"{prefix}.{name}{suffix}")
+        if not _emit(entries, names, max_entries, index,
+                     f"{prefix}.{name}{suffix}", _children(child_type)):
+            return False
+    return True
 
 
 def member_delta(struct_type: StructType, member_name: str) -> int:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.ifp.config import IFPConfig, DEFAULT_CONFIG
-from repro.ifp.mac import compute_mac, MAC_MASK
+from repro.ifp.mac import MAC_MASK
 from repro.ifp.metadata import ObjectMetadata
 from repro.ifp.poison import Poison
 from repro.ifp.tag import PointerTag, Scheme, pack_pointer
@@ -78,11 +78,13 @@ class LocalOffsetScheme:
     # -- runtime side: registration -----------------------------------------
 
     def write_metadata(self, memory, object_base: int, size: int,
-                       layout_ptr: int, mac_key: int) -> int:
+                       layout_ptr: int, mac) -> int:
         """Write the appended metadata record; returns its address.
 
         ``object_base`` must be granule-aligned and ``size`` within the
-        scheme limit — the compiler/runtime guarantees both.
+        scheme limit — the compiler/runtime guarantees both.  ``mac`` is
+        the IFP unit's :class:`repro.ifp.mac.MacCache`: the record's MAC
+        seeds the entry the object's first promote looks up.
         """
         config = self.config
         if object_base & (config.granule - 1):
@@ -90,10 +92,10 @@ class LocalOffsetScheme:
         if not self.supports_size(size):
             raise ValueError(f"object size {size} exceeds local-offset limit")
         md_addr = self.metadata_address(object_base, size)
-        mac = compute_mac(mac_key, (md_addr, size, layout_ptr))
         memory.store_int(md_addr, layout_ptr, 8)
         memory.store_int(md_addr + 8, size, 2)
-        memory.store_int(md_addr + 10, mac, 6)
+        memory.store_int(md_addr + 10, mac.seed((md_addr, size, layout_ptr)),
+                         6)
         return md_addr
 
     def clear_metadata(self, memory, object_base: int, size: int) -> None:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.ifp.config import IFPConfig, DEFAULT_CONFIG
-from repro.ifp.mac import compute_mac, MAC_MASK
+from repro.ifp.mac import MAC_MASK
 from repro.ifp.metadata import ObjectMetadata
 from repro.ifp.poison import Poison
 from repro.ifp.tag import PointerTag, Scheme, pack_pointer
@@ -82,8 +82,11 @@ class SubheapScheme:
     def write_block_metadata(self, memory, block_base: int, region: SubheapRegion,
                              slot_start: int, slot_end: int, slot_size: int,
                              object_size: int, layout_ptr: int,
-                             mac_key: int) -> int:
-        """Initialise the shared metadata of one block; returns its address."""
+                             mac) -> int:
+        """Initialise the shared metadata of one block; returns its
+        address.  ``mac`` is the IFP unit's
+        :class:`repro.ifp.mac.MacCache`: the record's MAC seeds the
+        entry the block's first promote looks up."""
         if object_size > slot_size:
             raise ValueError("object size exceeds slot size")
         if slot_size <= 0 or slot_size % self.config.granule:
@@ -93,13 +96,13 @@ class SubheapScheme:
         md_addr = block_base + region.metadata_offset
         packed_geometry = (slot_start | (slot_end << 16)
                            | (slot_size << 32) | (object_size << 48))
-        mac = compute_mac(mac_key, (block_base, packed_geometry, layout_ptr))
+        code = mac.seed((block_base, packed_geometry, layout_ptr))
         memory.store_int(md_addr, slot_start, 4)
         memory.store_int(md_addr + 4, slot_end, 4)
         memory.store_int(md_addr + 8, slot_size, 4)
         memory.store_int(md_addr + 12, object_size, 4)
         memory.store_int(md_addr + 16, layout_ptr, 8)
-        memory.store_int(md_addr + 24, mac, 6)
+        memory.store_int(md_addr + 24, code, 6)
         memory.store_int(md_addr + 30, MAGIC, 2)
         return md_addr
 

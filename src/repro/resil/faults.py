@@ -50,6 +50,7 @@ class                        effect
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -158,7 +159,10 @@ class FaultInjector:
         plan.validate()
         self.plan = plan
         self.rng = random.Random(plan.seed)
-        self.machine = None
+        #: weak reference to the armed machine, whose observer hears of
+        #: each injection: the machine holds the injector's hooks, so a
+        #: strong one would make it a reference cycle
+        self._machine = None
         self.injections: List[_Injection] = []
         #: per-spec opportunity counters (index-aligned with plan.specs)
         self._counts = [0] * len(plan.specs)
@@ -170,7 +174,7 @@ class FaultInjector:
 
     def arm(self, machine) -> None:
         """Install hooks on ``machine`` and apply arm-time faults."""
-        self.machine = machine
+        self._machine = weakref.ref(machine)
         if any(f in self._by_class for f in
                ("tag_bit_flip", "metadata_corrupt", "mac_corrupt",
                 "layout_corrupt")):
@@ -181,12 +185,17 @@ class FaultInjector:
         for _index, spec in self._by_class.get(
                 "subheap_register_pressure", ()):
             self._fill_subheap_registers(machine, spec)
-        for index, spec in self._by_class.get("alloc_oom", ()):
-            self._wrap_allocators_oom(machine, index, spec)
-        for index, spec in self._by_class.get("temporal_lock_corrupt", ()):
-            self._hook_temporal_registry(machine, index, spec)
+        if "alloc_oom" in self._by_class:
+            machine.freelist.faults = self
+            machine.buddy.faults = self
+        # With the temporal policy off there is no lock table to corrupt:
+        # the machine stays untouched, so the cell classifies as
+        # unaffected.
+        if ("temporal_lock_corrupt" in self._by_class
+                and machine.temporal is not None):
+            machine.temporal.faults = self
 
-    # -- event-driven hooks (called from the IFP unit) -------------------------
+    # -- event-driven hooks (called from the hooked components) ----------------
 
     def on_promote(self, pointer: int) -> int:
         """Called as a tagged pointer enters the promote engine."""
@@ -224,6 +233,39 @@ class FaultInjector:
                 value = corrupted
         return value
 
+    def on_alloc(self, target: str, field: str, value: int) -> bool:
+        """Called as the free list or the buddy allocator (``target``)
+        serves a request of ``field=value``: True fails it (NULL).  The
+        ``alloc_oom`` spec armed last is asked first, and a failure
+        leaves the earlier ones unasked."""
+        for index, spec in reversed(self._by_class["alloc_oom"]):
+            if self._due(index, spec):
+                self._record(spec, target, f"{field}={value} -> NULL")
+                return True
+        return False
+
+    def on_mint(self, registry) -> None:
+        """Called after the temporal ``registry`` mints a lock: re-key a
+        live lock at every due opportunity.
+
+        The corrupted entry stays live with a different key, so every
+        later lock==key comparison of a legitimately-minted pointer
+        mismatches.  The resilience gate is that this surfaces as a
+        typed :class:`repro.errors.TemporalViolation` (or is harmless
+        when the allocation is never touched again) — never as silent
+        output divergence, which the registry cannot cause: corruption
+        only changes *check* outcomes, not data.
+        """
+        for index, spec in self._by_class["temporal_lock_corrupt"]:
+            if self._due(index, spec):
+                target = registry.any_live_base()
+                if target is not None and registry.corrupt(target):
+                    entry = registry.probe(target)
+                    self._record(
+                        spec, "temporal.registry",
+                        f"lock for base 0x{target:x} re-keyed to "
+                        f"{entry[0]}")
+
     # -- arm-time faults ------------------------------------------------------
 
     def _drain_global_table(self, machine, spec: FaultSpec) -> None:
@@ -250,61 +292,6 @@ class FaultInjector:
         self._record(spec, "subheap_registers",
                      f"occupied {filled} control registers")
 
-    def _wrap_allocators_oom(self, machine, index: int,
-                             spec: FaultSpec) -> None:
-        freelist_malloc = machine.freelist.malloc
-        buddy_alloc = machine.buddy.alloc
-
-        def faulty_malloc(size):
-            if self._due(index, spec):
-                self._record(spec, "freelist.malloc", f"size={size} -> NULL")
-                return 0, 4, 4
-            return freelist_malloc(size)
-
-        def faulty_buddy_alloc(order):
-            if self._due(index, spec):
-                self._record(spec, "buddy.alloc",
-                             f"order={order} -> NULL")
-                return 0, 4
-            return buddy_alloc(order)
-
-        machine.freelist.malloc = faulty_malloc
-        machine.heap_freelist_malloc = faulty_malloc
-        machine.buddy.alloc = faulty_buddy_alloc
-
-    def _hook_temporal_registry(self, machine, index: int,
-                                spec: FaultSpec) -> None:
-        """Re-key a live lock at every due mint opportunity.
-
-        The corrupted entry stays live with a different key, so every
-        later lock==key comparison of a legitimately-minted pointer
-        mismatches.  The resilience gate is that this surfaces as a
-        typed :class:`repro.errors.TemporalViolation` (or is harmless
-        when the allocation is never touched again) — never as silent
-        output divergence, which the registry cannot cause: corruption
-        only changes *check* outcomes, not data.
-        """
-        registry = getattr(machine, "temporal", None)
-        if registry is None:
-            # Policy off: there is no lock table to corrupt.  Leave the
-            # machine untouched so the cell classifies as unaffected.
-            return
-        original_mint = registry.mint
-
-        def faulty_mint(base, size):
-            key = original_mint(base, size)
-            if self._due(index, spec):
-                target = registry.any_live_base()
-                if target is not None and registry.corrupt(target):
-                    entry = registry.probe(target)
-                    self._record(
-                        spec, "temporal.registry",
-                        f"lock for base 0x{target:x} re-keyed to "
-                        f"{entry[0]}")
-            return key
-
-        registry.mint = faulty_mint
-
     # -- internals ------------------------------------------------------------
 
     def _due(self, index: int, spec: FaultSpec) -> bool:
@@ -317,6 +304,6 @@ class FaultInjector:
 
     def _record(self, spec: FaultSpec, target: str, detail: str) -> None:
         self.injections.append(_Injection(spec.fault, target, detail))
-        machine = self.machine
+        machine = self._machine() if self._machine is not None else None
         if machine is not None and machine.obs is not None:
             machine.obs.fault_injected(spec.fault, target, detail)

@@ -33,12 +33,19 @@ class BuddyAllocator:
         #: coalesced nor reinserted, so block addresses are never reused
         self.quarantine = False
         self.quarantined_bytes = 0
+        #: fault injector (repro.resil.faults) armed with ``alloc_oom``;
+        #: None keeps alloc on its plain path
+        self.faults = None
 
     def alloc(self, order: int) -> Tuple[int, int]:
         """Allocate a block of ``2**order`` bytes; returns (address, instrs).
 
         Address 0 means out of memory.
         """
+        faults = self.faults
+        if faults is not None and faults.on_alloc("buddy.alloc", "order",
+                                                  order):
+            return 0, 4
         order = max(order, MIN_ORDER)
         if order > MAX_ORDER:
             return 0, 4

@@ -30,23 +30,29 @@ _FREELIST_SHARE = 0x1000_0000
 
 
 def install(machine) -> Dict[str, callable]:
-    layout = machine.layout
+    layout, config = machine.layout, machine.config
+    memory, hierarchy = machine.memory, machine.hierarchy
+    ifp, stats = machine.ifp, machine.stats
     freelist = FreeListAllocator(
-        machine.memory, machine.hierarchy,
+        memory, hierarchy,
         layout.heap_base, layout.heap_base + _FREELIST_SHARE)
     buddy = BuddyAllocator(
-        machine.memory, layout.heap_base + _FREELIST_SHARE,
+        memory, layout.heap_base + _FREELIST_SHARE,
         layout.heap_limit)
-    global_table = GlobalTableManager(machine)
+    global_table = GlobalTableManager(config, memory, hierarchy)
+    ifp.control.global_table_base = global_table.table_base
 
     machine.freelist = freelist
     machine.buddy = buddy
     machine.global_table = global_table
-    machine.heap_freelist_malloc = freelist.malloc
-    machine.heap_freelist_free = lambda addr: freelist.free(addr)
 
-    wrapped = WrappedAllocator(machine, freelist, global_table)
-    subheap = SubheapAllocator(machine, buddy, global_table)
+    # The runtime's objects take the machine's parts, never the machine:
+    # the machine holds them, and a link back would make every machine
+    # a reference cycle.
+    wrapped = WrappedAllocator(config, memory, hierarchy, ifp, stats,
+                               freelist, global_table)
+    subheap = SubheapAllocator(config, memory, hierarchy, ifp, stats,
+                               freelist, buddy, global_table)
     machine.wrapped_allocator = wrapped
     machine.subheap_allocator = subheap
     if machine.program.allocator == "subheap":
@@ -238,8 +244,7 @@ def install(machine) -> Dict[str, callable]:
                 address, size, lt_addr, _reg = mach.image.global_info[name]
                 if local_offset.supports_size(size):
                     md = local_offset.write_metadata(
-                        mach.memory, address, size, lt_addr,
-                        mach.config.mac_key)
+                        mach.memory, address, size, lt_addr, mach.ifp.mac)
                     cycles = mach.hierarchy.access_cycles(
                         md, METADATA_BYTES, True) + 20
                     tagged = local_offset.make_pointer(address, address,

@@ -46,6 +46,9 @@ class FreeListAllocator:
         #: later allocation can alias a dangling pointer's address
         self.quarantine = False
         self.quarantined_bytes = 0
+        #: fault injector (repro.resil.faults) armed with ``alloc_oom``;
+        #: None keeps malloc on its plain path
+        self.faults = None
 
     # -- public API ----------------------------------------------------------
 
@@ -54,6 +57,10 @@ class FreeListAllocator:
 
         Returns address 0 on out-of-memory (like malloc's NULL).
         """
+        faults = self.faults
+        if faults is not None and faults.on_alloc("freelist.malloc",
+                                                  "size", size):
+            return 0, 4, 4
         if size <= 0:
             size = 1
         chunk_size = _align(size + HEADER_BYTES, _ALIGN)

@@ -19,14 +19,20 @@ from repro.resil.policy import STRICT
 
 
 class GlobalTableManager:
-    def __init__(self, machine):
-        self.machine = machine
-        config = machine.config.ifp
-        self.scheme = GlobalTableScheme(config)
-        self.rows = config.global_table_rows
-        self.table_base = machine.layout.metadata_table_base
-        machine.memory.map_range(self.table_base, self.rows * ROW_BYTES)
-        machine.ifp.control.global_table_base = self.table_base
+    """The table's rows, for a machine with config ``config`` (a
+    :class:`~repro.vm.machine.MachineConfig`): rows are written through
+    ``memory`` and charged through ``hierarchy``.  The machine installs
+    :attr:`table_base` in the IFP unit's control register."""
+
+    def __init__(self, config, memory, hierarchy):
+        self.config = config.ifp
+        self.policy = config.policy
+        self.memory = memory
+        self.hierarchy = hierarchy
+        self.scheme = GlobalTableScheme(self.config)
+        self.rows = self.config.global_table_rows
+        self.table_base = config.layout.metadata_table_base
+        memory.map_range(self.table_base, self.rows * ROW_BYTES)
         self._free_rows: List[int] = list(range(self.rows - 1, -1, -1))
         self.live_rows = 0
         self.peak_live_rows = 0
@@ -47,8 +53,8 @@ class GlobalTableManager:
         policy: a full table raises :class:`ResourceExhausted` under
         strict, and returns None under degrade (callers fall back to an
         untagged legacy pointer)."""
-        policy = self.machine.config.policy
-        if not self._free_rows and policy.global_table_exhaustion != STRICT:
+        if (not self._free_rows
+                and self.policy.global_table_exhaustion != STRICT):
             self.exhaustion_events += 1
             return None
         return self.register(address, size, layout_ptr)
@@ -66,11 +72,10 @@ class GlobalTableManager:
                 f"global metadata table full "
                 f"({self.rows} rows, {self.live_rows} live)")
         index = self._free_rows.pop()
-        memory = self.machine.memory
-        self.scheme.write_row(memory, self.table_base, index, address,
+        self.scheme.write_row(self.memory, self.table_base, index, address,
                               size, layout_ptr)
         row = self.scheme.row_address(self.table_base, index)
-        cycles = self.machine.hierarchy.access_cycles(row, ROW_BYTES, True)
+        cycles = self.hierarchy.access_cycles(row, ROW_BYTES, True)
         self.live_rows += 1
         self.peak_live_rows = max(self.peak_live_rows, self.live_rows)
         tagged = self.scheme.make_pointer(address, index, Poison.VALID)
@@ -79,11 +84,10 @@ class GlobalTableManager:
     def deregister(self, tagged_pointer: int) -> Tuple[int, int]:
         """Release the row named by a tagged pointer; (cycles, instrs)."""
         tag = unpack_tag(tagged_pointer)
-        index = tag.global_table_index(self.machine.config.ifp)
-        memory = self.machine.memory
-        self.scheme.clear_row(memory, self.table_base, index)
+        index = tag.global_table_index(self.config)
+        self.scheme.clear_row(self.memory, self.table_base, index)
         row = self.scheme.row_address(self.table_base, index)
-        cycles = self.machine.hierarchy.access_cycles(row, ROW_BYTES, True)
+        cycles = self.hierarchy.access_cycles(row, ROW_BYTES, True)
         self._free_rows.append(index)
         self.live_rows -= 1
         return cycles + 8, 8
@@ -91,8 +95,8 @@ class GlobalTableManager:
     def row_info(self, tagged_pointer: int) -> Tuple[int, int, int]:
         """(base, size, layout_ptr) for a tagged pointer's row."""
         tag = unpack_tag(tagged_pointer)
-        index = tag.global_table_index(self.machine.config.ifp)
+        index = tag.global_table_index(self.config)
         row = self.scheme.row_address(self.table_base, index)
-        memory = self.machine.memory
+        memory = self.memory
         return (memory.load_int(row, 6), memory.load_int(row + 6, 4),
                 memory.load_int(row + 10, 6))

@@ -66,11 +66,25 @@ class _Pool:
 
 
 class SubheapAllocator:
-    def __init__(self, machine, buddy, global_table):
-        self.machine = machine
+    """Pool allocation for a machine with config ``config`` (a
+    :class:`~repro.vm.machine.MachineConfig`): blocks come from
+    ``buddy``, oversize objects from ``freelist`` plus ``global_table``.
+    Block metadata goes through ``memory`` and ``hierarchy``, its MAC
+    through the IFP unit ``ifp``'s memo; pools claim ``ifp``'s subheap
+    control registers and report to its observer, and counts go to the
+    run's ``stats``."""
+
+    def __init__(self, config, memory, hierarchy, ifp, stats, freelist,
+                 buddy, global_table):
+        self.memory = memory
+        self.hierarchy = hierarchy
+        self.ifp = ifp
+        self.stats = stats
+        self.freelist = freelist
         self.buddy = buddy
         self.global_table = global_table
-        self.config = machine.config.ifp
+        self.policy = config.policy
+        self.config = config.ifp
         self.scheme = SubheapScheme(self.config)
         self.pools: Dict[Tuple[int, int], _Pool] = {}
         #: block base -> pool (for free())
@@ -86,7 +100,7 @@ class SubheapAllocator:
 
     def malloc(self, size: int, layout_ptr: int,
                elem_size: int) -> Tuple[int, Optional[Bounds], int, int]:
-        machine = self.machine
+        stats = self.stats
         if size <= 0:
             size = 1
         if elem_size and size != elem_size:
@@ -108,13 +122,12 @@ class SubheapAllocator:
                 # the trap propagate; degrade policy demotes this object
                 # to the global-table scheme (and from there, possibly
                 # to an untagged legacy pointer).
-                if (machine.config.policy.subheap_register_exhaustion
-                        == STRICT):
+                if self.policy.subheap_register_exhaustion == STRICT:
                     raise
-                machine.stats.degraded_allocs += 1
-                if machine.obs is not None:
-                    machine.obs.degrade("subheap_registers",
-                                        "global_table_fallback", size, 0)
+                stats.degraded_allocs += 1
+                if self.ifp.obs is not None:
+                    self.ifp.obs.degrade("subheap_registers",
+                                         "global_table_fallback", size, 0)
                 return self._fallback_malloc(size, layout_ptr)
             self.pools[(size, layout_ptr)] = pool
         if pool.free_slots:
@@ -135,17 +148,18 @@ class SubheapAllocator:
             action = "pool_grow"
         tagged = self.scheme.make_pointer(address, pool.register_index)
         bounds = Bounds(address, address + pool.object_size)
-        machine.stats.heap_objects += 1
+        stats.heap_objects += 1
         if layout_ptr:
-            machine.stats.heap_objects_lt += 1
-        obs = machine.obs
+            stats.heap_objects_lt += 1
+        obs = self.ifp.obs
         if obs is not None:
             obs.alloc_decision("subheap", action, size, address)
             obs.scheme_assigned("heap", tagged, size, bool(layout_ptr))
         return tagged, bounds, cycles + instrs, instrs
 
     def free(self, pointer: int) -> Tuple[int, int]:
-        machine = self.machine
+        stats = self.stats
+        freelist = self.freelist
         address = address_of(pointer)
         if address == 0:
             return 2, 2
@@ -153,21 +167,20 @@ class SubheapAllocator:
         if tag.scheme is Scheme.GLOBAL_TABLE:
             base, _size, _lt = self.global_table.row_info(pointer)
             cycles, instrs = self.global_table.deregister(pointer)
-            machine.heap_freelist_free(base or address)
-            machine.stats.heap_frees += 1
+            freelist.free(base or address)
+            stats.heap_frees += 1
             return cycles + _FREE_COST, instrs + _FREE_COST
         pool = self._pool_of(address)
         if pool is None:
             if (tag.scheme is Scheme.LEGACY
-                    and machine.freelist.base <= address
-                    < machine.freelist.brk):
+                    and freelist.base <= address < freelist.brk):
                 # A degraded (untagged) allocation: its memory came from
                 # the free-list fallback, so route the free there.
-                cycles, instrs = machine.heap_freelist_free(address)
-                machine.stats.heap_frees += 1
-                if machine.obs is not None:
-                    machine.obs.alloc_decision("subheap", "legacy_free",
-                                               0, address)
+                cycles, instrs = freelist.free(address)
+                stats.heap_frees += 1
+                if self.ifp.obs is not None:
+                    self.ifp.obs.alloc_decision("subheap", "legacy_free",
+                                                0, address)
                 return cycles + _FREE_COST, instrs + _FREE_COST
             # Frees of foreign pointers are guest bugs surfaced as traps.
             raise InvalidFree(
@@ -201,9 +214,9 @@ class SubheapAllocator:
             self.quarantined_bytes += pool.slot_size
         else:
             pool.free_slots.append(address)
-        machine.stats.heap_frees += 1
-        if machine.obs is not None:
-            machine.obs.alloc_decision("subheap", "free", 0, address)
+        stats.heap_frees += 1
+        if self.ifp.obs is not None:
+            self.ifp.obs.alloc_decision("subheap", "free", 0, address)
         return _FREE_COST, _FREE_COST
 
     def usable_size(self, pointer: int) -> int:
@@ -214,7 +227,7 @@ class SubheapAllocator:
         pool = self._pool_of(address)
         if pool is not None:
             return pool.object_size
-        freelist = self.machine.freelist
+        freelist = self.freelist
         if freelist.base <= address < freelist.brk:
             # Degraded legacy allocation backed by the free list.
             return freelist.usable_size(address)
@@ -238,8 +251,8 @@ class SubheapAllocator:
 
     def _fallback_malloc(self, size: int, layout_ptr: int):
         """Oversize allocations: raw free-list memory + global table row."""
-        machine = self.machine
-        address, cycles, instrs = machine.heap_freelist_malloc(size)
+        stats = self.stats
+        address, cycles, instrs = self.freelist.malloc(size)
         if address == 0:
             return 0, None, cycles, instrs
         registered = self.global_table.try_register(
@@ -247,9 +260,9 @@ class SubheapAllocator:
         if registered is None:
             # Global table also full: last rung of the degradation
             # ladder — an untagged legacy pointer with no metadata.
-            machine.stats.heap_objects += 1
-            machine.stats.degraded_allocs += 1
-            obs = machine.obs
+            stats.heap_objects += 1
+            stats.degraded_allocs += 1
+            obs = self.ifp.obs
             if obs is not None:
                 obs.degrade("global_table", "legacy_pointer", size,
                             address)
@@ -257,10 +270,10 @@ class SubheapAllocator:
                                    address)
             return address, None, cycles + 2, instrs + 2
         tagged, reg_cycles, reg_instrs = registered
-        machine.stats.heap_objects += 1
+        stats.heap_objects += 1
         if layout_ptr:
-            machine.stats.heap_objects_lt += 1
-        obs = machine.obs
+            stats.heap_objects_lt += 1
+        obs = self.ifp.obs
         if obs is not None:
             obs.alloc_decision("subheap", "oversize_fallback", size,
                                address)
@@ -271,8 +284,7 @@ class SubheapAllocator:
     def _new_pool(self, object_size: int, layout_ptr: int,
                   order: int) -> _Pool:
         region = SubheapRegion(order, 0)
-        register_index = self.machine.ifp.control.allocate_subheap_register(
-            region)
+        register_index = self.ifp.control.allocate_subheap_register(region)
         slot_size = _align(object_size, self.config.granule)
         return _Pool(slot_size=slot_size, object_size=object_size,
                      layout_ptr=layout_ptr, region=region,
@@ -287,10 +299,9 @@ class SubheapAllocator:
         slot_count = (block_size - slot_start) // pool.slot_size
         slot_end = slot_start + slot_count * pool.slot_size
         self.scheme.write_block_metadata(
-            self.machine.memory, block, pool.region, slot_start, slot_end,
-            pool.slot_size, pool.object_size, pool.layout_ptr,
-            self.machine.config.mac_key)
-        cycles = self.machine.hierarchy.access_cycles(
+            self.memory, block, pool.region, slot_start, slot_end,
+            pool.slot_size, pool.object_size, pool.layout_ptr, self.ifp.mac)
+        cycles = self.hierarchy.access_cycles(
             block, METADATA_BYTES, True)
         pool.bump_block = block
         pool.bump_next = block + slot_start

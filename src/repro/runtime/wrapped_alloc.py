@@ -25,18 +25,27 @@ _DEREGISTER_COST = 6
 
 
 class WrappedAllocator:
-    def __init__(self, machine, freelist, global_table):
-        self.machine = machine
+    """Wrapped allocation for a machine with config ``config`` (a
+    :class:`~repro.vm.machine.MachineConfig`).  Metadata goes through
+    ``memory`` and ``hierarchy``, its MAC through the IFP unit ``ifp``'s
+    memo, whose observer the allocator reports to; counts go to the
+    run's ``stats``."""
+
+    def __init__(self, config, memory, hierarchy, ifp, stats, freelist,
+                 global_table):
+        self.memory = memory
+        self.hierarchy = hierarchy
+        self.ifp = ifp
+        self.stats = stats
         self.freelist = freelist
         self.global_table = global_table
-        config = machine.config.ifp
-        self.config = config
-        self.scheme = LocalOffsetScheme(config)
+        self.config = config.ifp
+        self.scheme = LocalOffsetScheme(self.config)
 
     def malloc(self, size: int, layout_ptr: int,
                elem_size: int) -> Tuple[int, Optional[Bounds], int, int]:
         """Allocate + register; returns (tagged ptr, bounds, cycles, instrs)."""
-        machine = self.machine
+        stats = self.stats
         if size <= 0:
             size = 1
         # Layout tables only apply when the allocation is exactly one
@@ -51,9 +60,8 @@ class WrappedAllocator:
             if address == 0:
                 return 0, None, cycles, instrs
             md_addr = self.scheme.write_metadata(
-                machine.memory, address, size, layout_ptr,
-                machine.config.mac_key)
-            cycles += machine.hierarchy.access_cycles(
+                self.memory, address, size, layout_ptr, self.ifp.mac)
+            cycles += self.hierarchy.access_cycles(
                 md_addr, METADATA_BYTES, True)
             cycles += _REGISTER_COST + self.config.mac_cycles
             instrs += _REGISTER_COST
@@ -69,9 +77,9 @@ class WrappedAllocator:
                 # Table full under the degrade policy: the object keeps
                 # its memory but loses its metadata — hand out an
                 # untagged legacy pointer (paper Section 6 fallback).
-                machine.stats.heap_objects += 1
-                machine.stats.degraded_allocs += 1
-                obs = machine.obs
+                stats.heap_objects += 1
+                stats.degraded_allocs += 1
+                obs = self.ifp.obs
                 if obs is not None:
                     obs.degrade("global_table", "legacy_pointer", size,
                                 address)
@@ -82,10 +90,10 @@ class WrappedAllocator:
             cycles += reg_cycles
             instrs += reg_instrs
             bounds = Bounds(address, address + size)
-        machine.stats.heap_objects += 1
+        stats.heap_objects += 1
         if layout_ptr:
-            machine.stats.heap_objects_lt += 1
-        obs = machine.obs
+            stats.heap_objects_lt += 1
+        obs = self.ifp.obs
         if obs is not None:
             obs.alloc_decision("wrapped",
                                "local_offset" if use_local
@@ -95,7 +103,6 @@ class WrappedAllocator:
         return tagged, bounds, cycles, instrs
 
     def free(self, pointer: int) -> Tuple[int, int]:
-        machine = self.machine
         address = address_of(pointer)
         if address == 0:
             return 2, 2
@@ -112,14 +119,15 @@ class WrappedAllocator:
             # Clear the appended metadata (deregistration).
             size = self._local_size(pointer)
             if size:
-                self.scheme.clear_metadata(machine.memory, address, size)
+                self.scheme.clear_metadata(self.memory, address, size)
                 md = self.scheme.metadata_address(address, size)
-                cycles += machine.hierarchy.access_cycles(
+                cycles += self.hierarchy.access_cycles(
                     md, METADATA_BYTES, True)
         free_cycles, free_instrs = self.freelist.free(address)
-        machine.stats.heap_frees += 1
-        if machine.obs is not None:
-            machine.obs.alloc_decision("wrapped", "free", 0, address)
+        self.stats.heap_frees += 1
+        obs = self.ifp.obs
+        if obs is not None:
+            obs.alloc_decision("wrapped", "free", 0, address)
         return cycles + free_cycles, instrs + free_instrs
 
     def usable_size(self, pointer: int) -> int:
@@ -138,7 +146,7 @@ class WrappedAllocator:
             size = self._local_size(pointer)
             if size:
                 md = self.scheme.metadata_address(address, size)
-                return self.machine.memory.load_int(md, 8)
+                return self.memory.load_int(md, 8)
         if tag.scheme is Scheme.GLOBAL_TABLE:
             return self.global_table.row_info(pointer)[2]
         return 0
@@ -154,7 +162,7 @@ class WrappedAllocator:
         md_offset = usable - METADATA_BYTES
         if md_offset < 0:
             return 0
-        size = self.machine.memory.load_int(address + md_offset + 8, 2)
+        size = self.memory.load_int(address + md_offset + 8, 2)
         if size and align_up(size, self.config.granule) == md_offset:
             return size
         return 0

@@ -50,6 +50,9 @@ class TemporalRegistry:
         self.mints = 0
         self.releases = 0
         self.live_count = 0
+        #: fault injector (repro.resil.faults) armed with
+        #: ``temporal_lock_corrupt``; None keeps mint on its plain path
+        self.faults = None
 
     # -- lock lifecycle ------------------------------------------------------
 
@@ -72,7 +75,10 @@ class TemporalRegistry:
         self.mints += 1
         self.live_count += 1
         self.version += 1
-        return entry[KEY]
+        key = entry[KEY]
+        if self.faults is not None:
+            self.faults.on_mint(self)
+        return key
 
     def release(self, base: int) -> Optional[list]:
         """Destroy the lock for ``base`` (free/realloc path).

@@ -1299,24 +1299,15 @@ class FastInterpreter(Interpreter):
         super().__init__(machine)
         #: (function name, armed) -> fused handler list
         self._fused: Dict[Tuple[str, bool], list] = {}
-        #: the (observer, tracer) the cached armed translations are bound
-        #: to (compiled code holds the observer and the tracer's bound
-        #: method directly)
-        self._armed = (None, None)
 
-    def arm_deadline(self, timeout_seconds) -> None:
-        super().arm_deadline(timeout_seconds)
-        # Called once per Machine.run: if the observer or its tracer
-        # changed since the last run, armed translations bound to the
-        # old objects are stale — drop them (unarmed entries bind no
-        # instrument and stay valid).
-        obs = self.machine.obs
-        armed = (obs, obs.tracer if obs is not None else None)
-        if armed != self._armed:
-            self._fused = {key: handlers
-                           for key, handlers in self._fused.items()
-                           if not key[1]}
-            self._armed = armed
+    def release(self) -> None:
+        """Take the names that point back at this engine out of every
+        translation's namespace, so the engine, its tables and its
+        machine free by reference counting.  The tables stay readable
+        (their code, ``FN`` and site tuples) but no longer run."""
+        for handlers in self._fused.values():
+            ns = handlers[0].__globals__
+            del ns["I"], ns["call_function"], ns["_fb"]
 
     def _translate_fused(self, func: IRFunction, armed: bool = False) -> list:
         handlers = _FuncCompiler(self, func, armed).compile_fused()

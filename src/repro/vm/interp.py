@@ -89,6 +89,10 @@ class Interpreter:
             self._timeout_seconds = timeout_seconds
             self._deadline = time.monotonic() + timeout_seconds
 
+    def release(self) -> None:
+        """Called once the run is over (``Machine._release``): this
+        engine holds nothing that points back at it."""
+
     def _timeout(self, executed: int, name: str, ip: int) -> WorkloadTimeout:
         """The watchdog's expiry error, raised at ``name+ip``."""
         return WorkloadTimeout(

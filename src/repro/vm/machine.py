@@ -128,12 +128,6 @@ class Machine:
         from repro.runtime.builtins import install as _install_runtime
         self.builtins = _install_runtime(self)
 
-        # Interpreter created lazily (needs self fully built).
-        from repro.vm.interp import Interpreter
-        self.interp = Interpreter(self)
-        #: closure-compiled fast engine, built on first use
-        self._fast = None
-
     # -- stack ---------------------------------------------------------------
 
     def push_frame(self, frame_size: int) -> int:
@@ -172,17 +166,17 @@ class Machine:
     # -- engine selection ---------------------------------------------------------
 
     def select_interp(self):
-        """Resolve ``config.engine`` to the interpreter for this run."""
+        """A new engine of the kind ``config.engine`` names.  The machine
+        keeps none: the engine of a run lives as long as the run."""
         engine = self.config.engine
         if engine == "reference":
-            return self.interp
+            from repro.vm.interp import Interpreter
+            return Interpreter(self)
         if engine != "auto":
             raise ReproError(f"unknown engine {self.config.engine!r} "
                              f"(expected {'|'.join(ENGINES)})")
-        if self._fast is None:
-            from repro.vm.fastpath import FastInterpreter
-            self._fast = FastInterpreter(self)
-        return self._fast
+        from repro.vm.fastpath import FastInterpreter
+        return FastInterpreter(self)
 
     # -- run harness ---------------------------------------------------------------
 
@@ -193,42 +187,78 @@ class Machine:
         ``timeout_seconds`` arms the wall-clock watchdog; on expiry a
         :class:`WorkloadTimeout` propagates (it is *not* a guest trap, so
         it is never reported as a detection) with finalized stats
-        attached.
+        attached.  A machine runs once: a second call raises
+        :class:`ReproError` (see :meth:`_release`).
         """
+        if self.engine_used is not None:
+            raise ReproError("this machine has already run; a Machine "
+                             "runs once, so build a new one")
         entry = entry or self.program.entry
         interp = self.select_interp()
-        self.engine_used = ("reference" if interp is self.interp
+        self.engine_used = ("reference" if self.config.engine == "reference"
                             else "fastpath")
         if self.obs is not None:
             # let observability consumers label everything they export
             # with the engine that actually produced it
             self.obs.engine = self.engine_used
         interp.arm_deadline(timeout_seconds)
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(40_000)
         exit_code: Optional[int] = None
         trap: Optional[SimTrap] = None
+        try:
+            exit_code, trap = self._execute(interp, entry)
+        finally:
+            self._finalize_stats()
+            try:
+                if trap is not None and self.obs is not None:
+                    # Machine state (memory, metadata, tracer) is still
+                    # live, so forensics can decode the offending pointer
+                    # in place.
+                    self.obs.on_trap(self, trap)
+            finally:
+                self._release(interp, trap)
+        return RunResult(exit_code, trap, self.stats, self.output)
+
+    def _execute(self, interp, entry: str):
+        """``(exit code, trap)`` of running ``entry`` on ``interp``."""
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(40_000)
         try:
             if "__init_globals" in self.program.functions:
                 interp.call_function("__init_globals", [], [])
             value, _bounds = interp.call_function(entry, [], [])
-            exit_code = _as_exit_code(value)
+            return _as_exit_code(value), None
         except GuestExit as exc:
-            exit_code = exc.code
+            return exc.code, None
         except SimTrap as exc:
-            trap = exc
+            return None, exc
         except WorkloadTimeout as exc:
-            self._finalize_stats()
             exc.stats = self.stats
             raise
         finally:
             sys.setrecursionlimit(old_limit)
-        self._finalize_stats()
-        if trap is not None and self.obs is not None:
-            # Machine state (memory, metadata, tracer) is still live, so
-            # forensics can decode the offending pointer in place.
-            self.obs.on_trap(self, trap)
-        return RunResult(exit_code, trap, self.stats, self.output)
+
+    def _release(self, interp, trap: Optional[SimTrap]) -> None:
+        """Cut the links of a finished run that only the cyclic
+        collector could free, so reference counting frees the machine
+        once its caller drops it and the :class:`RunResult`.
+
+        * the memory's snoop hooks, bound methods of the IFP unit, which
+          points back at the memory through its metadata port;
+        * the engine's translations, whose namespaces hold the engine
+          (:meth:`~repro.vm.fastpath.FastInterpreter.release`);
+        * the trap's traceback, whose frames hold the machine; nothing
+          reads it.
+
+        The memory, the IFP unit (stats, caches, ``dry_run``), the
+        temporal registry, the image, the stats and the output stay
+        readable.  Stores no longer reach the unit's promote cache,
+        which is why a machine runs once.
+        """
+        self.memory.watcher = self.memory.unmap_watcher = None
+        interp.release()
+        while trap is not None:
+            trap.__traceback__ = None
+            trap = trap.__cause__ or trap.__context__
 
     def _finalize_stats(self) -> None:
         stats = self.stats

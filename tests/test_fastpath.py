@@ -34,12 +34,27 @@ from repro.ifp import unit as ifp_unit
 from repro.mem.layout import ADDRESS_MASK
 from repro.vm import Machine, MachineConfig
 from repro.vm.fastpath import FastInterpreter
+from repro.vm.interp import Interpreter
 from repro.workloads import WORKLOADS
 
 
 #: the ``python -m repro.resil`` watchdog: long enough never to fire, so
 #: a run armed with it must stay byte-identical to a disarmed reference
 ARMED_TIMEOUT = 120.0
+
+
+@pytest.fixture(autouse=True)
+def _machines_keep_their_engine(monkeypatch):
+    """A machine keeps no engine: the one a run selects lives as long as
+    the run.  The tests here read it afterwards (its translation tables,
+    ``executed`` and ``symbols``), so each machine holds on to it as
+    ``machine._ran_on``."""
+    select = Machine.select_interp
+
+    def selecting(machine):
+        machine._ran_on = engine = select(machine)
+        return engine
+    monkeypatch.setattr(Machine, "select_interp", selecting)
 
 
 def _observables(program, config: MachineConfig, engine: str,
@@ -139,7 +154,7 @@ class TestEngineSelection:
     def test_reference_forces_reference(self):
         program = compile_source(SMALL, CompilerOptions.baseline())
         machine = Machine(program, MachineConfig(engine="reference"))
-        assert machine.select_interp() is machine.interp
+        assert type(machine.select_interp()) is Interpreter
 
     def test_legacy_engine_spellings_rejected(self, capsys):
         # "fastpath" and "superblock" named compiled tiers that are now
@@ -279,8 +294,8 @@ class TestTrapEquivalence:
         config = build_machine_config("wrapped")
         machine = Machine(program, config)
         assert machine.run().trap is None
-        total = machine._fast.executed
-        table = machine._fast._fused[("bump", False)]
+        total = machine._ran_on.executed
+        table = machine._ran_on._fused[("bump", False)]
         instrs = program.functions["bump"].instrs
         assert any(table[ip].__name__ == table[ip + 1].__name__ == "_b"
                    and instrs[ip].op not in (Op.CALL, Op.CALLPTR)
@@ -392,7 +407,7 @@ class TestDeadlineTier:
         machine = Machine(program, build_machine_config("wrapped"))
         result = machine.run(timeout_seconds=ARMED_TIMEOUT)
         assert result.trap is None
-        assert {key[0] for key in machine._fast._fused} >= {"main", "add"}
+        assert {key[0] for key in machine._ran_on._fused} >= {"main", "add"}
 
     def test_budget_fallback_resumes_in_reference(self):
         program = compile_source(SPIN, CompilerOptions.baseline())
@@ -433,7 +448,7 @@ int main(void) {
 
 def _blocks(machine, name: str, armed: bool = False) -> list:
     """The compiled ``_b`` handlers of one fused translation."""
-    return [h for h in machine._fast._fused[(name, armed)]
+    return [h for h in machine._ran_on._fused[(name, armed)]
             if getattr(h, "__name__", "") == "_b"]
 
 
@@ -499,7 +514,7 @@ class TestCodeCache:
             assert _observables(program, config, "auto") == reference
             machine = Machine(program, config)
             machine.run()
-            runs.append((machine, machine._fast.symbols["g"]))
+            runs.append((machine, machine._ran_on.symbols["g"]))
         (first, g1), (second, g2) = runs
         assert g1 != g2
         entry1, entry2 = _blocks(first, "get")[0], _blocks(second, "get")[0]
@@ -863,7 +878,7 @@ class TestInstrumentedDifferential:
         machine = Machine(program, config)
         plain = machine.run()
         assert machine.engine_used == "fastpath"
-        armed = {key[1] for key in machine._fast._fused}
+        armed = {key[1] for key in machine._ran_on._fused}
         assert armed == {False}
         machine2 = Machine(program, config)
         obs = attach_observer(machine2, profile=True, forensics=True)
@@ -878,7 +893,7 @@ class TestInstrumentedDifferential:
         assert observed.stats.ifp.promotes_total > 0
         assert observed.stats.ifp.promote_cache_hits == \
             observed.stats.ifp.promote_cache_misses == 0
-        armed = {key[1] for key in machine2._fast._fused}
+        armed = {key[1] for key in machine2._ran_on._fused}
         assert armed <= {False, True} and True in armed
 
 
@@ -909,7 +924,9 @@ class TestInstrumentSlot:
             rings[engine] = (tracer.recorded, tracer.snapshot())
         assert rings["reference"] == rings["auto"]
 
-    def test_tracer_attached_between_runs_rebinds_armed_variant(self):
+    def test_a_finished_machine_refuses_a_second_run(self):
+        # A tracer attached after a run arms nothing on that machine: it
+        # refuses to run again, and a new machine takes the tracer.
         from repro.debug.trace import attach_tracer
         from repro.obs import attach_observer
 
@@ -921,14 +938,20 @@ class TestInstrumentSlot:
             assert machine.run().trap is None
             tracer = attach_tracer(machine, capacity=512)
             assert machine.obs is obs and obs.tracer is tracer
+            with pytest.raises(ReproError, match="runs once"):
+                machine.run()
+            assert tracer.recorded == 0
+            machine = self._machine(engine)
+            attach_observer(machine, profile=False, forensics=False)
+            tracer = attach_tracer(machine, capacity=512)
             assert machine.run().trap is None
             rings[engine] = (tracer.recorded, tracer.snapshot())
             if engine == "auto":
-                names = {key[0] for key in machine._fast._fused}
-                assert set(machine._fast._fused) <= {
+                names = {key[0] for key in machine._ran_on._fused}
+                assert set(machine._ran_on._fused) <= {
                     (name, armed) for name in names
                     for armed in (False, True)}
-                assert {key[1] for key in machine._fast._fused} == {True}
+                assert {key[1] for key in machine._ran_on._fused} == {True}
         assert rings["reference"][0] > 0
         assert rings["reference"] == rings["auto"]
 
@@ -1017,7 +1040,7 @@ class TestCacheCoherence:
             machine.memory.map_range(obj, 0x1000)
             ifp = machine.ifp
             ifp.local_offset.write_metadata(machine.memory, obj, 24, 0,
-                                            ifp.mac_key)
+                                            ifp.mac)
             return machine, ifp.local_offset.make_pointer(obj, obj, 24)
 
         def simulated_stats(unit):
@@ -1353,7 +1376,7 @@ class TestPromoteOracle:
             machine.memory.map_range(obj, 0x1000)
             ifp = machine.ifp
             ifp.local_offset.write_metadata(machine.memory, obj, 24, 0,
-                                            ifp.mac_key)
+                                            ifp.mac)
             pointer = ifp.local_offset.make_pointer(obj, obj, 24)
             results = [repr(ifp.promote(pointer)) for _ in range(2)]
             machine.memory.unmap_range(obj, 0x1000)
@@ -1392,7 +1415,7 @@ class TestPromoteOracle:
             ]).serialize())
             scheme = unit.local_offset
             for obj in objects:
-                scheme.write_metadata(memory, obj, 24, layout, unit.mac_key)
+                scheme.write_metadata(memory, obj, 24, layout, unit.mac)
             pointers = []
             for obj in objects:
                 pointers += [scheme.make_pointer(obj, obj, 24),
@@ -2031,7 +2054,7 @@ def _hierarchy_state(program, config: MachineConfig, engine: str,
         "output": result.output,
         "trap": (type(trap).__name__, str(trap), trap.pc)
         if trap else None,
-        "executed": machine.select_interp().executed,
+        "executed": machine._ran_on.executed,
         "stats": dataclasses.asdict(result.stats),
         "l1d_sets": [list(lines) for lines in l1d._sets],
         "l1d_stats": dataclasses.asdict(l1d.stats),
@@ -2100,7 +2123,6 @@ class TestInlineMemoryHierarchy:
         # one past the end, back in bounds, already irrecoverable (both
         # encodings) and with no bounds register
         from repro.compiler.ir import Instr
-        from repro.vm.interp import Interpreter
 
         base, size = 0x4000_0000, 64
         cases = []        # (tag, bounded, delta, expected poison)
@@ -2549,11 +2571,11 @@ class TestBlockLocalsAndLoopRegions:
         config = build_machine_config("baseline")
         machine = Machine(program, config)
         assert machine.run().trap is None
-        total = machine._fast.executed
+        total = machine._ran_on.executed
         (region,) = _regions(machine, "main")
         # the region's body runs from its leader to the ``jmp`` back to
         # the header, which falls through to it
-        start = machine._fast._fused[("main", False)].index(region)
+        start = machine._ran_on._fused[("main", False)].index(region)
         instrs = program.functions["main"].instrs
         end = next(ip for ip in range(start, len(instrs))
                    if instrs[ip].op == Op.JMP) + 1
@@ -2658,9 +2680,9 @@ class TestBlockLocalsAndLoopRegions:
         assert f_region.__code__ is not g_region.__code__
         # the region bodies are one block at the same ips: only the
         # headers they jump to tell them apart
-        f_table = machine._fast._fused[("f", False)]
+        f_table = machine._ran_on._fused[("f", False)]
         start = f_table.index(f_region)
-        assert machine._fast._fused[("g", False)].index(g_region) == start
+        assert machine._ran_on._fused[("g", False)].index(g_region) == start
         f_instrs, g_instrs = (program.functions[name].instrs
                               for name in "fg")
         end = next(ip for ip in range(start, len(f_instrs))

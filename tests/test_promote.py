@@ -33,7 +33,7 @@ def install_figure9(unit, lt_addr=0x10000):
 
 def register_object(unit, obj=0x11000, size=24, lt_addr=0):
     unit.local_offset.write_metadata(unit.port.memory, obj, size, lt_addr,
-                                     unit.mac_key)
+                                     unit.mac)
     return obj
 
 

@@ -125,7 +125,7 @@ def test_hardware_narrowing_matches_type_oracle(scenario, data):
 
     object_base = 0x12000
     unit.local_offset.write_metadata(
-        memory, object_base, top.size, lt_addr, unit.mac_key)
+        memory, object_base, top.size, lt_addr, unit.mac)
 
     span = upper_off - lower_off
     address = object_base + lower_off \

@@ -24,7 +24,7 @@ class TestLocalOffset:
     def test_register_lookup_roundtrip(self, unit):
         obj = 0x11000
         unit.local_offset.write_metadata(unit.port.memory, obj, 100, 0,
-                                         unit.mac_key)
+                                         unit.mac)
         pointer = unit.local_offset.make_pointer(obj + 40, obj, 100)
         result = unit.promote(pointer)
         assert result.bounds == Bounds(obj, obj + 100)
@@ -42,18 +42,18 @@ class TestLocalOffset:
         # code (it points at the object, not at metadata).
         obj = 0x11000
         md = unit.local_offset.write_metadata(
-            unit.port.memory, obj, 100, 0, unit.mac_key)
+            unit.port.memory, obj, 100, 0, unit.mac)
         assert md == obj + 112  # align_up(100, 16)
 
     def test_unaligned_base_rejected(self, unit):
         with pytest.raises(ValueError):
             unit.local_offset.write_metadata(unit.port.memory, 0x11004,
-                                             32, 0, unit.mac_key)
+                                             32, 0, unit.mac)
 
     def test_mac_tamper_detected(self, unit):
         obj = 0x11000
         md = unit.local_offset.write_metadata(
-            unit.port.memory, obj, 100, 0, unit.mac_key)
+            unit.port.memory, obj, 100, 0, unit.mac)
         unit.port.memory.store_int(md + 8, 101, 2)  # corrupt the size
         pointer = unit.local_offset.make_pointer(obj, obj, 100)
         result = unit.promote(pointer)
@@ -63,7 +63,7 @@ class TestLocalOffset:
     def test_cleared_metadata_is_invalid(self, unit):
         obj = 0x11000
         unit.local_offset.write_metadata(unit.port.memory, obj, 100, 0,
-                                         unit.mac_key)
+                                         unit.mac)
         pointer = unit.local_offset.make_pointer(obj, obj, 100)
         unit.local_offset.clear_metadata(unit.port.memory, obj, 100)
         result = unit.promote(pointer)
@@ -72,7 +72,7 @@ class TestLocalOffset:
     def test_reencode_after_arithmetic(self, unit):
         obj = 0x11000
         unit.local_offset.write_metadata(unit.port.memory, obj, 100, 0,
-                                         unit.mac_key)
+                                         unit.mac)
         pointer = unit.local_offset.make_pointer(obj, obj, 100)
         tag = unpack_tag(pointer)
         moved = unit.local_offset.reencode_after_arithmetic(
@@ -101,7 +101,7 @@ class TestSubheap:
         slot_end = slot_start + 10 * slot_size
         unit.subheap.write_block_metadata(
             unit.port.memory, block, region, slot_start, slot_end,
-            slot_size, object_size, layout_ptr, unit.mac_key)
+            slot_size, object_size, layout_ptr, unit.mac)
         return block, index, slot_start
 
     def test_slot_identification(self, unit):
@@ -154,7 +154,7 @@ class TestSubheap:
         with pytest.raises(ValueError):
             unit.subheap.write_block_metadata(
                 unit.port.memory, 0x14000, region, 32, 5000, 32, 24, 0,
-                unit.mac_key)  # slot_end beyond block
+                unit.mac)  # slot_end beyond block
 
 
 class TestGlobalTable:
